@@ -14,7 +14,7 @@ each machine mode:
 Run:  python examples/fault_injection_study.py
 """
 
-from repro import FaultConfig, Processor, ss1, ss2
+from repro import FaultConfig, Processor, RatePolicy, ss1, ss2
 from repro.functional import compare_states, run_functional
 from repro.workloads import build_workload
 
@@ -23,11 +23,11 @@ ITERATIONS = 60  # finite run so the golden model can replay it exactly
 
 
 def run_one(program, model, rate, seed):
-    fault_config = None
+    policy = None
     if rate > 0:
-        fault_config = FaultConfig(rate_per_million=rate, seed=seed)
+        policy = RatePolicy(FaultConfig(rate_per_million=rate, seed=seed))
     processor = Processor(program, config=model.config, ft=model.ft,
-                          fault_config=fault_config)
+                          policy=policy)
     stats = processor.run()
     return processor, stats
 

@@ -10,7 +10,7 @@ shows the rewind in the trace.
 Run:  python examples/pipeline_trace.py
 """
 
-from repro import FaultConfig, Processor, ss2
+from repro import FaultConfig, Processor, RatePolicy, ss2
 from repro.uarch.trace import PipelineTracer
 from repro.workloads import dot_product
 
@@ -37,8 +37,8 @@ def main():
     print()
     print("Same program with one injected fault:\n")
     processor = Processor(program, config=ss2().config, ft=ss2().ft,
-                          fault_config=FaultConfig(rate_per_million=9000,
-                                                   seed=123))
+                          policy=RatePolicy(FaultConfig(
+                              rate_per_million=9000, seed=123)))
     tracer = PipelineTracer()
     processor.attach_tracer(tracer)
     processor.run()

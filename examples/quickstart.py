@@ -11,7 +11,8 @@
 Run:  python examples/quickstart.py
 """
 
-from repro import FaultConfig, Processor, assemble, ss1, ss2
+from repro import (FaultConfig, Processor, RatePolicy, assemble, ss1,
+                   ss2)
 from repro.functional import compare_states, run_functional
 
 SOURCE = """
@@ -56,7 +57,7 @@ def main():
     faults = FaultConfig(rate_per_million=2000.0, seed=99)
     model = ss2()
     processor = Processor(program, config=model.config, ft=model.ft,
-                          fault_config=faults)
+                          policy=RatePolicy(faults))
     stats = processor.run()
     diff = compare_states(processor.arch, golden.state)
     print("%-8s  IPC %.3f  injected %d  detected %d  rewinds %d  "

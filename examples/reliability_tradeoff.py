@@ -14,7 +14,7 @@ R>=3 is only justified for extra fault-coverage confidence.
 Run:  python examples/reliability_tradeoff.py
 """
 
-from repro import FaultConfig, Processor, ss2, ss3
+from repro import FaultConfig, Processor, RatePolicy, ss2, ss3
 from repro.analytical import faulty_ipc
 from repro.workloads import build_workload
 
@@ -23,12 +23,12 @@ INSTRUCTIONS = 8_000
 
 
 def simulate(model, program, rate):
-    fault_config = None
+    policy = None
     if rate > 0:
-        fault_config = FaultConfig(rate_per_million=rate,
-                                   seed=1234 + int(rate))
+        policy = RatePolicy(FaultConfig(rate_per_million=rate,
+                                        seed=1234 + int(rate)))
     processor = Processor(program, config=model.config, ft=model.ft,
-                          fault_config=fault_config)
+                          policy=policy)
     stats = processor.run(max_instructions=INSTRUCTIONS,
                           max_cycles=2_000_000)
     return stats

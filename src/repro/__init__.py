@@ -32,11 +32,11 @@ Quickstart::
         print(model.name, result.ipc)
 """
 
-from .campaign import (CampaignSession, CampaignSpec, ExecutionOptions,
-                       run_campaign)
+from .campaign import CampaignSession, CampaignSpec, ExecutionOptions
 from .core.config import (DUAL_REDUNDANT, TRIPLE_MAJORITY, TRIPLE_REWIND,
                           UNPROTECTED, FTConfig)
 from .core.faults import FaultConfig, FaultInjector
+from .faults.policy import RatePolicy
 from .harness.experiment import run_on_model
 from .isa.assembler import assemble
 from .isa.builder import ProgramBuilder
@@ -50,9 +50,10 @@ from .workloads.generator import build_workload
 __version__ = "1.1.0"
 
 __all__ = [
-    "CampaignSession", "CampaignSpec", "ExecutionOptions", "run_campaign",
+    "CampaignSession", "CampaignSpec", "ExecutionOptions",
     "DUAL_REDUNDANT", "TRIPLE_MAJORITY", "TRIPLE_REWIND", "UNPROTECTED",
-    "FTConfig", "FaultConfig", "FaultInjector", "run_on_model",
+    "FTConfig", "FaultConfig", "FaultInjector", "RatePolicy",
+    "run_on_model",
     "assemble", "ProgramBuilder", "MachineModel", "baseline_config",
     "get_model", "ss1", "ss2", "ss3", "static2", "Program",
     "MachineConfig", "Processor", "simulate", "build_workload",

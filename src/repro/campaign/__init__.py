@@ -20,8 +20,6 @@ statistically aggregated injection campaigns:
   JSONL, selected by URL-style path (``out.jsonl`` /
   ``sqlite:campaign.db`` / ``shard:dir/``), mergeable via
   :func:`merge_stores`, compactable via ``StoreBackend.compact``;
-* :mod:`~repro.campaign.engine` — the deprecated ``run_campaign``
-  keyword surface, kept as a thin wrapper over the session;
 * :mod:`~repro.campaign.aggregate` — per-cell coverage / SDC-rate / IPC
   statistics with Wilson confidence intervals;
 * :mod:`~repro.campaign.adaptive` — :class:`SamplingPlan` adaptive
@@ -60,18 +58,17 @@ from .api import (CAMPAIGN_FINISHED, CELL_CONVERGED, CELL_FINISHED,
                   CampaignEvent, CampaignProgress, CampaignResult,
                   CampaignSession, ExecutionOptions,
                   execute_trial_payload)
-from .engine import run_campaign
 from .orchestrator import (CampaignOrchestrator, ShardWorker,
                            shard_store_path)
 from .golden import (GoldenTrace, cached_trace, clear_trace_cache,
                      compare_with_golden)
 from .outcome import (DETECTED_RECOVERED, MASKED, OUTCOMES, SDC,
-                      SIMULATORS, TIMEOUT, TrialResult,
-                      clear_result_caches, run_trial)
+                      TIMEOUT, TrialResult, clear_result_caches,
+                      run_trial)
 from .spec import CampaignShard, CampaignSpec, Trial
-from .store import (JSONLStore, ResultStore, RetryingStore,
-                    ShardedJSONLStore, SQLiteStore, StoreBackend,
-                    merge_stores, open_store, shard_of_key)
+from .store import (JSONLStore, RetryingStore, ShardedJSONLStore,
+                    SQLiteStore, StoreBackend, merge_stores, open_store,
+                    shard_of_key)
 
 __all__ = [
     "AdaptiveScheduler", "AdaptiveSummary", "SamplingPlan",
@@ -81,14 +78,13 @@ __all__ = [
     "CAMPAIGN_FINISHED", "CELL_CONVERGED", "CELL_FINISHED",
     "EVENT_KINDS", "TRIAL_FINISHED", "TRIAL_STARTED", "CampaignEvent",
     "CampaignProgress", "CampaignResult", "CampaignSession",
-    "ExecutionOptions", "execute_trial_payload", "run_campaign",
+    "ExecutionOptions", "execute_trial_payload",
     "CampaignOrchestrator", "ShardWorker", "shard_store_path",
     "GoldenTrace", "cached_trace", "clear_trace_cache",
     "compare_with_golden",
-    "DETECTED_RECOVERED", "MASKED", "OUTCOMES", "SDC", "SIMULATORS",
-    "TIMEOUT", "TrialResult", "clear_result_caches", "run_trial",
+    "DETECTED_RECOVERED", "MASKED", "OUTCOMES", "SDC", "TIMEOUT",
+    "TrialResult", "clear_result_caches", "run_trial",
     "CampaignShard", "CampaignSpec", "Trial",
-    "JSONLStore", "ResultStore", "RetryingStore",
-    "ShardedJSONLStore", "SQLiteStore",
+    "JSONLStore", "RetryingStore", "ShardedJSONLStore", "SQLiteStore",
     "StoreBackend", "merge_stores", "open_store", "shard_of_key",
 ]

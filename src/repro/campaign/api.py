@@ -2,9 +2,8 @@
 
 A session owns everything one campaign run needs — the spec (or a
 :meth:`~repro.campaign.spec.CampaignSpec.shard` of one), an
-:class:`ExecutionOptions` bundle (absorbing the loose ``simulator`` /
-``golden_cache`` / ``reuse_faultfree`` / ``workers`` / ``max_cycles``
-keywords that accreted on ``run_campaign``), a
+:class:`ExecutionOptions` bundle (how trials run: pool width, cycle
+budget, sampling plan, resilience and throughput knobs), a
 :class:`~repro.campaign.store.StoreBackend`, and a typed
 :class:`CampaignEvent` stream — and exposes the four verbs of the
 campaign lifecycle::
@@ -29,9 +28,6 @@ wall-clock optimisation (per-trial seeds derive from trial keys, never
 from scheduling order), records are re-ordered into spec-expansion
 order before aggregation, and any store backend makes a killed
 campaign resumable from its completed keys.
-
-``repro.campaign.engine.run_campaign`` survives as a thin deprecated
-wrapper over this class, byte-identical in behaviour.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ from ..errors import ConfigError
 from .adaptive import (CONVERGED as _CONVERGED, AdaptiveScheduler,
                        AdaptiveSummary, SamplingPlan)
 from .aggregate import aggregate, aggregate_structures, trial_cell
-from .outcome import SIMULATORS, run_trial
+from .outcome import run_trial
 from .spec import CampaignShard, CampaignSpec, Trial
 from .store import RetryingStore, StoreBackend, open_store
 from ..resilience.retry import RetryPolicy
@@ -138,17 +134,14 @@ CampaignListener = Callable[[CampaignEvent], None]
 class ExecutionOptions:
     """How a session executes trials (never *what* it executes).
 
-    ``simulator`` / ``golden_cache`` / ``reuse_faultfree`` select
-    between the optimized and the frozen reference execution paths
-    (byte-identical records either way, see
-    :func:`repro.campaign.outcome.run_trial`); ``workers`` widens the
-    process pool; ``max_cycles`` stamps a cycle budget onto a spec that
-    does not set one (it is part of trial identity, so the session
-    refuses to silently contradict a spec's own value); ``sampling``
-    attaches a :class:`~repro.campaign.adaptive.SamplingPlan` — a
-    wilson plan stops statistically converged cells early and spends
-    the freed replicate budget on the widest-interval cells (``None``
-    and ``SamplingPlan.fixed()`` are the historical run-everything
+    ``workers`` widens the process pool; ``max_cycles`` stamps a cycle
+    budget onto a spec that does not set one (it is part of trial
+    identity, so the session refuses to silently contradict a spec's
+    own value); ``sampling`` attaches a
+    :class:`~repro.campaign.adaptive.SamplingPlan` — a wilson plan
+    stops statistically converged cells early and spends the freed
+    replicate budget on the widest-interval cells (``None`` and
+    ``SamplingPlan.fixed()`` are the historical run-everything
     behaviour); ``poll_interval`` sets how often a store-watching
     driver (the multi-shard orchestrator, the campaign service's live
     progress feed) re-reads result stores — ``None`` keeps each
@@ -170,17 +163,12 @@ class ExecutionOptions:
     The throughput knobs select record-identical fast paths:
     ``checkpointing`` snapshots each cell's fault-free baseline so
     fault trials fast-forward past their shared prefix
-    (:mod:`repro.campaign.checkpoint`), ``checkpoint_interval``
-    overrides the auto-tuned snapshot spacing (committed
-    instructions), and ``persistent_workers`` warms every pool worker
-    at startup — a pool ``initializer`` pre-runs each cell's
-    fault-free twin so decoded programs, golden traces and checkpoints
-    are hot before the first real trial lands.
+    (:mod:`repro.campaign.checkpoint`), and ``persistent_workers``
+    warms every pool worker at startup — a pool ``initializer``
+    pre-runs each cell's fault-free twin so decoded programs, golden
+    traces and checkpoints are hot before the first real trial lands.
     """
 
-    simulator: str = "fast"
-    golden_cache: bool = True
-    reuse_faultfree: bool = True
     workers: int = 1
     max_cycles: Optional[int] = None
     sampling: Optional[SamplingPlan] = None
@@ -189,13 +177,9 @@ class ExecutionOptions:
     trial_retries: int = 2
     store_retry: Optional[RetryPolicy] = None
     checkpointing: bool = False
-    checkpoint_interval: Optional[int] = None
     persistent_workers: bool = False
 
     def __post_init__(self):
-        if self.simulator not in SIMULATORS:
-            raise ConfigError("unknown simulator %r (choose from %s)"
-                              % (self.simulator, "/".join(SIMULATORS)))
         if not isinstance(self.workers, int) \
                 or isinstance(self.workers, bool) or self.workers < 1:
             raise ConfigError("workers must be >= 1")
@@ -232,17 +216,10 @@ class ExecutionOptions:
             raise ConfigError(
                 "store_retry must be a RetryPolicy or None, got %r"
                 % (self.store_retry,))
-        if self.checkpoint_interval is not None and (
-                not isinstance(self.checkpoint_interval, int)
-                or isinstance(self.checkpoint_interval, bool)
-                or self.checkpoint_interval < 1):
-            raise ConfigError(
-                "checkpoint_interval must be a positive integer or "
-                "None, got %r" % (self.checkpoint_interval,))
-        if self.checkpoint_interval is not None \
-                and not self.checkpointing:
-            raise ConfigError(
-                "checkpoint_interval requires checkpointing=True")
+        for name in ("checkpointing", "persistent_workers"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError("%s must be a bool, got %r"
+                                  % (name, getattr(self, name)))
 
     @property
     def adaptive(self) -> bool:
@@ -250,11 +227,8 @@ class ExecutionOptions:
         return self.sampling is not None and self.sampling.is_adaptive
 
     def to_dict(self) -> dict:
-        """Plain-dict form (orchestrator worker payloads)."""
-        data = {"simulator": self.simulator,
-                "golden_cache": self.golden_cache,
-                "reuse_faultfree": self.reuse_faultfree,
-                "workers": self.workers}
+        """Plain-dict form (orchestrator worker payloads, job files)."""
+        data = {"workers": self.workers}
         if self.max_cycles is not None:
             data["max_cycles"] = self.max_cycles
         if self.sampling is not None:
@@ -274,38 +248,39 @@ class ExecutionOptions:
         # payloads stay byte-compatible with pre-checkpointing runs.
         if self.checkpointing:
             data["checkpointing"] = True
-        if self.checkpoint_interval is not None:
-            data["checkpoint_interval"] = self.checkpoint_interval
         if self.persistent_workers:
             data["persistent_workers"] = True
         return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExecutionOptions":
+        """Rebuild options from :meth:`to_dict` output (or a tenant's
+        JSON body); any malformed input raises
+        :class:`~repro.errors.ConfigError`."""
+        if not isinstance(data, dict):
+            raise ConfigError("execution options must be a JSON object, "
+                              "got %r" % (data,))
         data = dict(data)
-        sampling = data.pop("sampling", None)
-        if sampling is not None:
-            data["sampling"] = SamplingPlan.from_dict(sampling)
-        store_retry = data.pop("store_retry", None)
-        if store_retry is not None:
-            data["store_retry"] = RetryPolicy.from_dict(store_retry)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError("unknown execution option fields: %s"
                               % sorted(unknown))
+        for name, parse in (("sampling", SamplingPlan.from_dict),
+                            ("store_retry", RetryPolicy.from_dict)):
+            value = data.get(name)
+            if value is None:
+                continue
+            if not isinstance(value, dict):
+                raise ConfigError("%s must be a JSON object, got %r"
+                                  % (name, value))
+            data[name] = parse(value)
         return cls(**data)
 
     def trial_payload(self, trial: Trial) -> dict:
         """The worker-pool payload for one trial (plain dicts only)."""
-        payload = {"trial": trial.to_dict(),
-                   "simulator": self.simulator,
-                   "golden_cache": self.golden_cache,
-                   "reuse_faultfree": self.reuse_faultfree}
+        payload = {"trial": trial.to_dict()}
         if self.checkpointing:
             payload["checkpointing"] = True
-            if self.checkpoint_interval is not None:
-                payload["checkpoint_interval"] = self.checkpoint_interval
         return payload
 
 
@@ -360,23 +335,12 @@ def execute_trial_payload(payload):
     """Worker entry point: run one serialised trial, return its record.
 
     Module-level (not a closure) so :class:`ProcessPoolExecutor` can
-    pickle it; takes and returns plain dicts for the same reason.
-    Accepts either a bare ``Trial.to_dict()`` (the PR-1 payload shape)
-    or ``{"trial": ..., "simulator": ..., "golden_cache": ...,
-    "reuse_faultfree": ...}``.
+    pickle it; takes and returns plain dicts for the same reason.  The
+    payload is :meth:`ExecutionOptions.trial_payload` output.
     """
-    if "trial" in payload:
-        trial = Trial.from_dict(payload["trial"])
-        return run_trial(
-            trial,
-            simulator=payload.get("simulator", "fast"),
-            golden_cache=payload.get("golden_cache", True),
-            reuse_faultfree=payload.get("reuse_faultfree", True),
-            checkpointing=payload.get("checkpointing", False),
-            checkpoint_interval=payload.get("checkpoint_interval"),
-        ).to_record()
-    trial = Trial.from_dict(payload)
-    return run_trial(trial).to_record()
+    return run_trial(Trial.from_dict(payload["trial"]),
+                     checkpointing=payload.get("checkpointing", False)
+                     ).to_record()
 
 
 #: Cells warmed per worker by the persistent-worker initializer; a
@@ -458,12 +422,6 @@ class CampaignSession:
         self.options = options if options is not None \
             else ExecutionOptions()
         self.spec = self._stamp_max_cycles(spec, self.options.max_cycles)
-        if self.options.simulator != "fast" \
-                and getattr(self.spec, "fault_sites", None):
-            # Fail at construction, not per-trial inside a pool worker.
-            raise ConfigError(
-                "fault-site campaigns require the fast simulator (the "
-                "frozen reference engine predates the site subsystem)")
         self.store: Optional[StoreBackend] = open_store(store)
         if self.store is not None \
                 and self.options.store_retry is not None \

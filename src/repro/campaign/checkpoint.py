@@ -12,13 +12,11 @@ record byte:
   :class:`~repro.uarch.snapshot.ProcessorSnapshot`.  Chained
   ``Processor.run`` calls check their budgets before every step, so
   the segmented run is cycle-for-cycle identical to the straight one.
-* :class:`CellCheckpoints` owns one cell's snapshots plus a memoized
-  injector RNG pre-walk (:meth:`CellCheckpoints.prewalk`): a single
-  replay of the injector's draw stream yields *both* the silent-trial
-  verdict and, per checkpoint boundary, the RNG state a restored run
-  must continue from — the walk
-  :func:`repro.campaign.outcome._injector_stays_silent` used to do per
-  trial now runs once and serves both consumers.
+* :class:`CellCheckpoints` owns one cell's snapshots, and
+  :func:`_prewalk_injector` replays a trial's injector draw stream
+  once: the same walk yields *both* the silent-trial verdict and, per
+  checkpoint boundary, the RNG state a restored run must continue
+  from.
 * :func:`resume_windowed` restores a snapshot into a freshly built
   fault-armed processor, re-seats the injector RNG, and finishes the
   windowed protocol from the snapshot's position.
@@ -50,7 +48,7 @@ from ..uarch.snapshot import ProcessorSnapshot
 #: handful of full memory images; see CHECKPOINTS_PER_CELL).
 _STORE_LIMIT = 4
 
-#: Snapshot boundaries per cell when no explicit interval is given.
+#: Snapshot boundaries per cell.
 CHECKPOINTS_PER_CELL = 8
 
 #: Never checkpoint more often than this many committed instructions.
@@ -58,7 +56,8 @@ MIN_INTERVAL = 50
 
 
 def default_interval(instructions, warmup=0):
-    """The auto-tuned snapshot spacing for one cell's budget."""
+    """The snapshot spacing (committed instructions) for one cell's
+    budget."""
     return max(MIN_INTERVAL,
                (instructions + warmup) // CHECKPOINTS_PER_CELL)
 
@@ -73,7 +72,11 @@ def _prewalk_injector(fault_config, redundancy, boundaries, max_groups):
     ``D <= first_hit`` to the RNG state after consuming exactly the
     draws of groups ``0..D-1`` — what a run restored at ``D`` must
     continue from.  Draw order mirrors ``Replicator.build_group``
-    (and `_injector_stays_silent`) exactly.
+    exactly: one group-level ``pc`` draw (when the mix gives ``pc``
+    weight) plus one draw per redundant copy, per dispatched group.  A
+    miss leaves machine state untouched, so a trial whose draws all
+    miss is state-for-state the fault-free run — exact, not
+    probabilistic.
     """
     probe = FaultInjector(fault_config)
     rng = probe._rng
@@ -82,9 +85,10 @@ def _prewalk_injector(fault_config, redundancy, boundaries, max_groups):
     pc_rate = probe._pc_rate
     states = {}
     want = sorted(set(boundaries))
+    wanted = len(want)
     position = 0
     for group in range(max_groups):
-        while position < len(want) and want[position] == group:
+        while position < wanted and want[position] == group:
             states[group] = rng.getstate()
             position += 1
         if pc_rate > 0 and random() < pc_rate:
@@ -92,14 +96,14 @@ def _prewalk_injector(fault_config, redundancy, boundaries, max_groups):
         for _ in range(redundancy):
             if random() < rate:
                 return group, states
-    while position < len(want) and want[position] <= max_groups:
+    while position < wanted and want[position] <= max_groups:
         states[want[position]] = rng.getstate()
         position += 1
     return None, states
 
 
 class CellCheckpoints:
-    """The snapshot ladder plus pre-walk memo of one campaign cell."""
+    """The snapshot ladder of one campaign cell."""
 
     def __init__(self, snapshots):
         self.snapshots = sorted(snapshots,
@@ -108,29 +112,6 @@ class CellCheckpoints:
                                 for s in self.snapshots)
         self.program = self.snapshots[0].program if self.snapshots \
             else None
-        self._prewalks = {}
-
-    def prewalk(self, fault_config, redundancy, max_groups):
-        """Memoized :func:`_prewalk_injector` for one trial's injector.
-
-        The silent-trial check and the checkpoint selection both need
-        this walk; the memo makes the second ask free.  Keyed by the
-        injector identity (rate, seed, kind mix) — each trial seeds its
-        own injector, so this is a within-trial dedup, not a
-        cross-trial cache.
-        """
-        key = (fault_config.rate_per_million, fault_config.seed,
-               tuple(sorted(fault_config.kind_weights.items())),
-               redundancy, max_groups)
-        entry = self._prewalks.get(key)
-        if entry is None:
-            entry = _prewalk_injector(fault_config, redundancy,
-                                      self.boundaries, max_groups)
-            # One live memo entry: trials arrive one at a time per
-            # process, so keeping only the latest walk is enough.
-            self._prewalks.clear()
-            self._prewalks[key] = entry
-        return entry
 
     def best_before(self, group_index):
         """The latest snapshot safe for a first strike at ``group_index``.
@@ -216,25 +197,23 @@ def checkpoint_store_stats():
 
 def run_windowed_capturing(processor, max_instructions,
                            warmup_instructions=0, max_cycles=None,
-                           interval=None, capture=None):
+                           capture=None):
     """`run_windowed`, segmented to snapshot at instruction boundaries.
 
     Chains ``processor.run`` calls toward absolute instruction targets
     (each chunk recomputed from the actual committed count, so
     commit-width overshoot never drifts the protocol), stamping the
     warmup extras exactly where the straight protocol does, and calling
-    ``capture(processor)`` after each crossed multiple of ``interval``
-    — after any warmup stamping due at the same boundary, never at the
-    final target, never once the machine halted or exhausted its cycle
-    budget.  Returns ``(stats,
+    ``capture(processor)`` after each crossed multiple of
+    :func:`default_interval` — after any warmup stamping due at the
+    same boundary, never at the final target, never once the machine
+    halted or exhausted its cycle budget.  Returns ``(stats,
     warm_cycles, warm_instructions)`` exactly like
     :func:`repro.harness.experiment.run_windowed`.
     """
     if max_cycles is None:
         max_cycles = cycle_budget(max_instructions, warmup_instructions)
-    if interval is None:
-        interval = default_interval(max_instructions,
-                                    warmup_instructions)
+    interval = default_interval(max_instructions, warmup_instructions)
     # The straight protocol's measurement run targets are *relative*
     # to the committed count after warmup, overshoot included — the
     # final absolute target is only known once warmup completes.
@@ -280,7 +259,7 @@ def resume_windowed(processor, snapshot, rng_state, max_instructions,
     """Finish the windowed protocol from a restored snapshot.
 
     ``processor`` must be freshly built with this trial's injector or
-    policy; ``rng_state`` (from :meth:`CellCheckpoints.prewalk`)
+    policy; ``rng_state`` (from :func:`_prewalk_injector`)
     re-seats the rate injector's RNG at the snapshot's draw position —
     ``None`` for site policies, which consume no randomness after
     construction.  Returns ``(stats, warm_cycles, warm_instructions)``

@@ -275,15 +275,6 @@ class CampaignOrchestrator:
         if not isinstance(poll_interval, (int, float)) \
                 or isinstance(poll_interval, bool) or poll_interval <= 0:
             raise ConfigError("poll_interval must be > 0")
-        if mode == CLI_MODE:
-            defaults = ExecutionOptions()
-            for name in ("simulator", "golden_cache", "reuse_faultfree"):
-                if getattr(self.options, name) \
-                        != getattr(defaults, name):
-                    raise ConfigError(
-                        "mode='cli' shard workers run the default "
-                        "execution path; %s is not forwardable over "
-                        "the repro-ft command line" % name)
         # Stamp max_cycles onto the spec up front so both worker modes
         # (and the spec file) agree on trial identity.
         self.spec = CampaignSession._stamp_max_cycles(
@@ -414,9 +405,6 @@ class CampaignOrchestrator:
             command += ["--workers", str(self.options.workers)]
         if self.options.checkpointing:
             command.append("--checkpointing")
-            if self.options.checkpoint_interval is not None:
-                command += ["--checkpoint-interval",
-                            str(self.options.checkpoint_interval)]
         if self.options.persistent_workers:
             command.append("--persistent-workers")
         plan = self.options.sampling

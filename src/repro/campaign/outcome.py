@@ -3,9 +3,10 @@
 Every trial is compared against the paper's golden reference (Section
 5.1.1): an in-order functional simulation of the same program advanced
 by exactly as many instructions as the out-of-order machine committed.
-The comparison reuses :func:`repro.functional.checker.compare_states`
-over the full architectural state (registers + memory) plus the
-committed next-PC.
+The in-order state comes from the cell's memoized
+:class:`~repro.campaign.golden.GoldenTrace`, and
+:func:`~repro.campaign.golden.compare_with_golden` compares the full
+architectural state (registers + memory) plus the committed next-PC.
 
 Outcome classes:
 
@@ -25,15 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from ..core.faults import FaultInjector
 from ..errors import SimulationError
-from ..functional.checker import compare_states
-from ..functional.simulator import FunctionalSimulator
+from ..faults.policy import RatePolicy
 from ..harness.experiment import cycle_budget, run_windowed
 from ..program.cache import cached_workload as _cached_workload
-from ..uarch.processor import Processor
-from ..uarch.reference import ReferenceProcessor
 from ..program.cache import workload_cache_stats
+from ..uarch.processor import Processor
 from . import checkpoint as _checkpoint
 from .golden import cached_trace, compare_with_golden, trace_cache_stats
 
@@ -43,10 +41,6 @@ SDC = "sdc"
 TIMEOUT = "timeout"
 
 OUTCOMES = (MASKED, DETECTED_RECOVERED, SDC, TIMEOUT)
-
-#: Simulator selection accepted by :func:`run_trial`: the optimized
-#: engine, or the frozen pre-overhaul reference for A/B diffing.
-SIMULATORS = ("fast", "reference")
 
 #: Per-process memo of fault-free trial results: with no injector the
 #: simulation is a pure function of (workload, model, budgets), so all
@@ -141,92 +135,61 @@ class TrialResult:
                    **kwargs)
 
 
-def run_trial(trial, simulator="fast", golden_cache=True,
-              reuse_faultfree=True, checkpointing=False,
-              checkpoint_interval=None):
+def run_trial(trial, checkpointing=False):
     """Execute one :class:`~repro.campaign.spec.Trial` and classify it.
 
-    ``simulator`` selects the optimized engine (``"fast"``) or the
-    frozen :class:`~repro.uarch.reference.ReferenceProcessor`
-    (``"reference"``); ``golden_cache`` toggles the memoized seekable
-    golden trace versus a fresh per-trial functional run; with
-    ``reuse_faultfree`` all replicates of a fault-free cell share one
-    execution, and fault trials whose injector provably never fires
-    (see :func:`_injector_stays_silent`) reuse it too.  With
-    ``checkpointing`` (fast engine only) the cell's fault-free baseline
-    is snapshotted at ``checkpoint_interval``-instruction boundaries
-    (auto-spaced when ``None``) and each fault trial fast-forwards to
-    the latest snapshot preceding its first planned strike, simulating
-    only the suffix (:mod:`repro.campaign.checkpoint`).  Every
-    combination produces byte-identical records — the switches exist
-    for A/B benchmarking and divergence detection.
+    All replicates of a fault-free cell share one execution, and fault
+    trials whose injector provably never fires (the draw replay of
+    :func:`repro.campaign.checkpoint._prewalk_injector` misses over the
+    fault-free run's dispatch count) reuse it too.  With
+    ``checkpointing`` the cell's fault-free baseline is snapshotted at
+    :func:`~repro.campaign.checkpoint.default_interval` boundaries and
+    each fault trial fast-forwards to the latest snapshot preceding its
+    first planned strike, simulating only the suffix
+    (:mod:`repro.campaign.checkpoint`).  Records are byte-identical
+    with checkpointing on or off.
     """
-    if simulator not in SIMULATORS:
-        raise ValueError("unknown simulator %r (choose from %s)"
-                         % (simulator, "/".join(SIMULATORS)))
-    fast = simulator == "fast"
-    use_checkpoints = checkpointing and fast
     policy = trial.injection_policy()
     if policy is not None:
         # Addressed site strikes: no rate injector, and never a
         # fault-free result to reuse — the trial *will* be struck (or
         # its sites expire), so it always runs.
-        if not fast:
-            raise ValueError(
-                "fault-site trials require the fast simulator (the "
-                "frozen reference engine predates the site subsystem)")
-        result, _ = _execute_site_trial(trial, policy, golden_cache,
-                                        use_checkpoints,
-                                        checkpoint_interval)
-        return result
+        return _execute_site_trial(trial, policy, checkpointing)[0]
     fault_config = trial.fault_config()
-    if fast and (reuse_faultfree or use_checkpoints):
-        baseline_key = (trial.workload, trial.workload_seed, trial.model,
-                        trial.machine_overrides,
-                        trial.instructions, trial.warmup,
-                        trial.max_cycles)
-        if fault_config is None:
-            entry = _FAULTFREE_CACHE.get(baseline_key)
-            if entry is None:
-                entry = _run_baseline(trial, baseline_key, golden_cache,
-                                      use_checkpoints,
-                                      checkpoint_interval)
-            return replace(entry[0], trial=trial.to_dict())
-        entry = _FAULTFREE_CACHE.get(baseline_key)
-        if entry is None and (use_checkpoints
-                              or _worth_baseline(trial, fault_config)):
-            entry = _run_baseline(trial, baseline_key, golden_cache,
-                                  use_checkpoints, checkpoint_interval)
-        if entry is not None:
-            if use_checkpoints:
-                cell = _cell_checkpoints(baseline_key, trial)
-                if cell is not None:
-                    first_hit, states = cell.prewalk(
-                        fault_config, entry[2], entry[1])
-                    if first_hit is None:
-                        # Every draw misses over the baseline's exact
-                        # dispatch count: the trial *is* the fault-free
-                        # run (same theorem as _injector_stays_silent).
-                        return replace(entry[0], trial=trial.to_dict())
-                    pick = cell.best_before(first_hit)
-                    if pick is not None:
-                        snapshot, boundary = pick
-                        result, _ = _execute_resumed(
-                            trial, fault_config, golden_cache,
-                            snapshot, states[boundary])
-                        return result
-                elif _injector_stays_silent(fault_config, entry[1],
-                                            entry[2]):
-                    return replace(entry[0], trial=trial.to_dict())
-            elif _injector_stays_silent(fault_config, entry[1],
-                                        entry[2]):
-                # The injector's rate draws all miss over the exact
-                # number of dispatched groups: the trial is the
-                # fault-free run.
-                return replace(entry[0], trial=trial.to_dict())
-    result, _ = _execute_and_classify(trial, fault_config, fast,
-                                      golden_cache)
-    return result
+    baseline_key = _baseline_key(trial)
+    entry = _FAULTFREE_CACHE.get(baseline_key)
+    if fault_config is None:
+        if entry is None:
+            entry = _run_baseline(trial, baseline_key, checkpointing)
+        return replace(entry[0], trial=trial.to_dict())
+    if entry is None and (checkpointing
+                          or _worth_baseline(trial, fault_config)):
+        entry = _run_baseline(trial, baseline_key, checkpointing)
+    if entry is not None:
+        result, groups, redundancy = entry
+        cell = _cell_checkpoints(baseline_key, trial) \
+            if checkpointing else None
+        first_hit, states = _checkpoint._prewalk_injector(
+            fault_config, redundancy,
+            cell.boundaries if cell is not None else (), groups)
+        if first_hit is None:
+            # The injector's rate draws all miss over the exact number
+            # of dispatched groups: the trial is the fault-free run.
+            return replace(result, trial=trial.to_dict())
+        pick = cell.best_before(first_hit) if cell is not None else None
+        if pick is not None:
+            snapshot, boundary = pick
+            return _execute_resumed(trial, fault_config, snapshot,
+                                    states[boundary])[0]
+    processor = _build_processor(trial, RatePolicy(fault_config))
+    return finish_trial(trial, processor)[0]
+
+
+def _baseline_key(trial):
+    """The fault-free cell of ``trial``: everything but rate and seed."""
+    return (trial.workload, trial.workload_seed, trial.model,
+            trial.machine_overrides, trial.instructions, trial.warmup,
+            trial.max_cycles)
 
 
 def _cell_checkpoints(baseline_key, trial):
@@ -244,8 +207,7 @@ def _cell_checkpoints(baseline_key, trial):
     return cell
 
 
-def _run_baseline(trial, baseline_key, golden_cache, capture=False,
-                  checkpoint_interval=None):
+def _run_baseline(trial, baseline_key, capture):
     """Run and memoize the fault-free twin of ``trial``.
 
     With ``capture`` the run is segmented through
@@ -253,26 +215,22 @@ def _run_baseline(trial, baseline_key, golden_cache, capture=False,
     resulting snapshot ladder is stored for the cell — stats and
     classification stay byte-identical to the straight run.
     """
+    processor = _build_processor(trial, None)
+    runner = None
     if capture:
         snapshots = []
 
-        def runner(processor, max_cycles):
+        def runner(proc, max_cycles):
             return _checkpoint.run_windowed_capturing(
-                processor, trial.instructions, trial.warmup, max_cycles,
-                interval=checkpoint_interval,
+                proc, trial.instructions, trial.warmup, max_cycles,
                 capture=lambda p: snapshots.append(
                     _checkpoint.ProcessorSnapshot(p)))
 
-        result, groups = _execute_and_classify(trial, None, True,
-                                               golden_cache,
-                                               runner=runner)
+    result, groups = finish_trial(trial, processor, runner=runner)
+    if capture:
         _checkpoint.get_store().put(
             baseline_key, _checkpoint.CellCheckpoints(snapshots))
-    else:
-        result, groups = _execute_and_classify(trial, None, True,
-                                               golden_cache)
-    model = trial.resolve_model()
-    entry = (result, groups, model.ft.redundancy)
+    entry = (result, groups, processor.redundancy)
     _FAULTFREE_CACHE[baseline_key] = entry
     return entry
 
@@ -293,91 +251,8 @@ def _worth_baseline(trial, fault_config):
     return p_silent >= 0.3
 
 
-def _injector_stays_silent(fault_config, dispatched_groups, redundancy):
-    """Would this trial's injector fire within ``dispatched_groups``?
-
-    Replays the injector's exact RNG consumption — one group-level
-    ``pc`` draw (when the mix gives ``pc`` weight) plus one draw per
-    redundant copy, per dispatched group, in dispatch order — against
-    the fault-free run's dispatch count.  If every draw misses, the
-    fault run is state-for-state the fault-free run: planning (and so
-    any divergence, including extra RNG consumption) only happens on a
-    hit.  Exact, not probabilistic.
-    """
-    probe = FaultInjector(fault_config)
-    random = probe._rng.random
-    rate = probe._rate
-    pc_rate = probe._pc_rate
-    if pc_rate > 0:
-        for _ in range(dispatched_groups):
-            if random() < pc_rate:
-                return False
-            for _ in range(redundancy):
-                if random() < rate:
-                    return False
-    else:
-        for _ in range(dispatched_groups * redundancy):
-            if random() < rate:
-                return False
-    return True
-
-
-def _execute_and_classify(trial, fault_config, fast, golden_cache,
-                          policy=None, runner=None):
-    """Simulate one trial; return (TrialResult, dispatched groups)."""
-    clock = _PHASE_CLOCK
-    started = clock() if clock is not None else 0.0
-    program = _cached_workload(trial.workload, trial.workload_seed)
-    model = trial.resolve_model()
-    if policy is not None:
-        processor = Processor(program, config=model.config, ft=model.ft,
-                              policy=policy)
-    else:
-        processor_class = Processor if fast else ReferenceProcessor
-        processor = processor_class(program, config=model.config,
-                                    ft=model.ft,
-                                    fault_config=fault_config)
-    if clock is not None:
-        _PHASE_TIMES["decode"] += clock() - started
-    if runner is None:
-        def runner(proc, max_cycles):
-            return run_windowed(proc, trial.instructions, trial.warmup,
-                                max_cycles)
-    return _finish_trial(trial, program, model, processor,
-                         golden_cache and fast, runner)
-
-
-def _execute_resumed(trial, fault_config, golden_cache, snapshot,
-                     rng_state):
-    """Fast-forward a rate trial from a cell snapshot and finish it."""
-    clock = _PHASE_CLOCK
-    started = clock() if clock is not None else 0.0
-    program = _cached_workload(trial.workload, trial.workload_seed)
-    model = trial.resolve_model()
-    processor = Processor(program, config=model.config, ft=model.ft,
-                          fault_config=fault_config)
-    if clock is not None:
-        _PHASE_TIMES["decode"] += clock() - started
-
-    def runner(proc, max_cycles):
-        return _checkpoint.resume_windowed(
-            proc, snapshot, rng_state, trial.instructions, trial.warmup,
-            max_cycles)
-
-    return _finish_trial(trial, program, model, processor, golden_cache,
-                         runner)
-
-
-def _execute_site_trial(trial, policy, golden_cache, use_checkpoints,
-                        checkpoint_interval):
-    """Run a directed-site trial, fast-forwarded when provably safe.
-
-    No site can strike before dispatched-group index
-    ``min(site.index)`` (``plan_group``/``plan_copy`` gate on
-    ``gseq >= site.index``), so any snapshot at-or-before that index
-    is a valid restore point; cycle windows need no special handling
-    because the restored run replays the same absolute cycles.
-    """
+def _build_processor(trial, policy):
+    """The trial's machine, armed with ``policy`` (``None``: fault-free)."""
     clock = _PHASE_CLOCK
     started = clock() if clock is not None else 0.0
     program = _cached_workload(trial.workload, trial.workload_seed)
@@ -386,49 +261,92 @@ def _execute_site_trial(trial, policy, golden_cache, use_checkpoints,
                           policy=policy)
     if clock is not None:
         _PHASE_TIMES["decode"] += clock() - started
-    snapshot = None
-    if use_checkpoints:
-        baseline_key = (trial.workload, trial.workload_seed, trial.model,
-                        trial.machine_overrides,
-                        trial.instructions, trial.warmup,
-                        trial.max_cycles)
+    return processor
+
+
+def _execute_resumed(trial, fault_config, snapshot, rng_state):
+    """Fast-forward a rate trial from a cell snapshot and finish it."""
+    processor = _build_processor(trial, RatePolicy(fault_config))
+
+    def runner(proc, max_cycles):
+        return _checkpoint.resume_windowed(
+            proc, snapshot, rng_state, trial.instructions, trial.warmup,
+            max_cycles)
+
+    return finish_trial(trial, processor, runner=runner)
+
+
+def _execute_site_trial(trial, policy, checkpointing):
+    """Run a directed-site trial, fast-forwarded when provably safe.
+
+    No site can strike before dispatched-group index
+    ``min(site.index)`` (``plan_group``/``plan_copy`` gate on
+    ``gseq >= site.index``), so any snapshot at-or-before that index
+    is a valid restore point; cycle windows need no special handling
+    because the restored run replays the same absolute cycles.
+    """
+    processor = _build_processor(trial, policy)
+    runner = None
+    if checkpointing:
+        baseline_key = _baseline_key(trial)
         if _FAULTFREE_CACHE.get(baseline_key) is None:
-            _run_baseline(trial, baseline_key, golden_cache, True,
-                          checkpoint_interval)
+            _run_baseline(trial, baseline_key, True)
         cell = _cell_checkpoints(baseline_key, trial)
-        if cell is not None:
-            # Sites are armed by construction (bind + reset ran).
-            earliest = min(site.index for site in policy.pending)
-            pick = cell.best_before(earliest)
-            if pick is not None:
-                snapshot = pick[0]
-    if snapshot is not None:
-        def runner(proc, max_cycles):
-            return _checkpoint.resume_windowed(
-                proc, snapshot, None, trial.instructions, trial.warmup,
-                max_cycles)
-    else:
-        def runner(proc, max_cycles):
-            return run_windowed(proc, trial.instructions, trial.warmup,
-                                max_cycles)
-    return _finish_trial(trial, program, model, processor, golden_cache,
-                         runner)
+        # Sites are armed by construction (bind + reset ran).
+        pick = cell.best_before(min(site.index
+                                    for site in policy.pending)) \
+            if cell is not None else None
+        if pick is not None:
+            snapshot = pick[0]
+
+            def runner(proc, max_cycles):
+                return _checkpoint.resume_windowed(
+                    proc, snapshot, None, trial.instructions,
+                    trial.warmup, max_cycles)
+
+    return finish_trial(trial, processor, runner=runner)
 
 
-def _finish_trial(trial, program, model, processor, golden_cache,
-                  runner):
+def _trace_golden(processor, committed):
+    """The memoized in-order state after ``committed`` instructions and
+    its store-footprint diff against the processor's committed state."""
+    clock = _PHASE_CLOCK
+    started = clock() if clock is not None else 0.0
+    program = processor.program
+    mem_size = processor.config.mem_size_words
+    trace = cached_trace((program.name, id(program), mem_size), program,
+                         mem_size=mem_size)
+    golden_state = trace.seek(committed)
+    if clock is not None:
+        _PHASE_TIMES["golden"] += clock() - started
+    return golden_state, compare_with_golden(processor.arch,
+                                             golden_state)
+
+
+def finish_trial(trial, processor, runner=None, golden=_trace_golden):
     """Run ``processor`` through ``runner`` and classify the outcome.
 
-    ``runner(processor, max_cycles)`` must return ``(stats,
-    warm_cycles, warm_instructions)`` following the
-    :func:`~repro.harness.experiment.run_windowed` protocol — the
-    straight run, the snapshot-capturing baseline run and the
-    checkpoint-resumed run all classify through this single path.
+    Returns ``(TrialResult, dispatched groups)``.  ``runner(processor,
+    max_cycles)`` must return ``(stats, warm_cycles,
+    warm_instructions)`` following the
+    :func:`~repro.harness.experiment.run_windowed` protocol (the
+    default) — the straight run, the snapshot-capturing baseline run
+    and the checkpoint-resumed run all classify through this single
+    path.  ``golden(processor, committed)`` returns the in-order state
+    after ``committed`` instructions and its
+    :class:`~repro.functional.checker.StateDiff` against the
+    processor's committed state; the default reads the memoized golden
+    trace, and the bench's unoptimized baseline passes a fresh
+    functional run.
     """
     budget = trial.instructions + trial.warmup
     max_cycles = trial.max_cycles
     if max_cycles is None:
         max_cycles = cycle_budget(trial.instructions, trial.warmup)
+    if runner is None:
+        def runner(proc, max_cycles):
+            return run_windowed(proc, trial.instructions, trial.warmup,
+                                max_cycles)
     result = TrialResult(trial=trial.to_dict(), outcome=TIMEOUT)
     clock = _PHASE_CLOCK
     started = clock() if clock is not None else 0.0
@@ -456,9 +374,9 @@ def _finish_trial(trial, program, model, processor, golden_cache,
                          "in %d cycles" % (committed, budget, stats.cycles))
         return result, stats.dispatched_groups
     started = clock() if clock is not None else 0.0
-    result.outcome, result.detail = _classify_against_golden(
-        processor, program, model, committed, result,
-        golden_cache=golden_cache)
+    golden_state, diff = golden(processor, committed)
+    result.outcome, result.detail = _verdict(processor, golden_state,
+                                             diff, result)
     if clock is not None:
         _PHASE_TIMES["classify"] += clock() - started
     if processor.halted and committed < budget:
@@ -512,37 +430,9 @@ def _fill_counters(result, stats, warm_cycles, warm_instructions):
         result.site_strikes = dict(strikes)
 
 
-def _classify_against_golden(processor, program, model, committed,
-                             result, golden_cache=True):
-    """Compare committed state with the in-order reference.
-
-    With ``golden_cache`` the in-order execution comes from the
-    memoized seekable trace of this (workload, model) cell and the
-    comparison scans only the store footprints; without it a fresh
-    functional simulation and a full-state scan are used (the pre-PR
-    path).  Results are byte-identical either way.
-    """
-    clock = _PHASE_CLOCK
-    if golden_cache:
-        started = clock() if clock is not None else 0.0
-        mem_size = model.config.mem_size_words
-        trace = cached_trace((program.name, id(program), mem_size),
-                             program, mem_size=mem_size)
-        golden_state = trace.seek(committed)
-        if clock is not None:
-            _PHASE_TIMES["golden"] += clock() - started
-        diff = compare_with_golden(processor.arch, golden_state)
-    else:
-        started = clock() if clock is not None else 0.0
-        golden = FunctionalSimulator(program,
-                                     mem_size=model.config.mem_size_words)
-        for _ in range(committed):
-            if not golden.step():
-                break
-        golden_state = golden.state
-        if clock is not None:
-            _PHASE_TIMES["golden"] += clock() - started
-        diff = compare_states(processor.arch, golden_state)
+def _verdict(processor, golden_state, diff, result):
+    """Classify a completed run from its diff against the in-order
+    reference (registers + memory, plus the committed next-PC)."""
     pc_clean = (processor.committed_next_pc == golden_state.pc
                 or golden_state.halted)
     result.reg_mismatches = len(diff.reg_mismatches)

@@ -215,11 +215,21 @@ class CampaignSpec:
         # Type-check first: spec files arrive as arbitrary JSON, and a
         # string rate or float replicate count would otherwise surface
         # as a TypeError traceback deep inside grid expansion.
-        for field_name in ("replicates", "instructions", "warmup"):
+        for field_name in ("replicates", "instructions", "warmup",
+                           "base_seed", "workload_seed"):
             value = getattr(self, field_name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError("%s must be an integer, got %r"
                                   % (field_name, value))
+        for axis_name in ("workloads", "models", "rates_per_million"):
+            if not isinstance(getattr(self, axis_name), (tuple, list)):
+                raise ConfigError("%s must be a list, got %r"
+                                  % (axis_name, getattr(self, axis_name)))
+        for axis_name in ("workloads", "models"):
+            for name in getattr(self, axis_name):
+                if not isinstance(name, str):
+                    raise ConfigError("%s must be names, got %r"
+                                      % (axis_name, name))
         if self.max_cycles is not None and (
                 not isinstance(self.max_cycles, int)
                 or isinstance(self.max_cycles, bool)):
@@ -264,10 +274,13 @@ class CampaignSpec:
         for rate in self.rates_per_million:
             if rate < 0:
                 raise ConfigError("fault rates must be >= 0")
-        for workload in self.workloads:
-            get_profile(workload)          # raises on unknown names
-        for model in self.models:
-            get_model(model)
+        for lookup, names in ((get_profile, self.workloads),
+                              (get_model, self.models)):
+            for name in names:
+                try:
+                    lookup(name)
+                except KeyError as exc:
+                    raise ConfigError(exc.args[0]) from None
         for mix_name, weights in self.mixes.items():
             # Borrow FaultConfig's weight validation.
             FaultConfig(rate_per_million=1.0, kind_weights=dict(weights))
@@ -473,7 +486,11 @@ class CampaignSpec:
 
         Mixes may be given as a dict of weight dicts or as a list of
         preset names from :data:`~repro.core.faults.KIND_MIX_PRESETS`.
+        Any malformed input raises :class:`~repro.errors.ConfigError`.
         """
+        if not isinstance(data, dict):
+            raise ConfigError("a campaign spec must be a JSON object, "
+                              "got %r" % (data,))
         data = dict(data)
         mixes = data.get("mixes")
         if isinstance(mixes, str):
@@ -485,7 +502,7 @@ class CampaignSpec:
                 "mixes must be a dict of weight dicts or a list of "
                 "preset names, got %r" % (mixes,))
         for axis in ("workloads", "models", "rates_per_million"):
-            if axis in data:
+            if isinstance(data.get(axis), list):
                 data[axis] = tuple(data[axis])
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known

@@ -5,9 +5,8 @@ trial, keyed by the trial's content hash — behind the common
 :class:`StoreBackend` interface, so the engine, ``--resume`` and the
 aggregation layer never care where records live:
 
-* :class:`JSONLStore` — one flushed line per record in a single file
-  (the original PR-1 store; ``ResultStore`` remains an alias).  A
-  campaign killed mid-write leaves at most one torn trailing line,
+* :class:`JSONLStore` — one flushed line per record in a single file.
+  A campaign killed mid-write leaves at most one torn trailing line,
   which the loader skips and the next append quarantines.
 * :class:`SQLiteStore` — an indexed ``sqlite3`` table for million-trial
   campaigns: appends are transactional (a killed writer loses at most
@@ -189,10 +188,6 @@ class JSONLStore(StoreBackend):
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
         return (len(merged), raw_lines - len(merged))
-
-
-#: Backwards-compatible name of the PR-1 store.
-ResultStore = JSONLStore
 
 
 class SQLiteStore(StoreBackend):

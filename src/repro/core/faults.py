@@ -59,7 +59,7 @@ def get_kind_mix(name):
     """Look up a named kind-weight preset (a fresh copy)."""
     try:
         return dict(KIND_MIX_PRESETS[name])
-    except KeyError:
+    except (KeyError, TypeError):        # TypeError: unhashable name
         raise ConfigError(
             "unknown fault kind mix %r (choose from %s)"
             % (name, ", ".join(sorted(KIND_MIX_PRESETS)))) from None

@@ -11,13 +11,15 @@ bench`` subcommand):
   pair;
 * **campaign** — the paper's Figure-6 fault-sweep grid (fpppp on the
   R=2 and R=3 machines across the figure's fault-rate ladder, 64
-  trials) executed twice through :func:`repro.campaign.engine.
-  run_campaign`: once on the unoptimized path (reference engine, naive
-  per-trial golden classification) and once on the optimized path
-  (cycle skipping, decoded-program cache, memoized golden traces,
-  fault-free result reuse).  The two record lists must be
-  byte-identical; wall times, trials/second and the speedup are
-  recorded.
+  trials) executed twice: once on the bench's own unoptimized path
+  (:func:`run_unoptimized` — the reference engine, no fault-free
+  reuse, a fresh functional golden run per trial) and once through a
+  :class:`~repro.campaign.api.CampaignSession` (cycle skipping,
+  decoded-program cache, memoized golden traces, fault-free result
+  reuse).  Both classify through
+  :func:`repro.campaign.outcome.finish_trial`.  The two record lists
+  must be byte-identical; wall times, trials/second and the speedup
+  are recorded.
 
 Divergence between the two paths raises :class:`BenchDivergence` — the
 CI smoke job relies on that to fail the build.  Absolute timings are
@@ -34,13 +36,16 @@ from __future__ import annotations
 import platform
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 from ..campaign.api import CampaignSession, ExecutionOptions
 from ..campaign.golden import clear_trace_cache
 from ..campaign.outcome import (cache_stats, clear_result_caches,
-                                phase_times, reset_phase_times,
-                                set_phase_clock)
-from ..campaign.spec import CampaignSpec
+                                finish_trial, phase_times,
+                                reset_phase_times, set_phase_clock)
+from ..campaign.spec import CampaignSpec, Trial
+from ..functional.checker import compare_states
+from ..functional.simulator import FunctionalSimulator
 from ..models.presets import get_model
 from ..perf.history import (SCHEMA_VERSION, BenchHistory,
                             host_fingerprint)
@@ -92,6 +97,45 @@ def campaign_bench_spec(quick=False):
         rates_per_million=FIGURE6_BENCH_RATES,
         replicates=4,
         instructions=1_500)
+
+
+def _fresh_golden(processor, committed):
+    """A fresh in-order run to ``committed`` instructions and its
+    full-state diff against the processor's committed state."""
+    golden = FunctionalSimulator(processor.program,
+                                 mem_size=processor.config.mem_size_words)
+    for _ in range(committed):
+        if not golden.step():
+            break
+    return golden.state, compare_states(processor.arch, golden.state)
+
+
+def run_unoptimized_trial(trial_dict):
+    """One trial on the unoptimized path; returns its record.
+
+    The frozen :class:`~repro.uarch.reference.ReferenceProcessor`
+    simulates every trial (no fault-free reuse), a fresh functional run
+    is the golden reference, and the same verdict code as
+    :func:`~repro.campaign.outcome.run_trial` classifies the run.
+    Plain dicts in and out, so a process pool can run it.
+    """
+    trial = Trial.from_dict(trial_dict)
+    program = cached_workload(trial.workload, trial.workload_seed)
+    model = trial.resolve_model()
+    processor = ReferenceProcessor(program, config=model.config,
+                                   ft=model.ft,
+                                   fault_config=trial.fault_config())
+    result, _ = finish_trial(trial, processor, golden=_fresh_golden)
+    return result.to_record()
+
+
+def run_unoptimized(spec, workers=1):
+    """Every trial of ``spec`` on the unoptimized path, in spec order."""
+    trials = [trial.to_dict() for trial in spec.trials()]
+    if workers == 1:
+        return [run_unoptimized_trial(trial) for trial in trials]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_unoptimized_trial, trials))
 
 
 def _run_engine_once(processor_class, program, model,
@@ -171,10 +215,6 @@ def bench_campaign(quick=False, workers=1, repeats=None,
         repeats = 1 if quick else DEFAULT_REPEATS
     if repeats < 1:
         raise ValueError("repeats must be >= 1, got %d" % repeats)
-    reference_options = ExecutionOptions(simulator="reference",
-                                         golden_cache=False,
-                                         reuse_faultfree=False,
-                                         workers=workers)
     optimized_options = ExecutionOptions(
         workers=workers, checkpointing=checkpointing,
         persistent_workers=checkpointing and workers > 1)
@@ -186,8 +226,7 @@ def bench_campaign(quick=False, workers=1, repeats=None,
         clear_result_caches()
         clear_trace_cache()
         start = time.perf_counter()
-        reference = CampaignSession(spec,
-                                    options=reference_options).run()
+        reference = run_unoptimized(spec, workers=workers)
         reference_samples.append(time.perf_counter() - start)
     phases = caches = None
     optimized_seconds = None
@@ -211,16 +250,16 @@ def bench_campaign(quick=False, workers=1, repeats=None,
                 caches = cache_stats()
     finally:
         set_phase_clock(None)
-    if reference.records != optimized.records:
+    if reference != optimized.records:
         differing = [left["key"] for left, right
-                     in zip(reference.records, optimized.records)
+                     in zip(reference, optimized.records)
                      if left != right]
         raise BenchDivergence(
             "campaign divergence: %d of %d trial records differ "
             "between the optimized and unoptimized paths (keys: %s)"
-            % (len(differing), len(reference.records),
+            % (len(differing), len(reference),
                ", ".join(differing[:8])))
-    trials = len(reference.records)
+    trials = len(reference)
     reference_seconds = min(reference_samples)
     return {
         "spec": spec.to_dict(),

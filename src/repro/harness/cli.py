@@ -339,11 +339,10 @@ def _cmd_campaign(args):
     from ..campaign import (TRIAL_FINISHED, CampaignSession,
                             ExecutionOptions, open_store)
     from ..errors import ConfigError
-    store_path = args.store or args.out
-    if args.resume and not store_path:
+    if args.resume and not args.store:
         raise SystemExit("repro-ft campaign: --resume requires --store")
     try:
-        store = open_store(store_path)
+        store = open_store(args.store)
     except ValueError as exc:
         raise SystemExit("repro-ft campaign: %s" % exc)
     if args.compact:
@@ -357,16 +356,11 @@ def _cmd_campaign(args):
         options = ExecutionOptions(
             workers=args.workers,
             sampling=_sampling_plan_from_args(args),
-            checkpointing=args.checkpointing
-            or args.checkpoint_interval is not None,
-            checkpoint_interval=args.checkpoint_interval,
+            checkpointing=args.checkpointing,
             persistent_workers=args.persistent_workers)
         session = CampaignSession(spec, options=options, store=store)
     except (ConfigError, ValueError, TypeError, OSError) as exc:
         raise SystemExit("repro-ft campaign: %s" % exc)
-    except KeyError as exc:
-        # get_profile/get_model raise KeyError with a quoted message.
-        raise SystemExit("repro-ft campaign: %s" % exc.args[0])
     if not args.quiet:
         # Progress goes to stderr so `--json > out.json` (and any
         # other stdout consumer) stays parseable mid-run.
@@ -421,9 +415,7 @@ def _cmd_orchestrate(args):
         options = ExecutionOptions(
             workers=args.workers,
             sampling=_sampling_plan_from_args(args),
-            checkpointing=args.checkpointing
-            or args.checkpoint_interval is not None,
-            checkpoint_interval=args.checkpoint_interval,
+            checkpointing=args.checkpointing,
             persistent_workers=args.persistent_workers)
         orchestrator = CampaignOrchestrator(
             spec, shards=args.shards, store_dir=args.store_dir,
@@ -435,8 +427,6 @@ def _cmd_orchestrate(args):
             heartbeat_interval=args.heartbeat_interval)
     except (ConfigError, ValueError, TypeError, OSError) as exc:
         raise SystemExit("repro-ft orchestrate: %s" % exc)
-    except KeyError as exc:
-        raise SystemExit("repro-ft orchestrate: %s" % exc.args[0])
     if not args.quiet:
         @orchestrator.subscribe
         def progress(event):
@@ -802,11 +792,6 @@ def _add_grid_args(sub):
                      help="fast-forward each fault trial from the "
                           "cell's fault-free checkpoints (records are "
                           "byte-identical either way)")
-    sub.add_argument("--checkpoint-interval", type=int, default=None,
-                     metavar="N",
-                     help="committed instructions between checkpoints "
-                          "(default: budget/8; implies "
-                          "--checkpointing)")
     sub.add_argument("--persistent-workers", action="store_true",
                      help="pre-warm each pool worker's per-process "
                           "caches with the campaign's fault-free "
@@ -846,8 +831,6 @@ def _add_campaign_args(sub):
     sub.add_argument("--store", default="",
                      help="result store URL: PATH.jsonl, sqlite:FILE "
                           "or shard:[N:]DIR (enables --resume)")
-    sub.add_argument("--out", default="",
-                     help="legacy alias for --store")
     sub.add_argument("--shard", default="",
                      help="run only partition I/N of the trial "
                           "keyspace (e.g. --shard 0/4)")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from ..core.config import FTConfig
 from ..core.faults import FaultConfig
+from ..faults.policy import RatePolicy
 from ..models.presets import MachineModel, get_model, ss2, ss3
 from ..models.scaling import (factor_for_label, scale_functional_units,
                               scale_window)
@@ -99,7 +100,8 @@ def run_on_model(program, model, max_instructions=DEFAULT_INSTRUCTIONS,
     :func:`run_windowed`).
     """
     processor = Processor(program, config=model.config, ft=model.ft,
-                          fault_config=fault_config)
+                          policy=RatePolicy(fault_config)
+                          if fault_config is not None else None)
     if lockstep:
         processor.enable_lockstep_check()
     stats, warm_cycles, warm_instructions = run_windowed(

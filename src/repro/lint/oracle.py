@@ -8,10 +8,10 @@ This rule pins it two ways:
 * the module's **AST fingerprint** (sha256 of :func:`ast.dump`, so
   comments and formatting are free but any code change fires) must
   match the committed ``data/reference_fingerprint.json``;
-* only the sanctioned modules may **import** it — the simulator
-  selector (``campaign/outcome.py``), the uarch package re-export, and
-  the bench harness.  Production code quietly growing a dependency on
-  the reference engine is how "frozen" stops being true.
+* only the bench harness, which builds its own unoptimized baseline
+  from it, may **import** it (tests and benchmarks live outside the
+  linted tree).  Production code quietly growing a dependency on the
+  reference engine is how "frozen" stops being true.
 
 A deliberate re-freeze (which should essentially never happen — the
 point of the oracle is that it predates the code it checks) goes
@@ -38,9 +38,7 @@ FINGERPRINT_FILE = os.path.join(os.path.dirname(__file__), "data",
 #: Modules allowed to import the reference engine (plus tests and
 #: benchmarks, which live outside the linted tree).
 ALLOWED_IMPORTERS = frozenset({
-    "repro/uarch/__init__.py",      # public re-export
-    "repro/campaign/outcome.py",    # the simulator="reference" path
-    "repro/harness/bench.py",       # A/B bench + divergence check
+    "repro/harness/bench.py",       # unoptimized baseline + divergence
 })
 
 
@@ -108,7 +106,6 @@ class FrozenOracleRule(Rule):
                 if name == target or name.startswith(target + "."):
                     yield self.finding(
                         file.path, 1,
-                        "imports the frozen oracle (%s); only the "
-                        "simulator selector, the uarch re-export, "
-                        "bench, and tests may depend on it" % name)
+                        "imports the frozen oracle (%s); only "
+                        "bench and tests may depend on it" % name)
                     break

@@ -639,20 +639,20 @@ class ServiceBackend:
                                "dict form, got %r" % type(spec).__name__)
         if options is None:
             options = ExecutionOptions()
-        elif isinstance(options, dict):
+        elif not isinstance(options, ExecutionOptions):
             options = ExecutionOptions.from_dict(options)
         if options.poll_interval is None:
             # Live SSE progress wants tight store polls (satellite of
             # the configurable-interval change).
             options = replace(options,
                               poll_interval=self.poll_interval)
-        if shards and shards > self.slots:
-            raise ServiceError(
-                "shards=%d exceeds the service's %d worker slots"
-                % (shards, self.slots))
         job = Job(id=job_id or new_job_id(), tenant=tenant, spec=spec,
                   options=options, priority=priority, shards=shards,
                   total=spec.grid_size)
+        if job.shards > self.slots:
+            raise ServiceError(
+                "shards=%d exceeds the service's %d worker slots"
+                % (job.shards, self.slots))
         job.submitted_at = time.time()
         self.queue.submit(job)
         job.save(self.data_dir)

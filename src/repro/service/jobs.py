@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 import uuid
@@ -58,6 +59,18 @@ EVENTS_FILE = "events.jsonl"
 SHARDS_DIR = "shards"
 
 
+#: Execution options that job files written before the single
+#: execution path persisted (the simulator selector and the golden-
+#: trace and fault-free-reuse switches).  Every value they could hold
+#: gave byte-identical records, so :meth:`Job.from_dict` drops them.
+RETIRED_OPTIONS = ("simulator", "golden_cache", "reuse_faultfree")
+
+
+#: What a job id may look like: it names the job's directory, so a
+#: tenant-minted id must not climb out of the data dir.
+_JOB_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,127}\Z")
+
+
 def new_job_id() -> str:
     """Unique, path-safe job identifier."""
     return "job-%s" % uuid.uuid4().hex[:12]
@@ -87,6 +100,10 @@ class Job:
     total: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.id, str) or not _JOB_ID.match(self.id):
+            raise ConfigError("job id must be 1-128 letters, digits, "
+                              "'.', '_' or '-' (not leading), got %r"
+                              % (self.id,))
         if not isinstance(self.priority, int) \
                 or isinstance(self.priority, bool):
             raise ConfigError("priority must be an integer, got %r"
@@ -143,14 +160,19 @@ class Job:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Job":
+        """Rebuild a job from a persisted ``job.json`` (see
+        :data:`RETIRED_OPTIONS` for the options it drops)."""
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
             raise ConfigError("unknown job fields: %s" % sorted(unknown))
         data = dict(data)
         data["spec"] = CampaignSpec.from_dict(data["spec"])
-        data["options"] = ExecutionOptions.from_dict(
-            data.get("options", {}))
+        options = data.get("options", {})
+        if isinstance(options, dict):
+            options = {name: value for name, value in options.items()
+                       if name not in RETIRED_OPTIONS}
+        data["options"] = ExecutionOptions.from_dict(options)
         return cls(**data)
 
     def save(self, data_dir: str):
@@ -178,7 +200,9 @@ class Job:
                 return cls.from_dict(json.load(handle))
         except OSError as exc:
             raise ServiceError("unknown job %r (%s)" % (job_id, exc))
-        except ValueError as exc:
+        except (ValueError, ConfigError, KeyError, TypeError) as exc:
+            # Torn JSON, a field that fails validation, or a missing
+            # one: recover() skips the job and keeps its files.
             raise ServiceError("corrupt job file %s: %s" % (path, exc))
 
     # -- summaries ---------------------------------------------------------

@@ -5,7 +5,6 @@ from .fetch import FetchRecord, FetchUnit, build_predictor
 from .funits import FuBank, FuPool
 from .lsq import LoadStoreQueue
 from .processor import Processor, simulate
-from .reference import ReferenceProcessor, simulate_reference
 from .rename import AssociativeRenamer, MapTableRenamer, make_renamer
 from .rob import DONE, ISSUED, READY, WAITING, Group, RobEntry
 from .stats import PipelineStats
@@ -14,8 +13,7 @@ from .trace import PipelineTracer, RewindRecord, TraceRecord
 __all__ = [
     "UNLIMITED", "BranchPredictorParams", "MachineConfig", "FetchRecord",
     "FetchUnit", "build_predictor", "FuBank", "FuPool", "LoadStoreQueue",
-    "Processor", "simulate", "ReferenceProcessor", "simulate_reference",
-    "AssociativeRenamer", "MapTableRenamer",
+    "Processor", "simulate", "AssociativeRenamer", "MapTableRenamer",
     "make_renamer", "DONE", "ISSUED", "READY", "WAITING", "Group",
     "RobEntry", "PipelineStats", "PipelineTracer", "RewindRecord",
     "TraceRecord",

@@ -96,11 +96,6 @@ class MachineConfig:
     co_schedule_copies: bool = True
     #: Watchdog: abort if no instruction commits for this many cycles.
     deadlock_cycles: int = 50_000
-    #: Host-simulation knob (not a machine parameter): let the run loop
-    #: jump over provably idle cycles.  Produces byte-identical
-    #: PipelineStats to stepped execution; turn off to force the
-    #: simulator to step every cycle (A/B benchmarking, debugging).
-    cycle_skipping: bool = True
 
     def __post_init__(self):
         for attr in ("fetch_width", "dispatch_width", "issue_width",

@@ -42,7 +42,8 @@ PipelineStats`).  The techniques:
   (nothing ready, no pending loads, head of ROB incomplete, dispatch
   structurally blocked, fetch stalled) the run loop jumps straight to
   the next interesting cycle, integrating occupancy sums over the
-  skipped span; gated by ``MachineConfig.cycle_skipping``.
+  skipped span.  Only :meth:`Processor.run` skips; a manual
+  :meth:`Processor.step` always advances exactly one cycle.
 """
 
 from __future__ import annotations
@@ -118,15 +119,12 @@ def _entries_agree(first, other):
 class Processor:
     """A simulated out-of-order superscalar processor.
 
-    Fault injection is configured either through the legacy
-    ``fault_config`` (a :class:`~repro.core.faults.FaultConfig`, run as
-    a :class:`~repro.faults.policy.RatePolicy` with an unchanged RNG
-    stream) or through an explicit ``policy`` (any
-    :class:`~repro.faults.policy.InjectionPolicy`) — never both.
+    Fault injection is configured through ``policy``, any
+    :class:`~repro.faults.policy.InjectionPolicy`; a Monte Carlo rate
+    injector is ``policy=RatePolicy(FaultConfig(...))``.
     """
 
-    def __init__(self, program, config=None, ft=None, fault_config=None,
-                 policy=None):
+    def __init__(self, program, config=None, ft=None, policy=None):
         self.program = program
         self.config = config or MachineConfig()
         self.ft = ft or UNPROTECTED
@@ -145,13 +143,6 @@ class Processor:
 
         self.groups = deque()             # in-flight groups, program order
         self.renamer = make_renamer(self.config.rename_scheme, self.groups)
-        if policy is not None and fault_config is not None:
-            raise ConfigError(
-                "pass either fault_config or an injection policy, "
-                "not both")
-        if policy is None and fault_config is not None \
-                and fault_config.rate_per_million > 0:
-            policy = RatePolicy(fault_config)
         self.injector = None
         site_policy = None
         self.policy = policy
@@ -222,18 +213,16 @@ class Processor:
             instruction_target = self.stats.instructions + max_instructions
         stats = self.stats
         step = self.step
-        skip = self._skip_idle_cycles if self.config.cycle_skipping \
-            else None
+        skip = self._skip_idle_cycles
         while not self.halted:
             if max_cycles is not None and self.cycle >= max_cycles:
                 break
             if (instruction_target is not None
                     and stats.instructions >= instruction_target):
                 break
-            if skip is not None:
-                skip(max_cycles)
-                if max_cycles is not None and self.cycle >= max_cycles:
-                    break
+            skip(max_cycles)
+            if max_cycles is not None and self.cycle >= max_cycles:
+                break
             step()
         stats.cycles = self.cycle
         return stats
@@ -963,12 +952,10 @@ class Processor:
             self.stats.fetched += len(records)
 
 
-def simulate(program, config=None, ft=None, fault_config=None,
-             max_instructions=None, max_cycles=None, lockstep=False,
-             policy=None):
+def simulate(program, config=None, ft=None, max_instructions=None,
+             max_cycles=None, lockstep=False, policy=None):
     """One-call simulation helper; returns the finished Processor."""
-    processor = Processor(program, config=config, ft=ft,
-                          fault_config=fault_config, policy=policy)
+    processor = Processor(program, config=config, ft=ft, policy=policy)
     if lockstep:
         processor.enable_lockstep_check()
     processor.run(max_instructions=max_instructions, max_cycles=max_cycles)

@@ -9,6 +9,9 @@ combination.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +20,7 @@ from repro.campaign import (CAMPAIGN_FINISHED, CELL_FINISHED,
                             CampaignSession, CampaignSpec,
                             ExecutionOptions, JSONLStore,
                             ShardedJSONLStore, SQLiteStore,
-                            cells_to_json, merge_stores, run_campaign)
+                            cells_to_json, merge_stores)
 from repro.errors import ConfigError
 
 #: The acceptance-criteria grid: 1 workload x 2 models x 2 rates x 16
@@ -61,13 +64,13 @@ def small_spec(**overrides):
 class TestExecutionOptions:
     def test_defaults(self):
         options = ExecutionOptions()
-        assert options.simulator == "fast"
         assert options.workers == 1
         assert options.max_cycles is None
+        assert options.to_dict() == {"workers": 1}
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            ExecutionOptions(simulator="warp")
+            ExecutionOptions.from_dict({"simulator": "warp"})
         with pytest.raises(ConfigError):
             ExecutionOptions(workers=0)
         with pytest.raises(ConfigError):
@@ -79,12 +82,10 @@ class TestExecutionOptions:
 
     def test_trial_payload_shape(self):
         trial = next(small_spec().trials())
-        payload = ExecutionOptions(simulator="reference",
-                                   golden_cache=False).trial_payload(trial)
-        assert payload["trial"] == trial.to_dict()
-        assert payload["simulator"] == "reference"
-        assert payload["golden_cache"] is False
-        assert payload["reuse_faultfree"] is True
+        assert ExecutionOptions().trial_payload(trial) \
+            == {"trial": trial.to_dict()}
+        assert ExecutionOptions(checkpointing=True).trial_payload(trial) \
+            == {"trial": trial.to_dict(), "checkpointing": True}
 
 
 class TestSessionLifecycle:
@@ -179,26 +180,26 @@ class TestSessionLifecycle:
         assert session.spec is spec
 
 
-class TestDeprecatedWrapper:
-    def test_run_campaign_warns_and_matches_session(self):
-        spec = small_spec()
-        with pytest.warns(DeprecationWarning):
-            old = run_campaign(spec)
-        new = CampaignSession(spec).run()
-        assert canonical(old.records) == canonical(new.records)
-
-    def test_wrapper_progress_callback_semantics(self, tmp_path):
-        spec = small_spec()
-        seen = []
-        with pytest.warns(DeprecationWarning):
-            run_campaign(spec,
-                         progress=lambda done, total, record:
-                         seen.append((done, total, record["key"])))
-        expected_keys = [t.key for t in spec.trials()]
-        assert [done for done, _, _ in seen] \
-            == list(range(1, spec.grid_size + 1))
-        assert all(total == spec.grid_size for _, total, _ in seen)
-        assert sorted(key for _, _, key in seen) == sorted(expected_keys)
+class TestImportGraph:
+    def test_runtime_never_imports_the_reference_engine(self):
+        # The frozen oracle is for tests and the bench only: importing
+        # the package and running a campaign must not load it.
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "from repro.campaign import CampaignSession, CampaignSpec\n"
+            "spec = CampaignSpec(workloads=('gcc',), models=('SS-2',),\n"
+            "                    rates_per_million=(0.0, 20000.0),\n"
+            "                    replicates=1, instructions=200)\n"
+            "assert len(CampaignSession(spec).run().records) == 2\n"
+            "print('repro.uarch.reference' in sys.modules)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        output = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True,
+                                check=True).stdout
+        assert output.strip() == "False"
 
 
 class TestEvents:

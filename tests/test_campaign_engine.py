@@ -1,17 +1,12 @@
-"""Campaign engine: end-to-end runs, resume, worker-count determinism.
-
-Exercises the deprecated ``run_campaign`` wrapper on purpose — it must
-stay byte-identical to the :class:`CampaignSession` path it delegates
-to — so its DeprecationWarning is silenced module-wide.
-"""
+"""Campaign execution end to end through :class:`CampaignSession`:
+serial runs into a store, resume, refusal to clobber a non-empty store,
+and worker-count determinism."""
 
 import pytest
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:run_campaign:DeprecationWarning")
-
-from repro.campaign import (CampaignSpec, ResultStore, aggregate,
-                            cells_to_json, run_campaign)
+from repro.campaign import (TRIAL_FINISHED, CampaignSession,
+                            CampaignSpec, ExecutionOptions, JSONLStore,
+                            aggregate, cells_to_json)
 from repro.campaign.outcome import OUTCOMES
 from repro.errors import ConfigError
 
@@ -24,11 +19,17 @@ def small_spec(**overrides):
     return CampaignSpec(**kwargs)
 
 
+def run(spec, store=None, resume=False, workers=1):
+    session = CampaignSession(spec, options=ExecutionOptions(
+        workers=workers), store=store)
+    return session.resume() if resume else session.run()
+
+
 class TestSerialRun:
     def test_end_to_end_with_store(self, tmp_path):
         spec = small_spec()
-        store = ResultStore(str(tmp_path / "r.jsonl"))
-        result = run_campaign(spec, store=store)
+        store = JSONLStore(str(tmp_path / "r.jsonl"))
+        result = run(spec, store=store)
         assert result.executed == spec.grid_size
         assert result.skipped == 0
         assert len(result.records) == spec.grid_size
@@ -43,15 +44,17 @@ class TestSerialRun:
     def test_progress_callback(self):
         spec = small_spec(models=("SS-2",), replicates=1)
         seen = []
-        run_campaign(spec,
-                     progress=lambda done, total, record:
-                     seen.append((done, total)))
+        session = CampaignSession(spec)
+        session.subscribe(lambda event: seen.append(
+            (event.done, event.total))
+            if event.kind == TRIAL_FINISHED else None)
+        session.run()
         assert seen == [(i + 1, spec.grid_size)
                         for i in range(spec.grid_size)]
 
     def test_aggregate_cells_cover_grid(self):
         spec = small_spec()
-        cells = aggregate(run_campaign(spec).records)
+        cells = aggregate(run(spec).records)
         assert len(cells) == (len(spec.workloads) * len(spec.models)
                               * len(spec.rates_per_million))
         for cell in cells:
@@ -60,16 +63,16 @@ class TestSerialRun:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            run_campaign(small_spec(), workers=0)
+            run(small_spec(), workers=0)
         with pytest.raises(ConfigError):
-            run_campaign(small_spec(), resume=True)  # no store
+            run(small_spec(), resume=True)  # no store
 
 
 class TestResume:
     def test_killed_campaign_resumes_without_rerunning(self, tmp_path):
         spec = small_spec()
         path = str(tmp_path / "r.jsonl")
-        full = run_campaign(spec, store=ResultStore(path))
+        full = run(spec, store=JSONLStore(path))
         # Simulate a mid-run kill: keep only the first 3 completed
         # records (plus a torn tail from the dying writer).
         with open(path) as handle:
@@ -77,9 +80,9 @@ class TestResume:
         with open(path, "w") as handle:
             handle.writelines(lines[:3])
             handle.write(lines[3][:25])
-        store = ResultStore(path)
+        store = JSONLStore(path)
         assert len(store.completed_keys()) == 3
-        resumed = run_campaign(spec, store=store, resume=True)
+        resumed = run(spec, store=store, resume=True)
         assert resumed.skipped == 3
         assert resumed.executed == spec.grid_size - 3
         assert len(store.completed_keys()) == spec.grid_size
@@ -88,45 +91,45 @@ class TestResume:
             == cells_to_json(aggregate(full.records))
 
     def test_fresh_run_refuses_nonempty_store(self, tmp_path):
-        # Completed records may be hours of work: without resume=True
-        # the engine refuses to clobber them instead of truncating.
+        # Completed records may be hours of work: without resume the
+        # session refuses to clobber them instead of truncating.
         spec = small_spec(models=("SS-2",), replicates=1)
-        store = ResultStore(str(tmp_path / "r.jsonl"))
+        store = JSONLStore(str(tmp_path / "r.jsonl"))
         store.append({"key": "stale-key", "outcome": "masked"})
         with pytest.raises(ConfigError):
-            run_campaign(spec, store=store, resume=False)
+            run(spec, store=store)
         assert "stale-key" in store.completed_keys()
 
     def test_fresh_run_accepts_empty_or_missing_store(self, tmp_path):
         spec = small_spec(models=("SS-2",), replicates=1)
-        missing = ResultStore(str(tmp_path / "missing.jsonl"))
-        result = run_campaign(spec, store=missing, resume=False)
+        missing = JSONLStore(str(tmp_path / "missing.jsonl"))
+        result = run(spec, store=missing)
         assert result.executed == spec.grid_size
         # A store holding only garbage lines (no completed trials) is
         # safe to truncate too.
-        garbage = ResultStore(str(tmp_path / "garbage.jsonl"))
+        garbage = JSONLStore(str(tmp_path / "garbage.jsonl"))
         with open(garbage.path, "w") as handle:
             handle.write("not json\n")
-        result = run_campaign(spec, store=garbage, resume=False)
+        result = run(spec, store=garbage)
         assert result.executed == spec.grid_size
 
     def test_fully_complete_campaign_runs_nothing(self, tmp_path):
         spec = small_spec(models=("SS-2",), replicates=1)
-        store = ResultStore(str(tmp_path / "r.jsonl"))
-        run_campaign(spec, store=store)
-        again = run_campaign(spec, store=store, resume=True)
+        store = JSONLStore(str(tmp_path / "r.jsonl"))
+        run(spec, store=store)
+        again = run(spec, store=store, resume=True)
         assert again.executed == 0
         assert again.skipped == spec.grid_size
 
 
 class TestDeterminism:
     def test_worker_count_does_not_change_results(self):
-        # The satellite requirement: workers=1 and workers=4 produce
-        # byte-identical aggregated results (per-trial seeds derive
-        # from trial keys, never from worker scheduling order).
+        # workers=1 and workers=4 produce byte-identical aggregated
+        # results (per-trial seeds derive from trial keys, never from
+        # worker scheduling order).
         spec = small_spec()
-        serial = run_campaign(spec, workers=1)
-        parallel = run_campaign(spec, workers=4)
+        serial = run(spec, workers=1)
+        parallel = run(spec, workers=4)
         assert [r["key"] for r in serial.records] \
             == [r["key"] for r in parallel.records]
         assert serial.records == parallel.records

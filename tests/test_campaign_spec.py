@@ -213,11 +213,11 @@ class TestMachineOverrides:
 
 class TestValidation:
     def test_unknown_workload_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match="nosuch"):
             small_spec(workloads=("nosuch",))
 
     def test_unknown_model_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match="SS-9"):
             small_spec(models=("SS-9",))
 
     def test_bad_replicates_rejected(self):

@@ -7,10 +7,9 @@ import os
 import pytest
 
 from repro.campaign.store import (DEFAULT_SHARDS, JSONLStore,
-                                  ResultStore, ShardedJSONLStore,
-                                  SQLiteStore, StoreBackend,
-                                  merge_stores, open_store,
-                                  shard_of_key)
+                                  ShardedJSONLStore, SQLiteStore,
+                                  StoreBackend, merge_stores,
+                                  open_store, shard_of_key)
 
 
 def record(key, **extra):
@@ -91,10 +90,6 @@ class TestBackendContract:
 
 
 class TestJSONLStore:
-    def test_result_store_alias(self):
-        # PR-1 import location keeps working.
-        assert ResultStore is JSONLStore
-
     def test_torn_tail_is_skipped(self, tmp_path):
         path = tmp_path / "r.jsonl"
         store = JSONLStore(str(path))

@@ -14,6 +14,7 @@ import types
 
 import pytest
 
+from repro.campaign import checkpoint
 from repro.campaign.api import CampaignSession, ExecutionOptions
 from repro.campaign.checkpoint import (CellCheckpoints, default_interval,
                                        run_windowed_capturing)
@@ -44,10 +45,9 @@ def record_lines(spec, options):
             for record in result.records]
 
 
-def assert_identical(spec, **checkpoint_kwargs):
+def assert_identical(spec):
     plain = record_lines(spec, ExecutionOptions())
-    fast = record_lines(
-        spec, ExecutionOptions(checkpointing=True, **checkpoint_kwargs))
+    fast = record_lines(spec, ExecutionOptions(checkpointing=True))
     assert plain == fast
 
 
@@ -108,7 +108,7 @@ class TestSnapshotRestore:
         captured = []
         segmented = Processor(program, config=model.config, ft=model.ft)
         stats, _, _ = run_windowed_capturing(
-            segmented, 400, max_cycles=100_000, interval=90,
+            segmented, 400, max_cycles=100_000,
             capture=lambda p: captured.append(p.stats.dispatched_groups))
         assert stats.as_dict() == straight.stats.as_dict()
         assert captured, "no checkpoint boundary was ever crossed"
@@ -130,8 +130,11 @@ class TestRecordEquivalence:
         # runs must place them exactly where run_windowed does.
         assert_identical(bench_spec(warmup=150))
 
-    def test_explicit_odd_interval(self):
-        assert_identical(bench_spec(), checkpoint_interval=37)
+    def test_explicit_odd_interval(self, monkeypatch):
+        # An odd spacing that never lines up with commit-width groups.
+        monkeypatch.setattr(checkpoint, "default_interval",
+                            lambda instructions, warmup=0: 37)
+        assert_identical(bench_spec())
 
     def test_pc_heavy_kind_mix(self):
         # pc faults add a per-group draw ahead of the per-copy draws;

@@ -95,7 +95,7 @@ class TestCampaignCli:
         out = str(tmp_path / "r.jsonl")
         args = ["campaign", "--workloads", "gcc", "--models", "SS-2",
                 "--rates", "0", "--replicates", "1",
-                "--instructions", "300", "--quiet", "--out", out]
+                "--instructions", "300", "--quiet", "--store", out]
         main(args)
         with pytest.raises(SystemExit) as excinfo:
             main(args)  # no --resume: must refuse, not wipe
@@ -125,7 +125,7 @@ class TestCampaignCli:
         out = str(tmp_path / "r.jsonl")
         args = ["campaign", "--workloads", "gcc", "--models", "SS-2",
                 "--rates", "0,3000", "--replicates", "2",
-                "--instructions", "300", "--quiet", "--out", out]
+                "--instructions", "300", "--quiet", "--store", out]
         main(args)
         first = capsys.readouterr().out
         assert "executed 4, resumed (skipped) 0" in first
@@ -249,11 +249,6 @@ class TestCampaignCliV2:
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "--compact"])
         assert "--compact requires --store" in str(excinfo.value)
-
-    def test_out_remains_an_alias(self, tmp_path, capsys):
-        out = str(tmp_path / "r.jsonl")
-        main(self.BASE + ["--out", out])
-        assert "store: %s" % out in capsys.readouterr().out
 
 
 class TestBenchCli:

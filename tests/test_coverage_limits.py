@@ -12,6 +12,7 @@ from repro.core.config import (DUAL_REDUNDANT, TRIPLE_MAJORITY,
                                TRIPLE_REWIND, FTConfig)
 from repro.core.detection import CommitChecker
 from repro.core.faults import FaultConfig
+from repro.faults.policy import RatePolicy
 from repro.core.rob import Group, RobEntry
 from repro.functional.checker import compare_states
 from repro.functional.simulator import run_functional
@@ -73,9 +74,9 @@ class TestCrashSemantics:
         for seed in range(12):
             processor = simulate(
                 program,
-                fault_config=FaultConfig(rate_per_million=60_000,
-                                         seed=seed,
-                                         kind_weights={"pc": 1.0}))
+                policy=RatePolicy(FaultConfig(rate_per_million=60_000,
+                                              seed=seed,
+                                              kind_weights={"pc": 1.0})))
             if processor.stats.crashed:
                 crashed += 1
         assert crashed >= 1
@@ -88,9 +89,9 @@ class TestCrashSemantics:
         for seed in range(12):
             processor = simulate(
                 program, ft=DUAL_REDUNDANT,
-                fault_config=FaultConfig(rate_per_million=60_000,
-                                         seed=seed,
-                                         kind_weights={"pc": 1.0}))
+                policy=RatePolicy(FaultConfig(rate_per_million=60_000,
+                                              seed=seed,
+                                              kind_weights={"pc": 1.0})))
             assert not processor.stats.crashed
             assert processor.halted
             assert compare_states(processor.arch, golden.state).clean
@@ -107,7 +108,7 @@ class TestTripleRewindSurvivesDoubleStrikes:
         for seed in range(6):
             processor = simulate(
                 program, config=config, ft=TRIPLE_REWIND,
-                fault_config=FaultConfig(rate_per_million=30_000,
-                                         seed=seed))
+                policy=RatePolicy(FaultConfig(rate_per_million=30_000,
+                                              seed=seed)))
             assert compare_states(processor.arch, golden.state).clean, \
                 seed

@@ -356,15 +356,6 @@ class TestEngineIntegration:
         if structure == "pc":
             assert stats.pc_continuity_violations == 1
 
-    def test_rate_and_policy_are_mutually_exclusive(self):
-        from repro.core.faults import FaultConfig
-        program = build_workload("gcc")
-        model = ss2()
-        with pytest.raises(ConfigError):
-            Processor(program, config=model.config, ft=model.ft,
-                      fault_config=FaultConfig(rate_per_million=100.0),
-                      policy=SiteListPolicy([_SITES["pc"]]))
-
     def test_policy_must_be_an_injection_policy(self):
         program = build_workload("gcc")
         model = ss2()
@@ -390,17 +381,19 @@ class TestEngineIntegration:
         assert stats.silent_commits == 1
 
     def test_rate_policy_matches_fault_config(self):
-        """Processor(policy=RatePolicy(cfg)) is Processor(fault_config=
-        cfg): identical stats, byte for byte."""
+        """Processor(policy=RatePolicy(cfg)) matches the frozen
+        ReferenceProcessor(fault_config=cfg): identical stats, byte for
+        byte."""
         from repro.core.faults import FaultConfig
+        from repro.uarch.reference import ReferenceProcessor
         program = build_workload("gcc")
         model = ss2()
         config = FaultConfig(rate_per_million=20_000.0, seed=4242)
-        via_config = Processor(program, config=model.config,
-                               ft=model.ft, fault_config=config)
+        via_config = ReferenceProcessor(program, config=model.config,
+                                        ft=model.ft, fault_config=config)
         via_config.run(max_instructions=1_500, max_cycles=100_000)
         via_policy = Processor(program, config=model.config,
                                ft=model.ft,
                                policy=RatePolicy(config))
         via_policy.run(max_instructions=1_500, max_cycles=100_000)
-        assert via_config.stats == via_policy.stats
+        assert via_config.stats.as_dict() == via_policy.stats.as_dict()

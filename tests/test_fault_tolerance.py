@@ -13,6 +13,7 @@ import pytest
 from repro.core.config import (DUAL_REDUNDANT, TRIPLE_MAJORITY,
                                TRIPLE_REWIND)
 from repro.core.faults import FaultConfig
+from repro.faults.policy import RatePolicy
 from repro.functional.checker import compare_states
 from repro.functional.simulator import run_functional
 from repro.uarch.config import MachineConfig
@@ -27,7 +28,7 @@ def _faults(rate, seed=17, kinds=None):
     kwargs = {"rate_per_million": rate, "seed": seed}
     if kinds is not None:
         kwargs["kind_weights"] = kinds
-    return FaultConfig(**kwargs)
+    return RatePolicy(FaultConfig(**kwargs))
 
 
 class TestDetectionAndRecovery:
@@ -36,7 +37,7 @@ class TestDetectionAndRecovery:
         program = vector_sum(length=128)
         golden = run_functional(program)
         processor = simulate(program, ft=DUAL_REDUNDANT,
-                             fault_config=_faults(3000, seed),
+                             policy=_faults(3000, seed),
                              lockstep=True)
         assert processor.halted
         assert compare_states(processor.arch, golden.state).clean
@@ -47,8 +48,8 @@ class TestDetectionAndRecovery:
         program = dot_product(length=64)
         golden = run_functional(program)
         processor = simulate(program, ft=DUAL_REDUNDANT,
-                             fault_config=_faults(4000, seed=9,
-                                                  kinds={kind: 1.0}),
+                             policy=_faults(4000, seed=9,
+                                            kinds={kind: 1.0}),
                              lockstep=True)
         assert compare_states(processor.arch, golden.state).clean
         assert processor.stats.faults_injected >= 1
@@ -58,8 +59,8 @@ class TestDetectionAndRecovery:
         program = fibonacci(n=400)
         golden = run_functional(program)
         processor = simulate(program, ft=DUAL_REDUNDANT,
-                             fault_config=_faults(3000, seed=23,
-                                                  kinds={"pc": 1.0}),
+                             policy=_faults(3000, seed=23,
+                                            kinds={"pc": 1.0}),
                              lockstep=True)
         assert compare_states(processor.arch, golden.state).clean
         assert processor.stats.pc_continuity_violations >= 1
@@ -68,7 +69,7 @@ class TestDetectionAndRecovery:
         """The paper's Section 5.3: observed recovery cost ~30 cycles."""
         program = vector_sum(length=512)
         processor = simulate(program, ft=DUAL_REDUNDANT,
-                             fault_config=_faults(2000, seed=4))
+                             policy=_faults(2000, seed=4))
         assert processor.stats.rewinds >= 2
         assert 3 <= processor.stats.avg_recovery_penalty <= 120
 
@@ -76,7 +77,7 @@ class TestDetectionAndRecovery:
         program = vector_sum(length=512)
         clean = simulate(program, ft=DUAL_REDUNDANT)
         faulty = simulate(program, ft=DUAL_REDUNDANT,
-                          fault_config=_faults(100, seed=2))
+                          policy=_faults(100, seed=2))
         assert faulty.stats.ipc >= 0.95 * clean.stats.ipc
 
 
@@ -88,14 +89,14 @@ class TestUnprotectedCorruption:
         corrupted = 0
         for seed in range(6):
             processor = simulate(program,
-                                 fault_config=_faults(4000, seed=seed))
+                                 policy=_faults(4000, seed=seed))
             if not compare_states(processor.arch, golden.state).clean:
                 corrupted += 1
         assert corrupted >= 3  # most seeds corrupt the final state
 
     def test_r1_counts_silent_commits(self):
         program = vector_sum(length=128)
-        processor = simulate(program, fault_config=_faults(5000, seed=1))
+        processor = simulate(program, policy=_faults(5000, seed=1))
         assert processor.stats.silent_commits >= 1
         assert processor.stats.faults_detected == 0
 
@@ -106,7 +107,7 @@ class TestTripleRedundancy:
         golden = run_functional(program)
         processor = simulate(program, config=R3_CONFIG,
                              ft=TRIPLE_MAJORITY,
-                             fault_config=_faults(3000, seed=8),
+                             policy=_faults(3000, seed=8),
                              lockstep=True)
         assert compare_states(processor.arch, golden.state).clean
         assert processor.stats.majority_commits >= 1
@@ -117,7 +118,7 @@ class TestTripleRedundancy:
         program = vector_sum(length=128)
         golden = run_functional(program)
         processor = simulate(program, config=R3_CONFIG, ft=TRIPLE_REWIND,
-                             fault_config=_faults(3000, seed=8),
+                             policy=_faults(3000, seed=8),
                              lockstep=True)
         assert compare_states(processor.arch, golden.state).clean
         assert processor.stats.majority_commits == 0
@@ -128,9 +129,9 @@ class TestTripleRedundancy:
         rate = 200_000  # absurd: ~0.2 faults per instruction per copy
         majority = simulate(program, config=R3_CONFIG,
                             ft=TRIPLE_MAJORITY,
-                            fault_config=_faults(rate, seed=3))
+                            policy=_faults(rate, seed=3))
         rewind = simulate(program, config=R3_CONFIG, ft=TRIPLE_REWIND,
-                          fault_config=_faults(rate, seed=3))
+                          policy=_faults(rate, seed=3))
         assert majority.stats.ipc > rewind.stats.ipc
 
 
@@ -138,7 +139,7 @@ class TestDetectionAccounting:
     def test_detections_track_injections(self):
         program = vector_sum(length=256)
         processor = simulate(program, ft=DUAL_REDUNDANT,
-                             fault_config=_faults(3000, seed=12))
+                             policy=_faults(3000, seed=12))
         stats = processor.stats
         # Every detection stems from a fault; wrong-path faults may be
         # squashed before detection, so injected >= detected-ish bounds.

@@ -1,23 +1,23 @@
 """Golden-cache correctness: campaign outcomes with memoized golden
 traces, store-footprint comparison, and fault-free result reuse must be
-byte-identical to per-trial golden runs — serially, under --workers N,
+byte-identical to the unoptimized path (the frozen reference engine, a
+fresh golden run per trial, no reuse) — serially, under --workers N,
 and across resume."""
 
 import os
 
 import pytest
 
-from repro.campaign import (CampaignSpec, ResultStore, run_campaign,
-                            run_trial)
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:run_campaign:DeprecationWarning")
+from repro.campaign import (CampaignSession, CampaignSpec,
+                            ExecutionOptions, JSONLStore, run_trial)
 from repro.campaign.golden import (GoldenTrace, cached_trace,
                                    clear_trace_cache,
                                    compare_with_golden)
 from repro.campaign.outcome import clear_result_caches
+from repro.errors import ConfigError
 from repro.functional.checker import compare_states
 from repro.functional.simulator import FunctionalSimulator
+from repro.harness.bench import run_unoptimized
 from repro.workloads.generator import build_workload
 
 
@@ -42,22 +42,27 @@ SPEC = CampaignSpec(
     instructions=400)
 
 
-def _records(**kwargs):
+def _records(**options):
     clear_result_caches()
     clear_trace_cache()
-    return run_campaign(SPEC, **kwargs).records
+    return CampaignSession(
+        SPEC, options=ExecutionOptions(**options)).run().records
 
 
 class TestCampaignEquivalence:
     def test_all_paths_byte_identical(self):
-        reference = _records(simulator="reference", golden_cache=False,
-                             reuse_faultfree=False)
-        cached = _records()
-        no_reuse = _records(reuse_faultfree=False)
-        no_cache = _records(golden_cache=False, reuse_faultfree=False)
-        assert cached == reference
-        assert no_reuse == reference
-        assert no_cache == reference
+        unoptimized = run_unoptimized(SPEC)
+        assert _records() == unoptimized
+        # The grid really exercises both shortcuts it pins: silent
+        # low-rate trials (reused fault-free runs) and struck 20k-rate
+        # trials that end in silent data corruption.
+        silent = [r for r in unoptimized
+                  if r["trial"]["rate_per_million"] == 30.0
+                  and r["faults_injected"] == 0]
+        sdc = [r for r in unoptimized
+               if r["trial"]["rate_per_million"] == 20_000.0
+               and r["outcome"] == "sdc"]
+        assert silent and sdc
 
     def test_workers_identical(self):
         serial = _records()
@@ -67,34 +72,33 @@ class TestCampaignEquivalence:
     def test_resume_identical(self, tmp_path):
         full = _records()
         path = os.path.join(str(tmp_path), "partial.jsonl")
-        store = ResultStore(path)
+        store = JSONLStore(path)
         for record in full[: len(full) // 2]:
             store.append(record)
         clear_result_caches()
         clear_trace_cache()
-        resumed = run_campaign(SPEC, store=ResultStore(path),
-                               resume=True)
+        resumed = CampaignSession(SPEC, store=JSONLStore(path)).resume()
         assert resumed.records == full
         assert resumed.skipped == len(full) // 2
 
     def test_unknown_simulator_rejected(self):
-        trial = next(SPEC.trials())
-        with pytest.raises(ValueError, match="unknown simulator"):
-            run_trial(trial, simulator="warp")
+        # The simulator selector is gone: asking for one is an unknown
+        # execution option, refused with a ConfigError.
+        with pytest.raises(ConfigError, match="simulator"):
+            ExecutionOptions.from_dict({"simulator": "warp"})
 
 
 class TestFaultFreeReuse:
     def test_replicates_share_one_execution(self, monkeypatch):
         import repro.campaign.outcome as outcome_module
         calls = []
-        original = outcome_module._execute_and_classify
+        original = outcome_module.finish_trial
 
-        def counting(trial, fault_config, fast, golden_cache):
+        def counting(trial, *args, **kwargs):
             calls.append(trial.key)
-            return original(trial, fault_config, fast, golden_cache)
+            return original(trial, *args, **kwargs)
 
-        monkeypatch.setattr(outcome_module, "_execute_and_classify",
-                            counting)
+        monkeypatch.setattr(outcome_module, "finish_trial", counting)
         trials = [t for t in SPEC.trials()
                   if t.rate_per_million == 0.0 and t.model == "SS-2"]
         assert len(trials) == 3

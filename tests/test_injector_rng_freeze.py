@@ -1,6 +1,6 @@
 """The legacy injector RNG contract, frozen.
 
-Trial keys, records, `outcome._injector_stays_silent` and the
+Trial keys, records, `checkpoint._prewalk_injector` and the
 golden-result reuse shortcut all assume the injector consumes its RNG
 in one exact order: per group, one ``pc``-rate draw (when the mix gives
 ``pc`` weight), then one rate draw per redundant copy, with kind/bit
@@ -136,6 +136,7 @@ class TestMixApplicability:
             check_mix_applicability(weights, program)
 
     def test_processor_runs_the_check(self):
+        from repro.faults.policy import RatePolicy
         from repro.models.presets import ss2
         from repro.uarch.processor import Processor
         model = ss2()
@@ -143,4 +144,4 @@ class TestMixApplicability:
                              kind_weights={"value": 1.0})
         with pytest.raises(ConfigError):
             Processor(_nop_program(), config=model.config, ft=model.ft,
-                      fault_config=config)
+                      policy=RatePolicy(config))

@@ -60,15 +60,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             CampaignOrchestrator(orchestrated_spec(), **parameters)
 
-    def test_cli_mode_refuses_unforwardable_options(self, tmp_path):
-        with pytest.raises(ConfigError):
-            CampaignOrchestrator(
-                orchestrated_spec(), shards=2,
-                store_dir=str(tmp_path), mode=CLI_MODE,
-                options=ExecutionOptions(simulator="reference",
-                                         golden_cache=False,
-                                         reuse_faultfree=False))
-
 
 class TestMergedEquivalence:
     def test_two_shards_match_single_session(self, tmp_path,

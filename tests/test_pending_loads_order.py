@@ -9,6 +9,7 @@ fault-heavy simulation."""
 import pytest
 
 from repro.core.faults import FaultConfig
+from repro.faults.policy import RatePolicy
 from repro.models.presets import get_model
 from repro.uarch.processor import Processor
 from repro.workloads.generator import build_workload
@@ -69,12 +70,12 @@ def test_invariant_holds_during_simulation(rate):
     """Loads progress in program order without any per-cycle sort."""
     _OrderAuditingProcessor.audits = 0
     model = get_model("SS-2")
-    fault_config = None
+    policy = None
     if rate:
-        fault_config = FaultConfig(rate_per_million=rate, seed=7)
+        policy = RatePolicy(FaultConfig(rate_per_million=rate, seed=7))
     processor = _OrderAuditingProcessor(
         build_workload("gcc"), config=model.config, ft=model.ft,
-        fault_config=fault_config)
+        policy=policy)
     processor.run(max_instructions=1_500, max_cycles=120_000)
     assert _OrderAuditingProcessor.audits > 0
     assert processor.stats.loads_executed > 0

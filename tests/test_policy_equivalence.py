@@ -1,12 +1,11 @@
 """Legacy-path compatibility of the fault-site refactor.
 
 ``tests/data/golden_spec64.json`` holds the 64-trial acceptance grid —
-records and aggregate JSON — exactly as the pre-refactor
-``run_campaign`` path produced them.  Every rate-based execution route
-through the new policy subsystem (serial session, ``workers=2`` pool,
-SQLite-store resume, the deprecated ``run_campaign`` wrapper) must
-reproduce that fixture byte-for-byte: the ``RatePolicy`` indirection
-may cost nothing in trial keys, records or aggregates.
+records and aggregate JSON — exactly as the pre-refactor campaign
+path produced them.  Every rate-based execution route through the
+policy subsystem (serial session, ``workers=2`` pool, SQLite-store
+resume) must reproduce that fixture byte-for-byte: the ``RatePolicy``
+indirection may cost nothing in trial keys, records or aggregates.
 """
 
 import json
@@ -16,8 +15,7 @@ import pytest
 
 from repro.campaign import (CampaignSession, CampaignSpec,
                             ExecutionOptions, cells_to_json,
-                            clear_result_caches, open_store,
-                            run_campaign)
+                            clear_result_caches, open_store)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                        "golden_spec64.json")
@@ -76,12 +74,6 @@ def test_sqlite_resume_byte_identical(golden, spec, tmp_path):
     assert result.executed == 41
     assert canonical(result.records) == golden["records_json"]
     assert cells_to_json(session.aggregate()) == golden["cells_json"]
-
-
-def test_deprecated_run_campaign_byte_identical(golden, spec):
-    with pytest.warns(DeprecationWarning):
-        result = run_campaign(spec)
-    assert canonical(result.records) == golden["records_json"]
 
 
 def test_fresh_caches_do_not_change_records(golden, spec):

@@ -130,10 +130,12 @@ class TestRewindExtraPenalty:
     def test_extra_penalty_costs_cycles_under_faults(self):
         from repro.core.faults import FaultConfig
         program = vector_sum(length=256)
+        from repro.faults.policy import RatePolicy
         fault_config = FaultConfig(rate_per_million=5000, seed=5)
         fast = simulate(program, ft=DUAL_REDUNDANT,
-                        fault_config=fault_config)
+                        policy=RatePolicy(fault_config))
         slow_ft = FTConfig(redundancy=2, rewind_extra_penalty=50)
-        slow = simulate(program, ft=slow_ft, fault_config=fault_config)
+        slow = simulate(program, ft=slow_ft,
+                        policy=RatePolicy(fault_config))
         assert slow.stats.rewinds > 0
         assert slow.stats.cycles > fast.stats.cycles

@@ -155,10 +155,11 @@ def test_redundant_equivalence_under_faults(program, seed):
     — see TestCoverageLimits in test_fault_tolerance.py.
     """
     from repro.core.faults import FaultConfig
+    from repro.faults.policy import RatePolicy
     golden = run_functional(program, max_instructions=200_000)
     processor = simulate(
         program, ft=DUAL_REDUNDANT,
-        fault_config=FaultConfig(rate_per_million=2000, seed=seed),
+        policy=RatePolicy(FaultConfig(rate_per_million=2000, seed=seed)),
         lockstep=True, max_cycles=600_000)
     assert processor.halted
     assert compare_states(processor.arch, golden.state).clean

@@ -262,6 +262,47 @@ class TestDrainAndRecovery:
         finally:
             backend.close(drain_timeout=10.0)
 
+    @staticmethod
+    def write_job_file(data_dir, job_id, options):
+        job_dir = data_dir / "jobs" / job_id
+        job_dir.mkdir(parents=True)
+        (job_dir / "job.json").write_text(json.dumps({
+            "id": job_id, "tenant": "alice",
+            "spec": spec(name=job_id).to_dict(), "options": options,
+            "priority": 0, "shards": 0, "state": RUNNING, "seq": 1,
+            "submitted_at": 1.0, "started_at": 2.0, "done": 0,
+            "total": 4}))
+
+    def test_parent_format_job_file_resumes_to_done(self, tmp_path):
+        """Job files written before the single execution path carry
+        the three retired option keys; a restarted service drops them
+        and runs the job to the plain session's records."""
+        data_dir = tmp_path / "svc"
+        self.write_job_file(data_dir, "job-parent", {
+            "simulator": "fast", "golden_cache": True,
+            "reuse_faultfree": True, "workers": 1})
+        revived = ServiceBackend(str(data_dir), slots=2)
+        try:
+            assert [job.id for job in revived.recover()] \
+                == ["job-parent"]
+            assert wait_terminal(revived, "job-parent").state == DONE
+            plain = CampaignSession(spec(name="job-parent")).run()
+            assert json.dumps(records_of(revived, "job-parent"),
+                              sort_keys=True) \
+                == json.dumps(plain.records, sort_keys=True)
+        finally:
+            revived.close(drain_timeout=10.0)
+
+    def test_invalid_job_file_is_skipped_not_fatal(self, tmp_path):
+        data_dir = tmp_path / "svc"
+        self.write_job_file(data_dir, "job-bad", {"workers": 0})
+        revived = ServiceBackend(str(data_dir), slots=2)
+        try:
+            assert revived.recover() == []
+            assert (data_dir / "jobs" / "job-bad" / "job.json").exists()
+        finally:
+            revived.close(drain_timeout=5.0)
+
     def test_recover_preserves_terminal_jobs_without_requeue(
             self, tmp_path):
         data_dir = str(tmp_path / "svc")

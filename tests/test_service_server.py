@@ -182,6 +182,31 @@ class TestHttpApi:
         assert status == 405
 
 
+#: Submit bodies that must fail as a 400 (never a 500) and leave the
+#: service answering.
+HOSTILE_BODIES = {
+    "unknown-model": {"spec": dict(spec_dict(), models=["SS-9"])},
+    "non-name-workload": {"spec": dict(spec_dict(), workloads=[1])},
+    "scalar-rates": {"spec": dict(spec_dict(), rates_per_million=5)},
+    "string-seed": {"spec": dict(spec_dict(), base_seed="s")},
+    "list-mix-name": {"spec": dict(spec_dict(), mixes=[[1]])},
+    "string-options": {"spec": spec_dict(), "options": "x"},
+    "scalar-sampling": {"spec": spec_dict(), "options": {"sampling": 3}},
+    "reference-simulator": {"spec": spec_dict(),
+                            "options": {"simulator": "reference"}},
+    "integer-job-id": {"spec": spec_dict(), "job_id": 5},
+    "escaping-job-id": {"spec": spec_dict(), "job_id": "../escape"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_BODIES))
+def test_hostile_submit_body_is_a_400(server, name):
+    body = dict(HOSTILE_BODIES[name], tenant="mallory")
+    status, payload = server.client._request("POST", "/api/jobs", body)
+    assert status == 400, payload
+    assert server.client.health()["status"] == "ok"
+
+
 class TestKillRecovery:
     def test_sigkill_mid_job_then_restart_resumes_identically(
             self, tmp_path):

@@ -243,14 +243,11 @@ class TestSiteCli:
 
 class TestSessionValidation:
     def test_reference_simulator_with_sites_refused_upfront(self):
-        with pytest.raises(ConfigError):
+        # The frozen reference engine is no runtime option: a request
+        # for it fails while the options are parsed, before a session
+        # (or any trial) exists.
+        with pytest.raises(ConfigError, match="simulator"):
             CampaignSession(
                 sweep_spec(),
-                options=ExecutionOptions(simulator="reference"))
-
-    def test_reference_simulator_still_fine_without_sites(self):
-        spec = CampaignSpec(workloads=("gcc",), models=("SS-2",),
-                            rates_per_million=(0.0,), replicates=1,
-                            instructions=200)
-        CampaignSession(spec,
-                        options=ExecutionOptions(simulator="reference"))
+                options=ExecutionOptions.from_dict(
+                    {"simulator": "reference"}))

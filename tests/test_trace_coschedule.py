@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import DUAL_REDUNDANT
 from repro.core.faults import FaultConfig
+from repro.faults.policy import RatePolicy
 from repro.functional.checker import compare_states
 from repro.uarch.config import MachineConfig
 from repro.uarch.processor import Processor, simulate
@@ -11,9 +12,8 @@ from repro.uarch.trace import PipelineTracer
 from repro.workloads.microbench import fibonacci, vector_sum
 
 
-def _traced_run(program, ft=None, config=None, fault_config=None):
-    processor = Processor(program, config=config, ft=ft,
-                          fault_config=fault_config)
+def _traced_run(program, ft=None, config=None, policy=None):
+    processor = Processor(program, config=config, ft=ft, policy=policy)
     tracer = PipelineTracer()
     processor.attach_tracer(tracer)
     processor.run()
@@ -52,7 +52,7 @@ class TestTracer:
     def test_rewinds_recorded(self):
         _, tracer = _traced_run(
             vector_sum(length=256), ft=DUAL_REDUNDANT,
-            fault_config=FaultConfig(rate_per_million=3000, seed=4))
+            policy=RatePolicy(FaultConfig(rate_per_million=3000, seed=4)))
         assert tracer.rewinds
         assert all(r.restart_pc >= 0 for r in tracer.rewinds)
 
