@@ -465,10 +465,10 @@ class AdaptiveScheduler:
         return tracker if self._close_if_done(tracker) == CONVERGED \
             else None
 
-    @property
-    def inflight(self) -> int:
-        return sum(tracker.inflight
-                   for tracker in self.trackers.values())
+    def pending(self) -> int:
+        """Trials not handed out yet that an open cell could still
+        run."""
+        return sum(len(tracker.pending) for tracker in self._open_cells())
 
     def pre_converged(self):
         """Cells already converged from resumed records alone."""

@@ -32,13 +32,13 @@ campaign resumable from its completed keys.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
-from .adaptive import (CONVERGED as _CONVERGED, AdaptiveScheduler,
-                       AdaptiveSummary, SamplingPlan)
+from .adaptive import AdaptiveScheduler, AdaptiveSummary, SamplingPlan
 from .aggregate import aggregate, aggregate_structures, trial_cell
 from .outcome import run_trial
 from .spec import CampaignShard, CampaignSpec, Trial
@@ -148,9 +148,10 @@ class ExecutionOptions:
     driver's own default (0.2 s for the orchestrator; the service
     backend runs a tighter interval for live SSE progress).
 
-    The resilience knobs only shape the pooled execution paths
+    The resilience knobs only shape the pooled execution path
     (``workers > 1``): ``trial_timeout`` is the per-trial *wall-clock*
-    deadline distinguishing an infrastructure hang from the simulated
+    deadline, counted from the trial's dispatch to a free worker,
+    distinguishing an infrastructure hang from the simulated
     ``timeout`` outcome (which returns promptly as a normal record);
     ``trial_retries`` bounds how often one trial may be re-submitted
     across pool rebuilds before the run fails with
@@ -575,29 +576,23 @@ class CampaignSession:
         todo = [trial for trial in trials if trial.key not in completed]
         result = CampaignResult(spec=self.spec, executed=len(todo),
                                 skipped=total - len(todo))
-        # cell_finished fires when the last outstanding trial of a cell
-        # completes in this run; cells fully satisfied from the store
-        # never re-fire.  (Under an adaptive plan a converged cell
-        # keeps a positive remainder forever — it emits cell_converged
-        # instead.)
-        cell_remaining: Dict[tuple, int] = {}
-        for trial in todo:
-            cell = _cell_of(trial)
-            cell_remaining[cell] = cell_remaining.get(cell, 0) + 1
         if self.options.adaptive:
-            scheduler = AdaptiveScheduler(self.options.sampling, trials,
-                                          completed)
-            fresh = self._execute_adaptive(
-                scheduler, cell_remaining,
-                done_offset=len(completed), total=total)
-            result.adaptive = scheduler.summary()
-            result.executed = len(fresh)
+            source = AdaptiveScheduler(self.options.sampling, trials,
+                                       completed)
+            for tracker in source.pre_converged():
+                # Cells the resumed store already settled: surface the
+                # decision even though this run executes nothing for
+                # them.
+                self._emit(CELL_CONVERGED, done=len(completed),
+                           total=total, cell=tracker.cell)
         else:
-            fresh = self._execute(todo, cell_remaining,
-                                  done_offset=len(completed),
-                                  total=total)
+            source = _FixedPlan(todo)
+        fresh = self._execute(source, todo, done_offset=len(completed),
+                              total=total)
         completed.update(fresh)
         if self.options.adaptive:
+            result.adaptive = source.summary()
+            result.executed = len(fresh)
             # Converged cells legitimately leave replicates unrun.
             result.records = [completed[trial.key] for trial in trials
                               if trial.key in completed]
@@ -611,19 +606,26 @@ class CampaignSession:
                    total=total)
         return result
 
-    def _make_collector(self, records, cell_remaining, done_offset,
-                        total, on_record=None):
-        """The shared per-record bookkeeping closure: store append,
-        progress counter, ``trial_finished``/``cell_finished`` events,
-        plus an optional hook (the adaptive scheduler's observer).
+    def _make_collector(self, records, source, todo, done_offset,
+                        total):
+        """The per-record bookkeeping closure: store append, progress
+        counter and the ``trial_finished`` / ``cell_converged`` /
+        ``cell_finished`` events.
 
-        The hook runs *before* the ``cell_finished`` accounting and
-        its return value can veto that event: a cell whose final
-        pending replicate is also its converging observation (or a
-        straggler landing after convergence) must emit only
-        ``cell_converged`` — the two events are documented as
+        ``cell_finished`` fires when the last outstanding trial of a
+        cell completes in this run; cells fully satisfied from the
+        store never re-fire.  The source observes each record first: a
+        cell it converges keeps a positive remainder forever, and a
+        cell whose final pending replicate is also its converging
+        observation (or a straggler landing after convergence) emits
+        only ``cell_converged`` — the two events are documented as
         mutually exclusive per cell.
         """
+        cell_remaining: Dict[tuple, int] = {}
+        for trial in todo:
+            cell = _cell_of(trial)
+            cell_remaining[cell] = cell_remaining.get(cell, 0) + 1
+        converged = set()
         state = {"done": done_offset}
 
         def collect(record):
@@ -635,16 +637,18 @@ class CampaignSession:
             trial_dict = record.get("trial")
             self._emit(TRIAL_FINISHED, done=done, total=total,
                        trial=trial_dict, record=record)
-            suppress_finished = False
-            if on_record is not None:
-                suppress_finished = bool(on_record(record, done))
+            tracker = source.record_finished(record)
+            if tracker is not None:
+                converged.add(tracker.cell)
+                self._emit(CELL_CONVERGED, done=done, total=total,
+                           cell=tracker.cell)
             if isinstance(trial_dict, dict):
                 cell = _cell_of(trial_dict)
                 remaining = cell_remaining.get(cell)
                 if remaining is not None:
                     if remaining <= 1:
                         del cell_remaining[cell]
-                        if not suppress_finished:
+                        if cell not in converged:
                             self._emit(CELL_FINISHED, done=done,
                                        total=total, cell=cell)
                     else:
@@ -652,34 +656,92 @@ class CampaignSession:
 
         return collect, state
 
-    def _pool_supervisor(self, state, total, warm=None):
-        """A :class:`~repro.resilience.watchdog.PoolSupervisor` over a
-        session-private process pool.
+    def _execute(self, source, todo, done_offset, total):
+        """Run the trials ``source`` hands out; return {key: record}.
 
-        The holder closure owns pool lifetime: the supervisor retires
-        a broken executor through ``reset_pool`` and lazily rebuilds
-        through ``get_pool``, so a SIGKILL'd pool worker (or a trial
-        past ``options.trial_timeout``) costs a rebuild + resubmit
-        instead of the whole session.  Every resubmission re-emits
-        ``trial_started`` — listeners see the retry, and the record
-        that eventually lands is byte-identical (trial seeds derive
-        from trial keys, not scheduling).  ``warm`` (persistent-worker
-        mode) is a list of fault-free warm-up payloads every worker —
-        including rebuilt ones — runs through :func:`_warm_worker`
-        before taking trials.
+        ``source`` is the plan's
+        :class:`~repro.campaign.adaptive.AdaptiveScheduler` or a
+        :class:`_FixedPlan` over ``todo`` (the outstanding trials).
+        Without a pool the trials run in-process, one after another.
+        With one, :meth:`_admit` decides when the next trial starts and
+        the source which trial it is, once per landing — so an adaptive
+        plan steers every freed slot to the widest open interval, and a
+        trial's deadline starts when a worker is free to run it rather
+        than while it waits in a queue.
+        """
+        records: Dict[str, dict] = {}
+        collect, state = self._make_collector(records, source, todo,
+                                              done_offset, total)
+        pool = self._open_pool(todo, state, total)
+        if pool is None:
+            while True:
+                trial = source.next_trial()
+                if trial is None:
+                    return records
+                self._emit(TRIAL_STARTED, done=state["done"],
+                           total=total, trial=trial.to_dict())
+                collect(execute_trial_payload(
+                    self.options.trial_payload(trial)))
+        supervisor, close = pool
+        try:
+            while True:
+                trial = self._admit(source, supervisor.inflight)
+                if trial is not None:
+                    supervisor.submit(trial.key, execute_trial_payload,
+                                      self.options.trial_payload(trial),
+                                      context=trial)
+                    self._emit(TRIAL_STARTED, done=state["done"],
+                               total=total, trial=trial.to_dict())
+                elif supervisor.inflight:
+                    for _trial, record in supervisor.wait(
+                            self._admit_interval):
+                        collect(record)
+                else:
+                    return records
+        finally:
+            close()
+
+    #: How long the pooled loop waits for a landing before it asks
+    #: :meth:`_admit` again (None: until a trial lands or its deadline
+    #: passes).
+    _admit_interval: Optional[float] = None
+
+    def _admit(self, source, inflight):
+        """The next trial to start now, or None while none may.
+
+        A session keeps up to ``workers`` trials in flight; the
+        campaign service gates every trial on its fair slot pool
+        instead.
+        """
+        if inflight >= self.options.workers:
+            return None
+        return source.next_trial()
+
+    def _open_pool(self, todo, state, total):
+        """This run's pool as ``(supervisor, close)``, or None to run
+        in-process (``workers == 1``, or a single trial to run).
+
+        The pool is session-private: the supervisor retires a broken
+        executor through ``reset_pool`` and lazily rebuilds through
+        ``get_pool``, so a SIGKILL'd pool worker (or a trial past
+        ``options.trial_timeout``) costs a rebuild + resubmit instead
+        of the whole session.  In persistent-worker mode every worker
+        — rebuilt ones included — first runs the fault-free warm-up
+        payloads of ``todo``'s cells through :func:`_warm_worker`.
         """
         workers = self.options.workers
+        if workers == 1 or len(todo) <= 1:
+            return None
+        warm = {}
+        if self.options.persistent_workers:
+            warm = {"initializer": _warm_worker,
+                    "initargs": (warm_payloads(self.options, todo),)}
         holder = {"pool": None}
 
         def get_pool():
             if holder["pool"] is None:
-                if warm:
-                    holder["pool"] = ProcessPoolExecutor(
-                        max_workers=workers,
-                        initializer=_warm_worker, initargs=(warm,))
-                else:
-                    holder["pool"] = ProcessPoolExecutor(
-                        max_workers=workers)
+                holder["pool"] = ProcessPoolExecutor(max_workers=workers,
+                                                     **warm)
             return holder["pool"]
 
         def reset_pool(broken=None):
@@ -690,123 +752,49 @@ class CampaignSession:
             holder["pool"] = None
             pool.shutdown(wait=False, cancel_futures=True)
 
+        def close():
+            pool = holder["pool"]
+            holder["pool"] = None
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
+
+        return self._supervise(get_pool, reset_pool, state, total), close
+
+    def _supervise(self, get_pool, reset_pool, state, total,
+                   **callbacks) -> PoolSupervisor:
+        """A :class:`~repro.resilience.watchdog.PoolSupervisor` with
+        this session's deadline and retry budget.
+
+        Every resubmission re-emits ``trial_started`` — listeners see
+        the retry, and the record that eventually lands is
+        byte-identical (trial seeds derive from trial keys, not
+        scheduling).
+        """
         def on_resubmit(trial, attempt):
             self._emit(TRIAL_STARTED, done=state["done"], total=total,
                        trial=trial.to_dict())
 
-        supervisor = PoolSupervisor(
+        return PoolSupervisor(
             get_pool, reset_pool,
             trial_timeout=self.options.trial_timeout,
             trial_retries=self.options.trial_retries,
-            on_resubmit=on_resubmit)
-        return supervisor, holder
+            on_resubmit=on_resubmit, **callbacks)
 
-    @staticmethod
-    def _shutdown_pool(holder):
-        pool = holder["pool"]
-        holder["pool"] = None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
 
-    def _execute(self, todo, cell_remaining, done_offset, total):
-        """Run the outstanding trials; return {key: record}."""
-        records: Dict[str, dict] = {}
-        collect, state = self._make_collector(records, cell_remaining,
-                                              done_offset, total)
-        workers = self.options.workers
-        if workers == 1 or len(todo) <= 1:
-            for trial in todo:
-                self._emit(TRIAL_STARTED, done=state["done"],
-                           total=total, trial=trial.to_dict())
-                collect(execute_trial_payload(
-                    self.options.trial_payload(trial)))
-            return records
-        warm = warm_payloads(self.options, todo) \
-            if self.options.persistent_workers else None
-        supervisor, holder = self._pool_supervisor(state, total,
-                                                   warm=warm)
-        try:
-            for trial in todo:
-                supervisor.submit(trial.key, execute_trial_payload,
-                                  self.options.trial_payload(trial),
-                                  context=trial)
-                self._emit(TRIAL_STARTED, done=state["done"],
-                           total=total, trial=trial.to_dict())
-            while supervisor.inflight:
-                for _trial, record in supervisor.wait():
-                    collect(record)
-        finally:
-            self._shutdown_pool(holder)
-        return records
+class _FixedPlan:
+    """The fixed plan's trial source: every outstanding trial, in spec
+    order, behind the :class:`~repro.campaign.adaptive.
+    AdaptiveScheduler` surface the execution loop drives."""
 
-    def _execute_adaptive(self, scheduler, cell_remaining, done_offset,
-                          total):
-        """Run trials the scheduler selects; return {key: record}.
+    def __init__(self, todo):
+        self._todo = deque(todo)
 
-        The scheduler re-decides after every finished trial, so the
-        worker pool is fed one slot at a time instead of being flooded
-        up front — that is the whole point: a trial that would have
-        gone to an already-converged cell goes to the widest open
-        interval instead.
-        """
-        records: Dict[str, dict] = {}
+    def next_trial(self) -> Optional[Trial]:
+        return self._todo.popleft() if self._todo else None
 
-        def on_record(record, done):
-            converged = scheduler.record_finished(record)
-            if converged is not None:
-                self._emit(CELL_CONVERGED, done=done, total=total,
-                           cell=converged.cell)
-            # Veto cell_finished for any converged cell — whether this
-            # record converged it or it is a straggler completing the
-            # cell's last outstanding trial after convergence.
-            trial = record.get("trial")
-            if not isinstance(trial, dict):
-                return False
-            tracker = scheduler.trackers.get(_cell_of(trial))
-            return tracker is not None \
-                and tracker.closed == _CONVERGED
+    def record_finished(self, record) -> None:
+        """A fixed plan converges nothing."""
 
-        collect, state = self._make_collector(
-            records, cell_remaining, done_offset, total,
-            on_record=on_record)
-        for tracker in scheduler.pre_converged():
-            # Cells the resumed store already settled: surface the
-            # decision even though this run executes nothing for them.
-            self._emit(CELL_CONVERGED, done=state["done"], total=total,
-                       cell=tracker.cell)
-        workers = self.options.workers
-        if workers == 1:
-            while True:
-                trial = scheduler.next_trial()
-                if trial is None:
-                    break
-                self._emit(TRIAL_STARTED, done=state["done"],
-                           total=total, trial=trial.to_dict())
-                collect(execute_trial_payload(
-                    self.options.trial_payload(trial)))
-            return records
-        warm = warm_payloads(self.options, self.spec.trials()) \
-            if self.options.persistent_workers else None
-        supervisor, holder = self._pool_supervisor(state, total,
-                                                   warm=warm)
-
-        def refill():
-            while supervisor.inflight < workers:
-                trial = scheduler.next_trial()
-                if trial is None:
-                    return
-                supervisor.submit(trial.key, execute_trial_payload,
-                                  self.options.trial_payload(trial),
-                                  context=trial)
-                self._emit(TRIAL_STARTED, done=state["done"],
-                           total=total, trial=trial.to_dict())
-
-        try:
-            refill()
-            while supervisor.inflight:
-                for _trial, record in supervisor.wait():
-                    collect(record)
-                refill()
-        finally:
-            self._shutdown_pool(holder)
-        return records
+    def pending(self) -> int:
+        """Trials not handed out yet."""
+        return len(self._todo)

@@ -659,10 +659,6 @@ def _add_serve_args(sub):
                      help="per-trial wall-clock deadline for pooled "
                           "jobs; expired trials SIGKILL their worker "
                           "and re-run (default: no deadline)")
-    sub.add_argument("--runner-lease", type=float, default=None,
-                     help="SIGKILL shared-pool workers when a job with "
-                          "in-flight trials makes no progress for this "
-                          "long (default: no liveness thread)")
     sub.add_argument("--heartbeat-lease", type=float, default=None,
                      help="shard heartbeat lease for orchestrated "
                           "(shards >= 1) jobs (default: no liveness)")
@@ -903,8 +899,6 @@ def _add_chaos_args(sub):
                      help="service target: shared pool slots")
     sub.add_argument("--trial-timeout", type=float, default=3.0,
                      help="service target: per-trial deadline")
-    sub.add_argument("--runner-lease", type=float, default=3.0,
-                     help="service target: hung-runner lease")
     sub.add_argument("--spec", default="",
                      help="JSON CampaignSpec to run under chaos "
                           "(default: a small built-in grid)")

@@ -227,8 +227,8 @@ class _ServiceInjector(_Injector):
                 if process.is_alive() and process.pid]
 
     def _busy(self) -> bool:
-        return any(runner.inflight
-                   for runner in self.backend.active_runners())
+        tenants = self.backend.scheduler.report()["tenants"]
+        return any(entry["in_flight"] for entry in tenants.values())
 
     def _apply(self, op: ChaosOp) -> bool:
         if op.kind == TORN:
@@ -336,7 +336,6 @@ def run_orchestrate_chaos(store_dir: str, seed: int = 0,
 def run_service_chaos(data_dir: str, seed: int = 0, kills: int = 1,
                       stalls: int = 1, jobs: int = 2, slots: int = 2,
                       trial_timeout: float = 3.0,
-                      runner_lease: float = 3.0,
                       spec: Optional[dict] = None,
                       deadline: float = 300.0,
                       schedule: Optional[ChaosSchedule] = None
@@ -347,29 +346,34 @@ def run_service_chaos(data_dir: str, seed: int = 0, kills: int = 1,
     SIGSTOPs pool workers per the schedule, and asserts: no job lost
     (all reach ``done``), every job's stored records byte-identical to
     a plain in-process run of its spec, fairness ledger consistent.
+    A stopped worker is found by the per-trial deadline
+    (``trial_timeout``) alone.
     """
-    from ..campaign import CampaignSession, CampaignSpec
+    from ..campaign import CampaignSpec, ExecutionOptions
     from ..service.backend import ServiceBackend
     from ..service.jobs import DONE
     spec_dict = dict(spec or DEFAULT_CHAOS_SPEC)
     clean_blob = _records_blob(
         _clean_records(CampaignSpec.from_dict(dict(spec_dict))))
-    backend = ServiceBackend(
-        data_dir, slots=slots,
-        trial_timeout=trial_timeout,
-        trial_retries=6,
-        runner_lease=runner_lease,
-        poll_interval=0.05)
+    backend = ServiceBackend(data_dir, slots=slots,
+                             trial_timeout=trial_timeout,
+                             poll_interval=0.05)
     if schedule is None:
         schedule = ChaosSchedule.generate(seed, kills=kills,
                                           stalls=stalls, torn=0)
+    # Each kill or stall breaks the shared pool at most once, so a
+    # trial in flight through all of them is resubmitted that often.
+    counts = schedule.counts()
+    options = ExecutionOptions(
+        trial_retries=max(2, counts[KILL] + counts[STALL]))
     injector = _ServiceInjector(backend, schedule, seed)
     error = ""
     submitted = []
     try:
         for index in range(jobs):
             submitted.append(backend.submit(
-                "tenant-%d" % (index % 2), dict(spec_dict)))
+                "tenant-%d" % (index % 2), dict(spec_dict),
+                options=options))
         injector.start()
         limit = time.monotonic() + deadline
         while time.monotonic() < limit:
@@ -406,7 +410,6 @@ def run_service_chaos(data_dir: str, seed: int = 0, kills: int = 1,
         "ops_applied": schedule.applied_counts(),
         "all_done": all_done,
         "records_mismatched": mismatched,
-        "hung_runners": backend.hung_runners,
         "fairness": fairness,
         "ledger_ok": ledger_ok,
         "error": error,
@@ -436,8 +439,6 @@ def format_chaos_report(report: dict) -> str:
             for job_id, state in sorted(report["jobs"].items())))
         lines.append("  records identical for every job: %s"
                      % (not report["records_mismatched"]))
-        lines.append("  hung-runner recoveries: %d"
-                     % report["hung_runners"])
     if report.get("error"):
         lines.append("  error: %s" % report["error"])
     return "\n".join(lines)
@@ -465,8 +466,7 @@ def run_chaos(args) -> int:
             reports.append(run_service_chaos(
                 directory, seed=args.seed, kills=args.kills,
                 stalls=args.stalls, jobs=args.jobs, slots=args.slots,
-                trial_timeout=args.trial_timeout,
-                runner_lease=args.runner_lease, spec=spec))
+                trial_timeout=args.trial_timeout, spec=spec))
     if args.json:
         payload = reports[0] if len(reports) == 1 \
             else dict(zip(targets, reports))

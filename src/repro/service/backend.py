@@ -11,11 +11,12 @@ and the simulator:
   split the slots by weighted max-min over live demand;
 * one :class:`JobRunner` thread per running job.  ``shards=0`` jobs
   execute trial-by-trial through a :class:`_GatedSession` — a
-  :class:`~repro.campaign.api.CampaignSession` whose execution core
-  asks the slot pool before every submission, so fairness is enforced
-  at trial granularity; ``shards>=1`` jobs acquire that many slots and
-  drive a :class:`~repro.campaign.orchestrator.CampaignOrchestrator`
-  (its ``stop_requested`` hook wired to the runner's stop flag);
+  :class:`~repro.campaign.api.CampaignSession` whose one dispatch loop
+  admits every trial through the slot pool, so fairness is enforced
+  at trial granularity; ``shards>=1`` jobs take all their slots at
+  once and drive a
+  :class:`~repro.campaign.orchestrator.CampaignOrchestrator` (its
+  ``stop_requested`` hook wired to the runner's stop flag);
 * per-job cancellation (:meth:`ServiceBackend.cancel`), graceful
   drain (:meth:`ServiceBackend.drain` — stop admitting, let in-flight
   trials land, mark running jobs ``interrupted``) and restart
@@ -43,15 +44,13 @@ from typing import Dict, List, Optional
 from ..campaign import (CampaignOrchestrator, CampaignSession,
                         CampaignSpec, ExecutionOptions, RetryingStore,
                         aggregate, aggregate_structures,
-                        execute_trial_payload, merged_adaptive_summary)
-from ..campaign.adaptive import CAPPED, CONVERGED
+                        merged_adaptive_summary)
+from ..campaign.adaptive import CAPPED
 from ..campaign.aggregate import trial_cell
-from ..campaign.api import (CELL_CONVERGED, TRIAL_FINISHED,
-                            TRIAL_STARTED)
+from ..campaign.api import TRIAL_FINISHED
 from ..errors import (OrchestratorStopped, ReproError, ServiceError)
 from ..resilience.circuit import CircuitBreaker
 from ..resilience.retry import RetryPolicy
-from ..resilience.watchdog import PoolSupervisor, kill_pool_workers
 from .events import (EventLog, JOB_CANCELLED, JOB_DEGRADED, JOB_FAILED,
                      JOB_FINISHED, JOB_INTERRUPTED, JOB_QUEUED,
                      JOB_RESUMED, JOB_STARTED, job_event)
@@ -71,27 +70,137 @@ class _JobStopped(Exception):
 
 
 class _GatedSession(CampaignSession):
-    """A session whose execution core is the backend's shared,
-    fairness-gated slot pool instead of a private process pool.
+    """A session whose trials run on the backend's shared process pool,
+    each one admitted through the fair slot pool.
 
-    Everything else — resume semantics, store appends, the event
-    protocol, adaptive bookkeeping, record assembly — is the parent's,
-    which is precisely what makes service results byte-identical to a
-    plain session run.
+    Only admission is the service's own: a trial starts once it wins a
+    fair slot (plus a replicate-budget token when it is an adaptive
+    extra), its slot returns with the tenant's executed-trial credit
+    when it lands, a stop request lands the in-flight trials and then
+    stops, and an open circuit breaker sheds adaptive extras.
+    Dispatch, deadlines, resume semantics, store appends and the event
+    protocol are the parent's, which is precisely what makes service
+    results byte-identical to a plain session run.
     """
 
     def __init__(self, *args, runner: "JobRunner", **kwargs):
         super().__init__(*args, **kwargs)
         self._runner = runner
+        self._admit_interval = runner.backend.poll_interval
+        self._held = 0              # slots held by in-flight trials
+        self._deferred = None       # adaptive extra awaiting a token
 
-    def _execute(self, todo, cell_remaining, done_offset, total):
-        return self._runner.pump(self, list(todo), cell_remaining,
-                                 done_offset, total, adaptive=None)
+    def _open_pool(self, todo, state, total):
+        runner = self._runner
+        backend = runner.backend
 
-    def _execute_adaptive(self, scheduler, cell_remaining, done_offset,
-                          total):
-        return self._runner.pump(self, None, cell_remaining,
-                                 done_offset, total, adaptive=scheduler)
+        def landed():
+            runner.breaker.record_success()
+            self._release(executed_trials=1)
+
+        supervisor = self._supervise(
+            lambda: backend.pool, backend.reset_pool, state, total,
+            on_failure=runner.breaker.record_failure, on_success=landed)
+
+        def close():
+            try:
+                # Failure paths leave trials in flight (a stop lands
+                # them all first); their slots and the tenant's
+                # executed-trial credit return as they land.
+                supervisor.drain()
+            # Straggler landing is best-effort cleanup: the exception
+            # already unwinding this frame is the diagnosis and must
+            # not be masked by one from a broken pool here.
+            # repro-lint: disable=except-policy -- cleanup, see above
+            except Exception:
+                pass
+            finally:
+                # Slots of trials that errored out never landed.
+                while self._held:
+                    self._release()
+                self._declare(0)
+
+        return supervisor, close
+
+    def _admit(self, source, inflight):
+        runner = self._runner
+        backend = runner.backend
+        while True:
+            if runner.stopping:
+                if inflight:
+                    # Graceful: every submitted trial still lands in
+                    # the store, so resume re-runs nothing.
+                    return None
+                raise _JobStopped()
+            if self.options.adaptive and not runner.breaker.allow():
+                self._shed_extras(source)
+            pending = source.pending() + (self._deferred is not None)
+            self._declare(pending, inflight)
+            if not pending:
+                return None
+            if backend.slot_pool.acquire(runner.job.tenant, timeout=0):
+                trial = self._select(source)
+                if trial is not None:
+                    self._held += 1
+                    return trial
+                backend.slot_pool.release(runner.job.tenant)
+            if inflight:
+                return None
+            # Blocked on a slot or a replicate token.
+            time.sleep(backend.poll_interval)
+
+    def _declare(self, pending, inflight=0):
+        """Publish this job's slot demand (and its adaptive extras)."""
+        backend = self._runner.backend
+        job = self._runner.job
+        backend.slot_pool.set_demand(job.tenant, job.id,
+                                     pending + inflight)
+        if self.options.adaptive:
+            backend.replicate_budget.set_demand(job.tenant, pending)
+
+    def _release(self, executed_trials=0):
+        self._held -= 1
+        self._runner.backend.slot_pool.release(
+            self._runner.job.tenant, executed_trials=executed_trials)
+
+    def _select(self, source):
+        """The next trial, or None: nothing is left, or an adaptive
+        extra replicate waits for the next epoch's budget token (it is
+        kept, not dropped — a refusal is pacing, not a cap)."""
+        trial = self._deferred if self._deferred is not None \
+            else source.next_trial()
+        self._deferred = None
+        if trial is None or not self.options.adaptive:
+            return trial
+        tracker = source.trackers.get(trial_cell(trial))
+        extra = tracker is not None \
+            and tracker.scheduled > self.options.sampling.min_replicates
+        budget = self._runner.backend.replicate_budget
+        if extra and not budget.try_take(self._runner.job.tenant):
+            self._deferred = trial
+            return None
+        return trial
+
+    def _shed_extras(self, scheduler):
+        """Close every open cell already at its seed replicates.
+
+        The breaker tripping means the infrastructure keeps failing
+        under this job; adaptive *extra* replicates are optional
+        statistical tightening, so they are shed (the cells close as
+        CAPPED — an explicit budget cut, not a convergence decision)
+        and the job finishes on what the seed replicates support.
+        """
+        shed = 0
+        for tracker in scheduler.trackers.values():
+            if tracker.closed is None and tracker.scheduled \
+                    >= self.options.sampling.min_replicates:
+                tracker.closed = CAPPED
+                shed += len(tracker.pending)
+        if shed:
+            self._runner.log.append(job_event(
+                JOB_DEGRADED, self._runner.job,
+                detail="circuit breaker open: shed %d adaptive extra "
+                       "replicate%s" % (shed, "" if shed == 1 else "s")))
 
 
 class JobRunner(threading.Thread):
@@ -112,37 +221,6 @@ class JobRunner(threading.Thread):
         self.breaker = CircuitBreaker(
             failure_threshold=backend.breaker_threshold,
             recovery_time=backend.breaker_recovery)
-        #: Guards the liveness fields below — they are written from
-        #: the runner thread and read by the backend liveness thread.
-        self._progress_lock = threading.Lock()
-        #: monotonic() stamp of the last observed progress (submission
-        #: or landed record) — the backend liveness thread's lease.
-        self.progress_stamp = time.monotonic()
-        #: Trials currently in flight on the shared pool (liveness
-        #: only kills pool workers for runners that actually wait).
-        self.inflight = 0
-
-    def mark_progress(self, inflight: int):
-        """Stamp forward progress and publish the in-flight count
-        (runner thread)."""
-        with self._progress_lock:
-            self.progress_stamp = time.monotonic()
-            self.inflight = inflight
-
-    def set_inflight(self, inflight: int):
-        with self._progress_lock:
-            self.inflight = inflight
-
-    def lease_expired(self, now: float, lease: float) -> bool:
-        """Liveness probe (backend thread): True when in-flight work
-        has not progressed within ``lease`` seconds.  Renews the
-        stamp on expiry so one wedged runner triggers at most one
-        pool kill per lease interval."""
-        with self._progress_lock:
-            if self.inflight and now - self.progress_stamp > lease:
-                self.progress_stamp = now
-                return True
-            return False
 
     def request_stop(self, reason: str):
         """Ask the runner to stop; cancellation wins over drain."""
@@ -211,7 +289,12 @@ class JobRunner(threading.Thread):
     # -- trial-level execution (shards == 0) -------------------------------
 
     def _run_pooled(self, store, resume: bool):
-        session = _GatedSession(self.job.spec, options=self.job.options,
+        options = self.job.options
+        if options.trial_timeout is None:
+            # The backend-wide deadline covers jobs that set none.
+            options = replace(options,
+                              trial_timeout=self.backend.trial_timeout)
+        session = _GatedSession(self.job.spec, options=options,
                                 store=store, runner=self,
                                 listeners=(self._listener(),))
         if resume:
@@ -220,247 +303,46 @@ class JobRunner(threading.Thread):
             result = session.run()
         self.job.done = len(result.records)
 
-    def pump(self, session, todo: Optional[List], cell_remaining,
-             done_offset, total, adaptive):
-        """The gated execution core both session paths funnel into.
-
-        Fixed plans hand in their ``todo`` list; adaptive plans hand
-        in their :class:`AdaptiveScheduler`.  Every submission first
-        wins a slot from the fair pool (and, for adaptive extras
-        beyond the seed replicates, a replicate-budget token), so the
-        scheduler's allocation is enforced one trial at a time.
-        """
-        backend = self.backend
-        tenant = self.job.tenant
-        consumer = self.job.id
-        plan = session.options.sampling
-        records: Dict[str, dict] = {}
-        on_record = None
-        if adaptive is not None:
-            def on_record(record, done):
-                converged = adaptive.record_finished(record)
-                if converged is not None:
-                    session._emit(CELL_CONVERGED, done=done,
-                                  total=total, cell=converged.cell)
-                trial = record.get("trial")
-                if not isinstance(trial, dict):
-                    return False
-                tracker = adaptive.trackers.get(trial_cell(trial))
-                return tracker is not None \
-                    and tracker.closed == CONVERGED
-        collect, state = session._make_collector(
-            records, cell_remaining, done_offset, total,
-            on_record=on_record)
-        if adaptive is not None:
-            for tracker in adaptive.pre_converged():
-                session._emit(CELL_CONVERGED, done=state["done"],
-                              total=total, cell=tracker.cell)
-        deferred = None                 # adaptive trial awaiting token
-        held = 0                        # slots this runner holds
-        options = session.options
-        timeout = options.trial_timeout \
-            if options.trial_timeout is not None \
-            else backend.trial_timeout
-
-        def on_resubmit(trial, attempt):
-            # A recovered trial re-enters the pool: listeners see the
-            # retry as a fresh trial_started; the record that lands
-            # is byte-identical (seeds derive from keys).
-            session._emit(TRIAL_STARTED, done=state["done"],
-                          total=total, trial=trial.to_dict())
-
-        supervisor = PoolSupervisor(
-            get_pool=lambda: backend.pool,
-            reset_pool=backend.reset_pool,
-            trial_timeout=timeout,
-            trial_retries=options.trial_retries,
-            on_resubmit=on_resubmit,
-            on_failure=self.breaker.record_failure,
-            on_success=self.breaker.record_success)
-
-        def open_pending() -> int:
-            """Trials still schedulable (not yet in flight)."""
-            if adaptive is None:
-                return len(todo)
-            cap = float("inf") if plan.max_replicates is None \
-                else plan.max_replicates
-            count = 1 if deferred is not None else 0
-            for tracker in adaptive.trackers.values():
-                if tracker.closed is None and tracker.pending \
-                        and tracker.scheduled < cap:
-                    count += len(tracker.pending)
-            return count
-
-        def is_extra(trial) -> bool:
-            """Whether this adaptive trial exceeds its cell's seed."""
-            tracker = adaptive.trackers.get(trial_cell(trial))
-            return tracker is not None \
-                and tracker.scheduled > plan.min_replicates
-
-        def shed_extras() -> int:
-            """Close every cell already at its seed replicates.
-
-            The breaker tripping means the infrastructure keeps
-            failing under this job; adaptive *extra* replicates are
-            optional statistical tightening, so they are shed (the
-            cells close as CAPPED — an explicit budget cut, not a
-            convergence decision) and the job finishes on what the
-            seed replicates support.
-            """
-            shed = 0
-            for tracker in adaptive.trackers.values():
-                if tracker.closed is None \
-                        and tracker.scheduled >= plan.min_replicates:
-                    tracker.closed = CAPPED
-                    shed += len(tracker.pending)
-            if shed:
-                self.log.append(job_event(
-                    JOB_DEGRADED, self.job,
-                    detail="circuit breaker open: shed %d adaptive "
-                           "extra replicate%s"
-                           % (shed, "" if shed == 1 else "s")))
-            return shed
-
-        def select() -> Optional[object]:
-            """The next trial to submit, or None (nothing available
-            or the replicate budget paced us this epoch)."""
-            nonlocal deferred
-            if adaptive is None:
-                return todo.pop(0) if todo else None
-            trial = deferred if deferred is not None \
-                else adaptive.next_trial()
-            deferred = None
-            if trial is None:
-                return None
-            if is_extra(trial) \
-                    and not backend.replicate_budget.try_take(tenant):
-                deferred = trial
-                return None
-            return trial
-
-        def submit_some():
-            nonlocal held
-            while not self.stopping:
-                demand = open_pending() + supervisor.inflight
-                backend.slot_pool.set_demand(tenant, consumer, demand)
-                if adaptive is not None:
-                    backend.replicate_budget.set_demand(
-                        tenant, open_pending())
-                if open_pending() == 0:
-                    return
-                if not backend.slot_pool.acquire(tenant, timeout=0):
-                    return
-                trial = select()
-                if trial is None:
-                    backend.slot_pool.release(tenant)
-                    return
-                held += 1
-                supervisor.submit(trial.key, execute_trial_payload,
-                                  session.options.trial_payload(trial),
-                                  context=trial)
-                self.mark_progress(supervisor.inflight)
-                session._emit(TRIAL_STARTED, done=state["done"],
-                              total=total, trial=trial.to_dict())
-
-        def land(results, collect_records=True):
-            nonlocal held
-            for _trial, record in results:
-                held -= 1
-                if collect_records:
-                    collect(record)
-                backend.slot_pool.release(tenant, executed_trials=1)
-            if results:
-                self.mark_progress(supervisor.inflight)
-            else:
-                self.set_inflight(supervisor.inflight)
-
-        try:
-            while True:
-                if adaptive is not None and not self.breaker.allow():
-                    shed_extras()
-                submit_some()
-                if self.stopping:
-                    # Graceful: every submitted trial still lands in
-                    # the store, so resume re-runs nothing.
-                    while supervisor.inflight:
-                        land(supervisor.wait(timeout=1.0))
-                    raise _JobStopped()
-                if not supervisor.inflight:
-                    if open_pending() == 0:
-                        break
-                    # Blocked on a slot or a replicate token.
-                    time.sleep(backend.poll_interval)
-                    continue
-                land(supervisor.wait(backend.poll_interval))
-        finally:
-            try:
-                # Land stragglers without collecting (failure paths;
-                # the stop path above already collected everything) —
-                # their slots and the tenant's executed-trial credit
-                # must be returned either way.
-                while supervisor.inflight:
-                    land(supervisor.wait(timeout=1.0),
-                         collect_records=False)
-            # Straggler landing is best-effort cleanup: the exception
-            # already unwinding this frame is the diagnosis and must
-            # not be masked by one from a broken pool here.
-            # repro-lint: disable=except-policy -- cleanup, see above
-            except Exception:
-                pass
-            finally:
-                self.set_inflight(0)
-                # Slots for trials that errored out (popped without a
-                # release above).
-                while held > 0:
-                    held -= 1
-                    backend.slot_pool.release(tenant)
-                backend.slot_pool.set_demand(tenant, consumer, 0)
-                if adaptive is not None:
-                    backend.replicate_budget.set_demand(tenant, 0)
-        return records
-
     # -- orchestrated execution (shards >= 1) ------------------------------
 
     def _run_orchestrated(self, store):
         backend = self.backend
         job = self.job
-        tenant = job.tenant
-        consumer = job.id
-        backend.slot_pool.set_demand(tenant, consumer, job.shards)
-        acquired = 0
+        forward = self._listener()
+        executed = {"n": 0}
+
+        def listener(event):
+            forward(event)
+            if event.kind == TRIAL_FINISHED:
+                executed["n"] += 1
+
+        backend.slot_pool.set_demand(job.tenant, job.id, job.shards)
         try:
-            while acquired < job.shards:
+            # Every shard slot at once or none: holding part of the set
+            # while waiting for the rest deadlocks against another
+            # tenant doing the same.
+            while not backend.slot_pool.acquire(
+                    job.tenant, timeout=backend.poll_interval,
+                    count=job.shards):
                 if self.stopping:
                     raise _JobStopped()
-                if backend.slot_pool.acquire(
-                        tenant, timeout=backend.poll_interval):
-                    acquired += 1
-            executed = {"n": 0}
-
-            def listener(event):
-                self._listener()(event)
-                if event.kind == TRIAL_FINISHED:
-                    executed["n"] += 1
-
-            orchestrator = CampaignOrchestrator(
-                job.spec, shards=job.shards,
-                store_dir=job.shards_dir(backend.data_dir),
-                options=job.options, merged_store=store,
-                listeners=(listener,),
-                stop_requested=self._stop_event.is_set,
-                heartbeat_lease=backend.heartbeat_lease)
             try:
-                orchestrator.run()
+                CampaignOrchestrator(
+                    job.spec, shards=job.shards,
+                    store_dir=job.shards_dir(backend.data_dir),
+                    options=job.options, merged_store=store,
+                    listeners=(listener,),
+                    stop_requested=self._stop_event.is_set,
+                    heartbeat_lease=backend.heartbeat_lease).run()
             except OrchestratorStopped:
                 raise _JobStopped()
-            # Credit the tenant's executed-trial counter on release.
-            backend.slot_pool.release(tenant,
-                                      executed_trials=executed["n"])
-            acquired -= 1
+            finally:
+                # Credit the tenant's executed-trial counter on release.
+                backend.slot_pool.release(job.tenant,
+                                          executed_trials=executed["n"],
+                                          count=job.shards)
         finally:
-            for _ in range(acquired):
-                backend.slot_pool.release(tenant)
-            backend.slot_pool.set_demand(tenant, consumer, 0)
+            backend.slot_pool.set_demand(job.tenant, job.id, 0)
 
 
 class ServiceBackend:
@@ -477,8 +359,6 @@ class ServiceBackend:
                  replicate_epoch: float = 1.0,
                  poll_interval: float = SERVICE_POLL_INTERVAL,
                  trial_timeout: Optional[float] = None,
-                 trial_retries: int = 2,
-                 runner_lease: Optional[float] = None,
                  heartbeat_lease: Optional[float] = None,
                  breaker_threshold: int = 3,
                  breaker_recovery: float = 10.0,
@@ -487,8 +367,6 @@ class ServiceBackend:
             raise ServiceError("poll_interval must be > 0")
         if trial_timeout is not None and trial_timeout <= 0:
             raise ServiceError("trial_timeout must be > 0 (or None)")
-        if runner_lease is not None and runner_lease <= 0:
-            raise ServiceError("runner_lease must be > 0 (or None)")
         self.data_dir = data_dir
         os.makedirs(os.path.join(data_dir, "jobs"), exist_ok=True)
         self.slots = slots
@@ -496,12 +374,6 @@ class ServiceBackend:
         #: Backend-wide default per-trial wall-clock deadline for
         #: pooled jobs; a job's own ``options.trial_timeout`` wins.
         self.trial_timeout = trial_timeout
-        self.trial_retries = trial_retries
-        #: When set, a background thread SIGKILLs the shared pool's
-        #: workers whenever a runner with in-flight trials makes no
-        #: progress for this long — the runners' supervisors then
-        #: rebuild and resubmit (hung-runner recovery).
-        self.runner_lease = runner_lease
         #: Forwarded to orchestrated jobs' CampaignOrchestrator as its
         #: shard heartbeat lease.
         self.heartbeat_lease = heartbeat_lease
@@ -509,8 +381,6 @@ class ServiceBackend:
         self.breaker_recovery = breaker_recovery
         self.store_retry = store_retry if store_retry is not None \
             else self.DEFAULT_STORE_RETRY
-        #: Shared-pool worker kills performed by the liveness thread.
-        self.hung_runners = 0
         self.scheduler = FairScheduler(
             slots, [config if isinstance(config, TenantConfig)
                     else TenantConfig.from_dict(config)
@@ -532,12 +402,6 @@ class ServiceBackend:
             target=self._admission_loop, name="service-admission",
             daemon=True)
         self._admission.start()
-        self._liveness = None
-        if self.runner_lease is not None:
-            self._liveness = threading.Thread(
-                target=self._liveness_loop, name="service-liveness",
-                daemon=True)
-            self._liveness.start()
 
     # -- shared resources --------------------------------------------------
 
@@ -566,14 +430,6 @@ class ServiceBackend:
                 return
             self._pool = None
         pool.shutdown(wait=False, cancel_futures=True)
-
-    def kill_pool_workers(self):
-        """SIGKILL the shared pool's workers (hung-runner recovery;
-        the supervisors of affected runners rebuild and resubmit)."""
-        with self._pool_lock:
-            pool = self._pool
-        if pool is not None:
-            kill_pool_workers(pool)
 
     def event_log(self, job_id: str) -> EventLog:
         with self._runners_lock:
@@ -745,27 +601,6 @@ class ServiceBackend:
                 with self._runners_lock:
                     self._runners[job.id] = runner
                 runner.start()
-
-    def _liveness_loop(self):
-        """Hung-runner detection over the shared pool.
-
-        A runner with in-flight trials whose progress stamp (last
-        submission or landed record) is older than ``runner_lease``
-        is presumed stuck on a wedged worker: SIGKILL the pool's
-        workers, which surfaces as ``BrokenProcessPool`` in every
-        waiting supervisor — they rebuild the pool and resubmit by
-        key, and replay determinism makes the reruns byte-identical.
-        """
-        interval = min(self.runner_lease / 4.0, 1.0)
-        while not self._closed.is_set():
-            if self._closed.wait(timeout=interval):
-                return
-            now = time.monotonic()
-            for runner in self.active_runners():
-                if runner.lease_expired(now, self.runner_lease):
-                    self.hung_runners += 1
-                    self.kill_pool_workers()
-                    break
 
     def _runner_finished(self, runner: JobRunner):
         with self._runners_lock:

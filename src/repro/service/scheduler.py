@@ -301,14 +301,18 @@ class FairScheduler:
 
     # -- grants ------------------------------------------------------------
 
-    def grant(self, tenant: str) -> bool:
-        """Try to hand one slot to ``tenant``; True on success.
+    def grant(self, tenant: str, count: int = 1) -> bool:
+        """Try to hand ``count`` slots to ``tenant`` at once; True on
+        success, and nothing is granted on failure.
 
-        A grant succeeds while (a) a physical slot is free and (b) the
-        tenant is under its current weighted max-min allocation.  The
-        allocation is recomputed from live demand on every call, so
-        slots freed by a departing tenant flow to the backlogged ones
-        immediately.
+        A grant succeeds while (a) ``count`` physical slots are free
+        and (b) the tenant stays within its current weighted max-min
+        allocation.  The allocation is recomputed from live demand on
+        every call, so slots freed by a departing tenant flow to the
+        backlogged ones immediately.  A gang (a sharded job's whole
+        slot set) may exceed the allocation when the tenant holds no
+        slots: a partial set is useless to it, and holding one while
+        waiting for the rest deadlocks two tenants doing the same.
         """
         self.tenant(tenant)
         with self._lock:
@@ -316,24 +320,27 @@ class FairScheduler:
             state = self._tenants[tenant]
             total_in_flight = sum(s.in_flight
                                   for s in self._tenants.values())
-            if total_in_flight >= self.slots:
+            if total_in_flight + count > self.slots:
                 return False
             allocation = self._allocation_locked()
-            if state.in_flight >= allocation.get(tenant, 0):
+            if state.in_flight + count > allocation.get(tenant, 0) \
+                    and (count == 1 or state.in_flight):
                 return False
-            state.in_flight += 1
+            state.in_flight += count
             return True
 
-    def release(self, tenant: str, executed_trials: int = 0):
-        """Return one slot; ``executed_trials`` feeds the report."""
+    def release(self, tenant: str, executed_trials: int = 0,
+                count: int = 1):
+        """Return ``count`` slots; ``executed_trials`` feeds the
+        report."""
         with self._lock:
             self._tick_locked()
             state = self._tenants.get(tenant)
-            if state is None or state.in_flight <= 0:
+            if state is None or state.in_flight < count:
                 raise ConfigError(
                     "release without a matching grant for tenant %r"
                     % tenant)
-            state.in_flight -= 1
+            state.in_flight -= count
             state.trials_executed += executed_trials
 
     # -- reporting ---------------------------------------------------------
@@ -386,15 +393,15 @@ class SlotPool:
         with self._condition:
             self._condition.notify_all()
 
-    def acquire(self, tenant: str, timeout: Optional[float] = None
-                ) -> bool:
-        """Take one slot for ``tenant``; False on timeout (a timeout
-        of 0 is a non-blocking attempt)."""
+    def acquire(self, tenant: str, timeout: Optional[float] = None,
+                count: int = 1) -> bool:
+        """Take ``count`` slots at once for ``tenant``; False on
+        timeout (a timeout of 0 is a non-blocking attempt)."""
         deadline = None if timeout is None \
             else time.monotonic() + timeout
         with self._condition:
             while True:
-                if self.scheduler.grant(tenant):
+                if self.scheduler.grant(tenant, count):
                     return True
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
@@ -404,9 +411,10 @@ class SlotPool:
                 else:
                     self._condition.wait()
 
-    def release(self, tenant: str, executed_trials: int = 0):
-        self.scheduler.release(tenant,
-                               executed_trials=executed_trials)
+    def release(self, tenant: str, executed_trials: int = 0,
+                count: int = 1):
+        self.scheduler.release(tenant, executed_trials=executed_trials,
+                               count=count)
         with self._condition:
             self._condition.notify_all()
 

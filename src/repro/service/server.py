@@ -360,7 +360,6 @@ async def _serve(args) -> int:
         poll_interval=args.poll_interval
         if args.poll_interval is not None else SERVICE_POLL_INTERVAL,
         trial_timeout=getattr(args, "trial_timeout", None),
-        runner_lease=getattr(args, "runner_lease", None),
         heartbeat_lease=getattr(args, "heartbeat_lease", None))
     recovered = backend.recover()
     if recovered:

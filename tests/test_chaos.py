@@ -78,11 +78,25 @@ class TestServiceChaos:
         schedule = ChaosSchedule([ChaosOp(at=0.3, kind=KILL)])
         report = run_service_chaos(
             str(tmp_path / "svc"), jobs=2, slots=2,
-            trial_timeout=5.0, runner_lease=5.0,
-            spec=SMALL_SPEC, schedule=schedule)
+            trial_timeout=5.0, spec=SMALL_SPEC, schedule=schedule)
         assert report["error"] == ""
         assert report["ops_applied"][KILL] == 1
         assert report["all_done"]
         assert report["records_mismatched"] == []
         assert report["ledger_ok"]
+        assert report["ok"]
+
+    def test_stalled_pool_worker_is_recovered_by_the_trial_deadline(
+            self, tmp_path):
+        """A SIGSTOPped pool worker never exits on its own; the
+        per-trial deadline alone must detect it, kill the pool and
+        resubmit, with every job still identical to a clean run."""
+        schedule = ChaosSchedule([ChaosOp(at=0.3, kind=STALL)])
+        report = run_service_chaos(
+            str(tmp_path / "svc"), jobs=2, slots=2, trial_timeout=2.0,
+            spec=SMALL_SPEC, schedule=schedule)
+        assert report["error"] == ""
+        assert report["ops_applied"][STALL] == 1
+        assert report["all_done"]
+        assert report["records_mismatched"] == []
         assert report["ok"]

@@ -10,6 +10,7 @@ exactly the interaction with a broken pool.
 import json
 import os
 import signal
+import statistics
 import time
 
 import pytest
@@ -433,6 +434,38 @@ class TestPoolSupervisor:
 
     def test_trial_hang_error_is_a_resilience_error(self):
         assert issubclass(TrialHangError, ResilienceError)
+
+
+class TestSessionTrialDeadline:
+    def test_pool_deadline_counts_from_dispatch_not_from_the_queue(self):
+        """A pooled session hands its pool at most ``workers`` trials,
+        so a trial's deadline never includes time spent queued.  The
+        deadline is 8x the median serial trial (every trial stays well
+        under it) while the pooled run lasts several deadlines:
+        submitting the whole grid up front expired the queued tail and
+        exhausted its retry budget."""
+        from repro.campaign import (CampaignSession, CampaignSpec,
+                                    ExecutionOptions, TRIAL_FINISHED,
+                                    TRIAL_STARTED)
+        spec = CampaignSpec(name="deadline", workloads=("gcc",),
+                            models=("SS-1",),
+                            rates_per_million=(3000.0,),
+                            replicates=60, instructions=1000)
+        serial = CampaignSession(spec)
+        spans, started = [], {}
+
+        def clock(event):
+            if event.kind == TRIAL_STARTED:
+                started["at"] = time.perf_counter()
+            elif event.kind == TRIAL_FINISHED:
+                spans.append(time.perf_counter() - started["at"])
+
+        serial.subscribe(clock)
+        expected = serial.run().records
+        timeout = max(0.25, 8 * statistics.median(spans))
+        pooled = CampaignSession(spec, options=ExecutionOptions(
+            workers=2, trial_timeout=timeout)).run()
+        assert pooled.records == expected
 
 
 # -- ExecutionOptions resilience fields --------------------------------------

@@ -10,12 +10,15 @@ leave stores that a resumed run completes to the identical record set.
 
 import json
 import time
+from collections import Counter
 
 import pytest
 
 from repro.campaign import (CampaignSession, CampaignSpec,
                             ExecutionOptions, SamplingPlan, aggregate)
+from repro.campaign.aggregate import trial_cell
 from repro.errors import QuotaError, ServiceError
+from repro.resilience.circuit import CircuitBreaker
 from repro.service import (CANCELLED, DONE, INTERRUPTED, QUEUED,
                            RUNNING, ServiceBackend, TenantConfig)
 from repro.service.jobs import Job
@@ -42,6 +45,17 @@ def wait_terminal(backend, job_id, timeout=120.0):
 
 def records_of(backend, job_id):
     return backend.job_result(job_id, with_records=True)["records"]
+
+
+def wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def tenant_entry(backend, tenant):
+    return backend.fairness_report()["tenants"].get(tenant, {})
 
 
 @pytest.fixture
@@ -110,6 +124,71 @@ class TestExecution:
     def test_orchestrated_shards_over_slots_rejected(self, backend):
         with pytest.raises(ServiceError, match="slots"):
             backend.submit("alice", spec(), shards=5)
+
+    def test_sharded_jobs_of_two_tenants_take_whole_gangs(self, backend):
+        """Two tenants' ``shards=2`` jobs on a 2-slot service each have
+        a 1-slot fair share.  Taking slots one at a time, each job held
+        one slot and waited forever for the second; a gang is granted
+        whole or not at all, so every job finishes."""
+        hog = spec(name="hog", replicates=8, instructions=3000)
+        jobs = [(backend.submit("a", hog), hog)]
+        wait_until(lambda: tenant_entry(backend, "a").get("in_flight") == 2)
+        for tenant in ("b", "a"):
+            demand = tenant_entry(backend, tenant).get("demand", 0)
+            gang = spec(name="gang-" + tenant)
+            jobs.append((backend.submit(tenant, gang, shards=2), gang))
+            wait_until(lambda: tenant_entry(backend, tenant)
+                       .get("demand", 0) > demand)
+        for job, job_spec in jobs:
+            assert wait_terminal(backend, job.id, timeout=60.0).state \
+                == DONE
+            plain = CampaignSession(job_spec).run()
+            assert json.dumps(records_of(backend, job.id),
+                              sort_keys=True) \
+                == json.dumps(plain.records, sort_keys=True)
+
+
+class TestAdaptiveGating:
+    def test_open_breaker_sheds_extras_and_degrades(self, backend,
+                                                     monkeypatch):
+        monkeypatch.setattr(CircuitBreaker, "allow", lambda self: False)
+        options = ExecutionOptions(sampling=SamplingPlan.wilson(
+            0.01, min_replicates=2))
+        job_spec = spec(name="shed", replicates=6)
+        job = backend.submit("alice", job_spec, options=options)
+        assert wait_terminal(backend, job.id).state == DONE
+        kinds = [event["kind"]
+                 for _seq, event in backend.read_events(job.id)]
+        assert "job_degraded" in kinds
+        records = records_of(backend, job.id)
+        per_cell = Counter(trial_cell(record["trial"])
+                           for record in records)
+        assert len(per_cell) == 2
+        assert min(per_cell.values()) >= 2
+        assert len(records) < job_spec.grid_size
+
+    def test_replicate_budget_defers_extras_without_dropping_them(
+            self, tmp_path):
+        """One extra replicate per epoch paces the job; an unreachable
+        target runs every replicate, so the records are the fixed
+        plan's whatever the pacing."""
+        backend = ServiceBackend(str(tmp_path / "paced"), slots=2,
+                                 replicate_budget=1,
+                                 replicate_epoch=0.2)
+        try:
+            options = ExecutionOptions(sampling=SamplingPlan.wilson(
+                0.01, min_replicates=2))
+            job = backend.submit("alice", spec(name="paced",
+                                               replicates=5),
+                                 options=options)
+            assert wait_terminal(backend, job.id).state == DONE
+            plain = CampaignSession(spec(name="paced",
+                                         replicates=5)).run()
+            assert json.dumps(records_of(backend, job.id),
+                              sort_keys=True) \
+                == json.dumps(plain.records, sort_keys=True)
+        finally:
+            backend.close(drain_timeout=10.0)
 
 
 class TestAdmission:
