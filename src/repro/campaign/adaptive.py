@@ -118,13 +118,17 @@ class SamplingPlan:
                 raise ConfigError(
                     "max_replicates (%d) must be >= min_replicates (%d)"
                     % (self.max_replicates, self.min_replicates))
-        if self.mode == WILSON:
-            if not isinstance(self.target_halfwidth, (int, float)) \
-                    or isinstance(self.target_halfwidth, bool) \
-                    or not 0.0 < float(self.target_halfwidth) <= 0.5:
-                raise ConfigError(
-                    "target_halfwidth must be in (0, 0.5], got %r"
-                    % (self.target_halfwidth,))
+        # Checked in every mode: a fixed plan ignores the width, but a
+        # malformed body must fail the same way whatever its mode.
+        width = self.target_halfwidth
+        if not isinstance(width, (int, float)) \
+                or isinstance(width, bool) \
+                or not 0.0 <= width <= 0.5 \
+                or (self.mode == WILSON and width == 0.0):
+            raise ConfigError(
+                "target_halfwidth must be in %s0, 0.5] for a %s plan, "
+                "got %r" % ("(" if self.mode == WILSON else "[",
+                            self.mode, width))
 
     @classmethod
     def fixed(cls) -> "SamplingPlan":
@@ -376,7 +380,10 @@ class AdaptiveScheduler:
        its in-flight trials, so a wide pool spreads instead of
        flooding one cell (ties break on spec order) — which is exactly
        "reallocate the budget freed by converged cells to the noisiest
-       cells";
+       cells".  A cell whose in-flight trials are projected to meet
+       the target gets nothing more until they land, as in a serial
+       run: a replicate started then would likely run past the
+       convergence point;
     3. a cell closes as ``converged`` the moment its half-width meets
        the target with ``min_replicates`` observations, as ``capped``
        when it reaches ``max_replicates`` unconverged, and as
@@ -424,6 +431,16 @@ class AdaptiveScheduler:
                 return CAPPED
         return None
 
+    def _projected_met(self, tracker) -> bool:
+        """Would the cell meet the target if its in-flight trials
+        landed at its current proportion?"""
+        metric = self.plan.metric
+        return (tracker.inflight > 0
+                and tracker.sample_size(metric) + tracker.inflight
+                >= self.plan.min_replicates
+                and tracker.projected_halfwidth(metric)
+                <= self.plan.target_halfwidth)
+
     def _open_cells(self):
         return [tracker for tracker in self.trackers.values()
                 if tracker.closed is None and tracker.pending
@@ -432,7 +449,8 @@ class AdaptiveScheduler:
     def next_trial(self):
         """The next pre-keyed trial to run, or None if nothing is
         currently schedulable (all cells closed, or every open cell is
-        fully in flight)."""
+        fully in flight or waits on in-flight trials projected to
+        converge it)."""
         candidates = self._open_cells()
         if not candidates:
             return None
@@ -445,6 +463,10 @@ class AdaptiveScheduler:
             tracker = min(seeding, key=lambda t: t.order)
         else:
             metric = self.plan.metric
+            candidates = [tracker for tracker in candidates
+                          if not self._projected_met(tracker)]
+            if not candidates:
+                return None
             tracker = max(candidates,
                           key=lambda t: (t.projected_halfwidth(metric),
                                          -t.order))

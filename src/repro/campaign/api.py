@@ -161,13 +161,12 @@ class ExecutionOptions:
     The serial path (``workers == 1``, the benchmark hot path) is
     untouched by the first two — zero overhead.
 
-    The throughput knobs select record-identical fast paths:
-    ``checkpointing`` snapshots each cell's fault-free baseline so
-    fault trials fast-forward past their shared prefix
-    (:mod:`repro.campaign.checkpoint`), and ``persistent_workers``
-    warms every pool worker at startup — a pool ``initializer``
-    pre-runs each cell's fault-free twin so decoded programs, golden
-    traces and checkpoints are hot before the first real trial lands.
+    ``persistent_workers`` selects a record-identical warm start: a
+    pool ``initializer`` pre-runs each cell's fault-free twin so
+    decoded programs, golden traces and checkpoint ladders are hot
+    before the first real trial lands.  Checkpointed fast-forward
+    (:mod:`repro.campaign.checkpoint`) is not an option: every struck
+    trial takes it.
     """
 
     workers: int = 1
@@ -177,7 +176,6 @@ class ExecutionOptions:
     trial_timeout: Optional[float] = None
     trial_retries: int = 2
     store_retry: Optional[RetryPolicy] = None
-    checkpointing: bool = False
     persistent_workers: bool = False
 
     def __post_init__(self):
@@ -217,10 +215,9 @@ class ExecutionOptions:
             raise ConfigError(
                 "store_retry must be a RetryPolicy or None, got %r"
                 % (self.store_retry,))
-        for name in ("checkpointing", "persistent_workers"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError("%s must be a bool, got %r"
-                                  % (name, getattr(self, name)))
+        if not isinstance(self.persistent_workers, bool):
+            raise ConfigError("persistent_workers must be a bool, got %r"
+                              % (self.persistent_workers,))
 
     @property
     def adaptive(self) -> bool:
@@ -245,10 +242,6 @@ class ExecutionOptions:
             data["trial_retries"] = self.trial_retries
         if self.store_retry is not None:
             data["store_retry"] = self.store_retry.to_dict()
-        # Throughput fields likewise ride along only when enabled, so
-        # payloads stay byte-compatible with pre-checkpointing runs.
-        if self.checkpointing:
-            data["checkpointing"] = True
         if self.persistent_workers:
             data["persistent_workers"] = True
         return data
@@ -279,10 +272,7 @@ class ExecutionOptions:
 
     def trial_payload(self, trial: Trial) -> dict:
         """The worker-pool payload for one trial (plain dicts only)."""
-        payload = {"trial": trial.to_dict()}
-        if self.checkpointing:
-            payload["checkpointing"] = True
-        return payload
+        return {"trial": trial.to_dict()}
 
 
 # -- results ---------------------------------------------------------------
@@ -339,9 +329,7 @@ def execute_trial_payload(payload):
     pickle it; takes and returns plain dicts for the same reason.  The
     payload is :meth:`ExecutionOptions.trial_payload` output.
     """
-    return run_trial(Trial.from_dict(payload["trial"]),
-                     checkpointing=payload.get("checkpointing", False)
-                     ).to_record()
+    return run_trial(Trial.from_dict(payload["trial"])).to_record()
 
 
 #: Cells warmed per worker by the persistent-worker initializer; a

@@ -1,25 +1,28 @@
-"""Checkpointed fast-forward: skip a fault trial's shared prefix.
+"""Checkpointed fast-forward: skip a struck trial's fault-free prefix.
 
-Every fault trial of a cell re-simulates the same fault-free prefix up
+Every struck trial of a cell re-simulates the same fault-free prefix up
 to its first strike — for low rates and directed site lists that prefix
 is most of the run.  This module removes it without changing a single
 record byte:
 
-* :func:`run_windowed_capturing` runs the cell's fault-free baseline
-  through the exact warmup-then-measure protocol of
-  :func:`repro.harness.experiment.run_windowed`, pausing at periodic
-  instruction boundaries to take a
-  :class:`~repro.uarch.snapshot.ProcessorSnapshot`.  Chained
-  ``Processor.run`` calls check their budgets before every step, so
-  the segmented run is cycle-for-cycle identical to the straight one.
-* :class:`CellCheckpoints` owns one cell's snapshots, and
-  :func:`_prewalk_injector` replays a trial's injector draw stream
+* :class:`CellCheckpoints` is one cell's ladder: a
+  :class:`~repro.uarch.snapshot.ProcessorSnapshot` at each of the first
+  ``CHECKPOINTS_PER_CELL - 1`` multiples of :func:`default_interval`
+  committed instructions.
+* :func:`run_checkpointed` is the one windowed runner.  It restores the
+  latest snapshot at or before the run's first strike, then finishes
+  the warmup-then-measure protocol of
+  :func:`repro.harness.experiment.run_windowed` in chunks, capturing
+  every mark the ladder lacks while the machine has dispatched no more
+  than first-strike groups.  Chained ``Processor.run`` calls check
+  their budgets before every step, so the segmented run is
+  cycle-for-cycle identical to the straight one.  No run exists only
+  to fill a ladder: marks are captured from the clean prefixes of runs
+  a campaign makes anyway (the fault-free baseline, a site trial up to
+  its first site index, a rate trial up to its first hit).
+* :func:`_prewalk_injector` replays a rate trial's injector draw stream
   once: the same walk yields *both* the silent-trial verdict and, per
-  checkpoint boundary, the RNG state a restored run must continue
-  from.
-* :func:`resume_windowed` restores a snapshot into a freshly built
-  fault-armed processor, re-seats the injector RNG, and finishes the
-  windowed protocol from the snapshot's position.
+  ladder boundary, the RNG state a restored run must continue from.
 
 Why the prefix is exactly equivalent: before its first hit the rate
 injector only *draws* (one ``pc`` draw per group when the mix has
@@ -27,9 +30,9 @@ injector only *draws* (one ``pc`` draw per group when the mix has
 ``Replicator.build_group``), and a miss leaves machine state untouched;
 site policies strike only at dispatched-group index >= their
 ``site.index``.  So a snapshot taken at dispatched-group count ``D``
-with ``D <= first_strike_group`` plus the RNG state recorded at draw
-position ``D`` reproduces the struck run's machine and draw stream
-exactly.
+with ``D <= first_strike_group`` — by whichever run reached it — plus
+the RNG state recorded at draw position ``D`` reproduces the struck
+run's machine and draw stream exactly.
 
 The store is per-process (snapshots share decoded-instruction objects
 with the live program and cannot cross pickling boundaries) and
@@ -44,12 +47,11 @@ from ..core.faults import FaultInjector
 from ..harness.experiment import cycle_budget
 from ..uarch.snapshot import ProcessorSnapshot
 
-#: Cells whose checkpoints are retained per process (each cell holds a
-#: handful of full memory images; see CHECKPOINTS_PER_CELL).
-_STORE_LIMIT = 4
+#: Cells whose ladders are retained per process.
+_STORE_LIMIT = 2
 
-#: Snapshot boundaries per cell.
-CHECKPOINTS_PER_CELL = 8
+#: Ladder spacing divisor: marks at budget/4, 2/4 and 3/4.
+CHECKPOINTS_PER_CELL = 4
 
 #: Never checkpoint more often than this many committed instructions.
 MIN_INTERVAL = 50
@@ -103,23 +105,32 @@ def _prewalk_injector(fault_config, redundancy, boundaries, max_groups):
 
 
 class CellCheckpoints:
-    """The snapshot ladder of one campaign cell."""
+    """The snapshot ladder of one campaign cell, filled as runs pass
+    its marks."""
 
-    def __init__(self, snapshots):
-        self.snapshots = sorted(snapshots,
+    def __init__(self, program):
+        self.program = program
+        self._marks = {}            # instruction mark -> snapshot
+        self.snapshots = []         # ordered by dispatched_groups
+        self.boundaries = ()
+
+    def __contains__(self, mark):
+        return mark in self._marks
+
+    def add(self, mark, snapshot):
+        self._marks[mark] = snapshot
+        self.snapshots = sorted(self._marks.values(),
                                 key=lambda s: s.dispatched_groups)
         self.boundaries = tuple(s.dispatched_groups
                                 for s in self.snapshots)
-        self.program = self.snapshots[0].program if self.snapshots \
-            else None
 
     def best_before(self, group_index):
         """The latest snapshot safe for a first strike at ``group_index``.
 
         Safe means ``snapshot.dispatched_groups <= group_index``: the
         restored machine has dispatched only groups that provably
-        carried no strike.  Returns ``(snapshot, boundary)`` or
-        ``None`` when even the earliest snapshot is past the strike.
+        carried no strike.  ``None`` when even the earliest snapshot
+        is past the strike.
         """
         best = None
         for snapshot in self.snapshots:
@@ -127,9 +138,7 @@ class CellCheckpoints:
                 best = snapshot
             else:
                 break
-        if best is None:
-            return None
-        return best, best.dispatched_groups
+        return best
 
 
 class CheckpointStore:
@@ -157,10 +166,6 @@ class CheckpointStore:
         while len(self._cells) > self.limit:
             self._cells.popitem(last=False)
             self.evictions += 1
-
-    def invalidate(self, key):
-        """Drop one cell (stale program identity)."""
-        self._cells.pop(key, None)
 
     def clear(self):
         self._cells.clear()
@@ -195,42 +200,61 @@ def checkpoint_store_stats():
     return _STORE.stats()
 
 
-def run_windowed_capturing(processor, max_instructions,
-                           warmup_instructions=0, max_cycles=None,
-                           capture=None):
-    """`run_windowed`, segmented to snapshot at instruction boundaries.
+def run_checkpointed(processor, cell, first_strike, max_instructions,
+                     warmup_instructions=0, max_cycles=None,
+                     rng_states=None):
+    """`run_windowed` over ``cell``'s ladder, for a run whose first
+    strike lands in dispatched group ``first_strike`` (``math.inf``:
+    never).
 
-    Chains ``processor.run`` calls toward absolute instruction targets
-    (each chunk recomputed from the actual committed count, so
-    commit-width overshoot never drifts the protocol), stamping the
-    warmup extras exactly where the straight protocol does, and calling
-    ``capture(processor)`` after each crossed multiple of
-    :func:`default_interval` — after any warmup stamping due at the
-    same boundary, never at the final target, never once the machine
-    halted or exhausted its cycle budget.  Returns ``(stats,
-    warm_cycles, warm_instructions)`` exactly like
+    ``processor`` must be freshly built with the run's injector or
+    policy.  The latest snapshot at or before ``first_strike`` is
+    restored first; ``rng_states`` (from :func:`_prewalk_injector`)
+    re-seats a rate injector's RNG at that snapshot's draw position —
+    ``None`` for site policies and fault-free runs, which draw nothing
+    after construction.  The run then chains ``processor.run`` calls
+    toward absolute instruction targets (each chunk recomputed from
+    the actual committed count, so commit-width overshoot never drifts
+    the protocol), stamping the warmup extras exactly where the
+    straight protocol does, and captures each mark the ladder lacks
+    once crossed — after any warmup stamping due at the same boundary,
+    never at the final target, never once the machine halted or
+    exhausted its cycle budget, and never after the machine dispatched
+    more than ``first_strike`` groups.  Returns ``(stats, warm_cycles,
+    warm_instructions)`` exactly like
     :func:`repro.harness.experiment.run_windowed`.
     """
     if max_cycles is None:
         max_cycles = cycle_budget(max_instructions, warmup_instructions)
-    interval = default_interval(max_instructions, warmup_instructions)
+    snapshot = cell.best_before(first_strike)
+    if snapshot is not None:
+        snapshot.restore_into(processor)
+        if rng_states is not None:
+            processor.injector._rng.setstate(
+                rng_states[snapshot.dispatched_groups])
+    stats = processor.stats
+    # A snapshot past the warmup boundary carries the stamps its run
+    # made at the crossing.
+    warm_cycles = stats.extras.get("warmup_cycles", 0)
+    warm_instructions = stats.extras.get("warmup_instructions", 0)
+    warm_pending = bool(warmup_instructions) \
+        and "warmup_instructions" not in stats.extras
     # The straight protocol's measurement run targets are *relative*
     # to the committed count after warmup, overshoot included — the
     # final absolute target is only known once warmup completes.
-    final = max_instructions if not warmup_instructions else None
-    stats = processor.stats
-    warm_cycles = warm_instructions = 0
-    warm_pending = bool(warmup_instructions)
-    next_mark = interval
+    final = None if warm_pending else warm_instructions + max_instructions
+    interval = default_interval(max_instructions, warmup_instructions)
+    todo = [mark for mark in (interval * k for k in
+                              range(1, CHECKPOINTS_PER_CELL))
+            if mark > stats.instructions and mark not in cell]
     while True:
+        if stats.dispatched_groups > first_strike:
+            todo = []
         current = stats.instructions
-        phase_end = warmup_instructions if warm_pending else final
-        target = min(phase_end, next_mark)
-        if target <= current:
-            # A previous chunk overshot this boundary; advance the
-            # mark without stepping.
-            pass
-        else:
+        target = warmup_instructions if warm_pending else final
+        if todo:
+            target = min(target, todo[0])
+        if target > current:
             stats = processor.run(max_instructions=target - current,
                                   max_cycles=max_cycles)
         current = stats.instructions
@@ -246,49 +270,9 @@ def run_windowed_capturing(processor, max_instructions,
             final = warm_instructions + max_instructions
         if stalled or (final is not None and current >= final):
             break
-        if current >= next_mark:
-            if capture is not None:
-                capture(processor)
-            next_mark = current - current % interval + interval
+        while todo and todo[0] <= current:
+            mark = todo.pop(0)
+            if stats.dispatched_groups <= first_strike:
+                cell.add(mark, ProcessorSnapshot(processor))
     stats.cycles = processor.cycle
-    return stats, warm_cycles, warm_instructions
-
-
-def resume_windowed(processor, snapshot, rng_state, max_instructions,
-                    warmup_instructions=0, max_cycles=None):
-    """Finish the windowed protocol from a restored snapshot.
-
-    ``processor`` must be freshly built with this trial's injector or
-    policy; ``rng_state`` (from :func:`_prewalk_injector`)
-    re-seats the rate injector's RNG at the snapshot's draw position —
-    ``None`` for site policies, which consume no randomness after
-    construction.  Returns ``(stats, warm_cycles, warm_instructions)``
-    exactly like the full-run protocol.
-    """
-    snapshot.restore_into(processor)
-    if rng_state is not None:
-        processor.injector._rng.setstate(rng_state)
-    if max_cycles is None:
-        max_cycles = cycle_budget(max_instructions, warmup_instructions)
-    stats = processor.stats
-    current = stats.instructions
-    if warmup_instructions and current < warmup_instructions:
-        stats = processor.run(
-            max_instructions=warmup_instructions - current,
-            max_cycles=max_cycles)
-        warm_cycles = processor.cycle
-        warm_instructions = stats.instructions
-        stats.extras["warmup_cycles"] = warm_cycles
-        stats.extras["warmup_instructions"] = warm_instructions
-    else:
-        # Snapshots past the warmup boundary carry the stamps the
-        # capturing run made at the crossing.
-        warm_cycles = stats.extras.get("warmup_cycles", 0)
-        warm_instructions = stats.extras.get("warmup_instructions", 0)
-    # Measurement targets are relative to the post-warmup committed
-    # count, overshoot included, exactly like the straight protocol.
-    final = warm_instructions + max_instructions
-    stats = processor.run(
-        max_instructions=final - stats.instructions,
-        max_cycles=max_cycles)
     return stats, warm_cycles, warm_instructions

@@ -403,8 +403,6 @@ class CampaignOrchestrator:
                         repr(self.heartbeat_interval)]
         if self.options.workers > 1:
             command += ["--workers", str(self.options.workers)]
-        if self.options.checkpointing:
-            command.append("--checkpointing")
         if self.options.persistent_workers:
             command.append("--persistent-workers")
         plan = self.options.sampling

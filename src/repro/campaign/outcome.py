@@ -135,54 +135,51 @@ class TrialResult:
                    **kwargs)
 
 
-def run_trial(trial, checkpointing=False):
+def run_trial(trial):
     """Execute one :class:`~repro.campaign.spec.Trial` and classify it.
 
     All replicates of a fault-free cell share one execution, and fault
     trials whose injector provably never fires (the draw replay of
     :func:`repro.campaign.checkpoint._prewalk_injector` misses over the
-    fault-free run's dispatch count) reuse it too.  With
-    ``checkpointing`` the cell's fault-free baseline is snapshotted at
-    :func:`~repro.campaign.checkpoint.default_interval` boundaries and
-    each fault trial fast-forwards to the latest snapshot preceding its
-    first planned strike, simulating only the suffix
-    (:mod:`repro.campaign.checkpoint`).  Records are byte-identical
-    with checkpointing on or off.
+    fault-free run's dispatch count) reuse it too.  Every other struck
+    trial fast-forwards to the latest snapshot of its cell's
+    checkpoint ladder that precedes its first strike and simulates
+    only the suffix, filling the ladder's missing marks from its own
+    clean prefix on the way (:mod:`repro.campaign.checkpoint`).  A rate
+    trial of a cell without a fault-free baseline runs straight: only
+    the baseline's dispatch count bounds its draw replay.
     """
     policy = trial.injection_policy()
     if policy is not None:
         # Addressed site strikes: no rate injector, and never a
-        # fault-free result to reuse — the trial *will* be struck (or
-        # its sites expire), so it always runs.
-        return _execute_site_trial(trial, policy, checkpointing)[0]
+        # fault-free result to reuse.  No site strikes before its
+        # dispatch index (plan_group/plan_copy gate on gseq >=
+        # site.index), and the sites are armed by construction.
+        processor = _build_processor(trial, policy)
+        first_strike = min(site.index for site in policy.pending)
+        return _finish_checkpointed(trial, processor, first_strike)[0]
     fault_config = trial.fault_config()
     baseline_key = _baseline_key(trial)
     entry = _FAULTFREE_CACHE.get(baseline_key)
-    if fault_config is None:
-        if entry is None:
-            entry = _run_baseline(trial, baseline_key, checkpointing)
-        return replace(entry[0], trial=trial.to_dict())
-    if entry is None and (checkpointing
+    if entry is None and (fault_config is None
                           or _worth_baseline(trial, fault_config)):
-        entry = _run_baseline(trial, baseline_key, checkpointing)
-    if entry is not None:
-        result, groups, redundancy = entry
-        cell = _cell_checkpoints(baseline_key, trial) \
-            if checkpointing else None
-        first_hit, states = _checkpoint._prewalk_injector(
-            fault_config, redundancy,
-            cell.boundaries if cell is not None else (), groups)
-        if first_hit is None:
-            # The injector's rate draws all miss over the exact number
-            # of dispatched groups: the trial is the fault-free run.
-            return replace(result, trial=trial.to_dict())
-        pick = cell.best_before(first_hit) if cell is not None else None
-        if pick is not None:
-            snapshot, boundary = pick
-            return _execute_resumed(trial, fault_config, snapshot,
-                                    states[boundary])[0]
+        entry = _run_baseline(trial, baseline_key)
+    if fault_config is None:
+        return replace(entry[0], trial=trial.to_dict())
+    if entry is None:
+        processor = _build_processor(trial, RatePolicy(fault_config))
+        return finish_trial(trial, processor)[0]
+    result, groups, redundancy = entry
+    cell = _cell_checkpoints(trial)
+    first_hit, states = _checkpoint._prewalk_injector(
+        fault_config, redundancy, cell.boundaries, groups)
+    if first_hit is None:
+        # The injector's rate draws all miss over the exact number of
+        # dispatched groups: the trial is the fault-free run.
+        return replace(result, trial=trial.to_dict())
     processor = _build_processor(trial, RatePolicy(fault_config))
-    return finish_trial(trial, processor)[0]
+    return _finish_checkpointed(trial, processor, first_hit, cell,
+                                states)[0]
 
 
 def _baseline_key(trial):
@@ -192,44 +189,42 @@ def _baseline_key(trial):
             trial.max_cycles)
 
 
-def _cell_checkpoints(baseline_key, trial):
+def _cell_checkpoints(trial):
     """This cell's snapshot ladder, identity-checked against the live
     program object (snapshots share decoded metadata with it, so a
-    workload-cache eviction invalidates the ladder)."""
+    workload-cache eviction starts the ladder over)."""
     store = _checkpoint.get_store()
-    cell = store.get(baseline_key)
-    if cell is None:
-        return None
+    key = _baseline_key(trial)
     program = _cached_workload(trial.workload, trial.workload_seed)
-    if cell.program is not program:
-        store.invalidate(baseline_key)
-        return None
+    cell = store.get(key)
+    if cell is None or cell.program is not program:
+        cell = _checkpoint.CellCheckpoints(program)
+        store.put(key, cell)
     return cell
 
 
-def _run_baseline(trial, baseline_key, capture):
-    """Run and memoize the fault-free twin of ``trial``.
+def _finish_checkpointed(trial, processor, first_strike, cell=None,
+                         rng_states=None):
+    """:func:`finish_trial` through
+    :func:`repro.campaign.checkpoint.run_checkpointed` on the cell's
+    ladder."""
+    if cell is None:
+        cell = _cell_checkpoints(trial)
 
-    With ``capture`` the run is segmented through
-    :func:`repro.campaign.checkpoint.run_windowed_capturing` and the
-    resulting snapshot ladder is stored for the cell — stats and
-    classification stay byte-identical to the straight run.
-    """
+    def runner(proc, max_cycles):
+        return _checkpoint.run_checkpointed(
+            proc, cell, first_strike, trial.instructions, trial.warmup,
+            max_cycles, rng_states)
+
+    return finish_trial(trial, processor, runner=runner)
+
+
+def _run_baseline(trial, baseline_key):
+    """Run and memoize the fault-free twin of ``trial``, filling the
+    cell's ladder on the way (stats and classification stay
+    byte-identical to the straight run)."""
     processor = _build_processor(trial, None)
-    runner = None
-    if capture:
-        snapshots = []
-
-        def runner(proc, max_cycles):
-            return _checkpoint.run_windowed_capturing(
-                proc, trial.instructions, trial.warmup, max_cycles,
-                capture=lambda p: snapshots.append(
-                    _checkpoint.ProcessorSnapshot(p)))
-
-    result, groups = finish_trial(trial, processor, runner=runner)
-    if capture:
-        _checkpoint.get_store().put(
-            baseline_key, _checkpoint.CellCheckpoints(snapshots))
+    result, groups = _finish_checkpointed(trial, processor, math.inf)
     entry = (result, groups, processor.redundancy)
     _FAULTFREE_CACHE[baseline_key] = entry
     return entry
@@ -264,49 +259,6 @@ def _build_processor(trial, policy):
     return processor
 
 
-def _execute_resumed(trial, fault_config, snapshot, rng_state):
-    """Fast-forward a rate trial from a cell snapshot and finish it."""
-    processor = _build_processor(trial, RatePolicy(fault_config))
-
-    def runner(proc, max_cycles):
-        return _checkpoint.resume_windowed(
-            proc, snapshot, rng_state, trial.instructions, trial.warmup,
-            max_cycles)
-
-    return finish_trial(trial, processor, runner=runner)
-
-
-def _execute_site_trial(trial, policy, checkpointing):
-    """Run a directed-site trial, fast-forwarded when provably safe.
-
-    No site can strike before dispatched-group index
-    ``min(site.index)`` (``plan_group``/``plan_copy`` gate on
-    ``gseq >= site.index``), so any snapshot at-or-before that index
-    is a valid restore point; cycle windows need no special handling
-    because the restored run replays the same absolute cycles.
-    """
-    processor = _build_processor(trial, policy)
-    runner = None
-    if checkpointing:
-        baseline_key = _baseline_key(trial)
-        if _FAULTFREE_CACHE.get(baseline_key) is None:
-            _run_baseline(trial, baseline_key, True)
-        cell = _cell_checkpoints(baseline_key, trial)
-        # Sites are armed by construction (bind + reset ran).
-        pick = cell.best_before(min(site.index
-                                    for site in policy.pending)) \
-            if cell is not None else None
-        if pick is not None:
-            snapshot = pick[0]
-
-            def runner(proc, max_cycles):
-                return _checkpoint.resume_windowed(
-                    proc, snapshot, None, trial.instructions,
-                    trial.warmup, max_cycles)
-
-    return finish_trial(trial, processor, runner=runner)
-
-
 def _trace_golden(processor, committed):
     """The memoized in-order state after ``committed`` instructions and
     its store-footprint diff against the processor's committed state."""
@@ -330,9 +282,8 @@ def finish_trial(trial, processor, runner=None, golden=_trace_golden):
     max_cycles)`` must return ``(stats, warm_cycles,
     warm_instructions)`` following the
     :func:`~repro.harness.experiment.run_windowed` protocol (the
-    default) — the straight run, the snapshot-capturing baseline run
-    and the checkpoint-resumed run all classify through this single
-    path.  ``golden(processor, committed)`` returns the in-order state
+    default) — the straight run and the checkpointed run both classify
+    through this single path.  ``golden(processor, committed)`` returns the in-order state
     after ``committed`` instructions and its
     :class:`~repro.functional.checker.StateDiff` against the
     processor's committed state; the default reads the memoized golden

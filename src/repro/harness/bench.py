@@ -189,8 +189,7 @@ def bench_engine(workloads=ENGINE_WORKLOADS, models=ENGINE_MODELS,
     return {"instructions": instructions, "rows": rows}
 
 
-def bench_campaign(quick=False, workers=1, repeats=None,
-                   checkpointing=False):
+def bench_campaign(quick=False, workers=1, repeats=None):
     """Campaign-path A/B run; returns a JSON-ready dict.
 
     Each path is timed ``repeats`` times (``None``: 3, or 1 with
@@ -199,10 +198,9 @@ def bench_campaign(quick=False, workers=1, repeats=None,
     time is additionally recorded — ``reference_sample_seconds`` /
     ``optimized_sample_seconds``, plus a per-phase sample matrix
     ``optimized_phase_sample_seconds`` — so ``repro-ft bench --diff``
-    has a distribution to test, not a point.  ``checkpointing`` runs
-    the optimized side with checkpointed fast-forward (and persistent
-    workers when ``workers > 1``) — the divergence check is the same
-    either way.  The optimized side's best run also reports a
+    has a distribution to test, not a point.  The optimized side runs
+    checkpointed fast-forward like every campaign, so the divergence
+    check covers it.  The optimized side's best run also reports a
     per-phase wall-time breakdown (decode / golden / simulate /
     classify) and the trial-cache counters; phases are measured
     in-process, so they read zero when ``workers > 1`` moves trial
@@ -215,9 +213,7 @@ def bench_campaign(quick=False, workers=1, repeats=None,
         repeats = 1 if quick else DEFAULT_REPEATS
     if repeats < 1:
         raise ValueError("repeats must be >= 1, got %d" % repeats)
-    optimized_options = ExecutionOptions(
-        workers=workers, checkpointing=checkpointing,
-        persistent_workers=checkpointing and workers > 1)
+    optimized_options = ExecutionOptions(workers=workers)
     reference = optimized = None
     reference_samples = []
     optimized_samples = []
@@ -266,7 +262,6 @@ def bench_campaign(quick=False, workers=1, repeats=None,
         "trials": trials,
         "workers": workers,
         "repeats": repeats,
-        "checkpointing": checkpointing,
         "identical_records": True,
         "optimized_phase_seconds": {
             name: round(seconds, 3)
@@ -290,7 +285,7 @@ def bench_campaign(quick=False, workers=1, repeats=None,
 
 
 def run_bench(quick=False, out=DEFAULT_OUT, workers=1, note="",
-              checkpointing=False, repeats=None):
+              repeats=None):
     """Run both benches; write ``out`` (unless empty); return the dict.
 
     ``out`` is an append-per-PR history (see
@@ -311,7 +306,6 @@ def run_bench(quick=False, out=DEFAULT_OUT, workers=1, note="",
     else:
         engine = bench_engine()
     campaign = bench_campaign(quick=quick, workers=workers,
-                              checkpointing=checkpointing,
                               repeats=repeats)
     host_platform = platform.platform()
     host_python = sys.version.split()[0]
@@ -361,11 +355,9 @@ def format_bench_summary(payload):
         "  unoptimized path  %7.2fs  (%.2f trials/s)"
         % (campaign["reference_seconds"],
            campaign["reference_trials_per_sec"]),
-        "  optimized path    %7.2fs  (%.2f trials/s)%s"
+        "  optimized path    %7.2fs  (%.2f trials/s)"
         % (campaign["optimized_seconds"],
-           campaign["optimized_trials_per_sec"],
-           "  [checkpointing]" if campaign.get("checkpointing")
-           else ""),
+           campaign["optimized_trials_per_sec"]),
         "  speedup           %6.2fx  (records byte-identical)"
         % campaign["speedup"],
     ]

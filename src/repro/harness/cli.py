@@ -356,7 +356,6 @@ def _cmd_campaign(args):
         options = ExecutionOptions(
             workers=args.workers,
             sampling=_sampling_plan_from_args(args),
-            checkpointing=args.checkpointing,
             persistent_workers=args.persistent_workers)
         session = CampaignSession(spec, options=options, store=store)
     except (ConfigError, ValueError, TypeError, OSError) as exc:
@@ -415,7 +414,6 @@ def _cmd_orchestrate(args):
         options = ExecutionOptions(
             workers=args.workers,
             sampling=_sampling_plan_from_args(args),
-            checkpointing=args.checkpointing,
             persistent_workers=args.persistent_workers)
         orchestrator = CampaignOrchestrator(
             spec, shards=args.shards, store_dir=args.store_dir,
@@ -572,7 +570,6 @@ def _cmd_bench(args):
     try:
         payload = run_bench(quick=args.quick, out=args.out,
                             workers=args.workers, note=args.note,
-                            checkpointing=args.checkpointing,
                             repeats=args.repeats)
     except BenchDivergence as exc:
         raise SystemExit("repro-ft bench: DIVERGENCE: %s" % exc)
@@ -710,10 +707,6 @@ def _add_bench_args(sub):
                           "every repeat's wall time is recorded as a "
                           "sample for --diff (default: 3, or 1 with "
                           "--quick)")
-    sub.add_argument("--checkpointing", action="store_true",
-                     help="run the fast side with checkpointed "
-                          "fast-forward (the A/B still fails on any "
-                          "record divergence)")
     sub.add_argument("--note", default="",
                      help="free-form label recorded with the entry")
     # Performance-version-system modes (repro.perf): read the history
@@ -784,10 +777,6 @@ def _add_grid_args(sub):
     sub.add_argument("--workers", type=int, default=1,
                      help="process-pool width per session "
                           "(1 = in-process serial)")
-    sub.add_argument("--checkpointing", action="store_true",
-                     help="fast-forward each fault trial from the "
-                          "cell's fault-free checkpoints (records are "
-                          "byte-identical either way)")
     sub.add_argument("--persistent-workers", action="store_true",
                      help="pre-warm each pool worker's per-process "
                           "caches with the campaign's fault-free "

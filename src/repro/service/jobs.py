@@ -61,9 +61,11 @@ SHARDS_DIR = "shards"
 
 #: Execution options that job files written before the single
 #: execution path persisted (the simulator selector and the golden-
-#: trace and fault-free-reuse switches).  Every value they could hold
-#: gave byte-identical records, so :meth:`Job.from_dict` drops them.
-RETIRED_OPTIONS = ("simulator", "golden_cache", "reuse_faultfree")
+#: trace, fault-free-reuse and checkpointing switches).  Every value
+#: they could hold gave byte-identical records, so
+#: :meth:`Job.from_dict` drops them.
+RETIRED_OPTIONS = ("simulator", "golden_cache", "reuse_faultfree",
+                   "checkpointing")
 
 
 #: What a job id may look like: it names the job's directory, so a

@@ -14,8 +14,7 @@ The group/entry graph is cloned with an explicit two-pass worklist
 and fill fields through an identity memo) instead of ``copy.deepcopy``:
 the graph is cyclic (entries point at their group, producers at their
 dependents), dependency chains can exceed the recursion limit, and
-deepcopy's per-object dispatch is an order of magnitude slower on the
-64Ki-word memory image.
+deepcopy's per-object dispatch is an order of magnitude slower.
 
 Shared immutable objects are *not* copied: decoded-instruction
 metadata, :class:`~repro.uarch.fetch.FetchRecord` instances (never
@@ -24,6 +23,13 @@ between the live machine and the snapshot.  A snapshot therefore only
 restores correctly in the same process, onto a processor built from
 the *same* :class:`~repro.program.image.Program` object — exactly the
 per-worker cache regime of :mod:`repro.campaign.checkpoint`.
+
+Main memory is stored as a diff: only the cells in
+``MainMemory.written``, the one set of cells that can differ from the
+program's data image (the same fact golden-state comparison relies
+on).  Restoring applies that diff over the fresh processor's image, so
+a snapshot costs a few dozen words of memory instead of the full
+64Ki-word array.
 """
 
 from __future__ import annotations
@@ -167,7 +173,7 @@ class _MachineState:
     __slots__ = (
         "groups", "lsq", "pending_loads", "ready_queues", "events",
         "ifq", "regs", "arch_pc", "arch_halted", "mem_cells",
-        "mem_written", "mem_reads", "mem_writes", "cache_state",
+        "mem_reads", "mem_writes", "cache_state",
         "memory_accesses", "fetch_pc", "fetch_stall_until",
         "fetch_halted", "bimodal_table", "bimodal_lookups",
         "twolevel_histories", "twolevel_counters", "twolevel_lookups",
@@ -201,8 +207,11 @@ def _capture_state(processor):
     state.arch_pc = arch.pc
     state.arch_halted = arch.halted
     memory = arch.memory
-    state.mem_cells = list(memory._cells)
-    state.mem_written = set(memory.written)
+    # The written cells only: every other cell still holds the data
+    # image a fresh processor of the same program starts from.
+    cells = memory._cells
+    state.mem_cells = {index: cells[index]
+                       for index in sorted(memory.written)}
     state.mem_reads = memory.reads
     state.mem_writes = memory.writes
 
@@ -292,7 +301,7 @@ class _StateView:
         self.ready_queues = state.ready_queues
         self.events = state.events
         self.ifq = state.ifq
-        memory = wrap(_cells=state.mem_cells, written=state.mem_written,
+        memory = wrap(_cells=state.mem_cells, written=state.mem_cells,
                       reads=state.mem_reads, writes=state.mem_writes)
         self.arch = wrap(regs=state.regs, pc=state.arch_pc,
                          halted=state.arch_halted, memory=memory)
@@ -369,6 +378,14 @@ class ProcessorSnapshot:
             raise ValueError(
                 "snapshot restore requires the identical Program object "
                 "(decoded metadata is reference-shared)")
+        if processor.cycle != 0 or processor.arch.memory.written:
+            # The memory diff is applied over the target's own image,
+            # so cells a stepped processor stored would silently stay.
+            raise ValueError(
+                "snapshot restore requires a freshly constructed "
+                "processor (this one is at cycle %d with %d written "
+                "memory cells)" % (processor.cycle,
+                                   len(processor.arch.memory.written)))
         state = _capture_state(_StateView(self._state))
 
         # The in-flight window: the groups deque is mutated in place
@@ -387,8 +404,10 @@ class ProcessorSnapshot:
         arch.pc = state.arch_pc
         arch.halted = state.arch_halted
         memory = arch.memory
-        memory._cells = state.mem_cells
-        memory.written = state.mem_written
+        cells = memory._cells
+        for index, value in state.mem_cells.items():
+            cells[index] = value
+        memory.written = set(state.mem_cells)
         memory.reads = state.mem_reads
         memory.writes = state.mem_writes
 

@@ -78,6 +78,22 @@ class TestSamplingPlan:
         with pytest.raises(ConfigError):
             SamplingPlan.wilson(**kwargs)
 
+    @pytest.mark.parametrize("width", [
+        "x", [1], None, True, -0.1, 0.6, float("nan"), float("inf"),
+        10 ** 400])
+    def test_fixed_plan_refuses_bad_target_halfwidth(self, width):
+        with pytest.raises(ConfigError, match="target_halfwidth"):
+            SamplingPlan(target_halfwidth=width)
+        with pytest.raises(ConfigError, match="target_halfwidth"):
+            SamplingPlan.from_dict({"mode": "fixed",
+                                    "target_halfwidth": width})
+
+    def test_fixed_plan_accepts_a_width_in_range(self):
+        assert not SamplingPlan(target_halfwidth=0.5).is_adaptive
+        assert SamplingPlan.from_dict(
+            {"mode": "fixed", "target_halfwidth": 0}) \
+            == SamplingPlan.fixed()
+
     def test_round_trips_through_dict(self):
         plan = SamplingPlan.wilson(0.07, metric="sdc_rate",
                                    min_replicates=6, max_replicates=30)
@@ -223,6 +239,34 @@ class TestScheduler:
             == {"SS-1": 2, "SS-2": 2}
         # SS-1 now holds 1/2 sdc (widest possible), SS-2 holds 0/2.
         assert scheduler.next_trial().model == "SS-1"
+
+    @pytest.mark.parametrize("first_faulty", [1, 0])
+    def test_no_replicate_past_projected_convergence(self, first_faulty):
+        """One result landed, one in flight, a loose coverage target: a
+        covered faulty landing projects the cell converged, so the
+        scheduler waits for the other landing as a serial run would; a
+        clean landing leaves the coverage sample short of
+        min_replicates whatever lands next, so the next replicate
+        starts at once."""
+        trials = list(small_spec(replicates=6).trials())
+        plan = SamplingPlan.wilson(0.5, metric="coverage",
+                                   min_replicates=2)
+        scheduler = AdaptiveScheduler(plan, trials, {})
+        first, second = scheduler.next_trial(), scheduler.next_trial()
+        scheduler.record_finished(
+            {"key": first.key, "trial": first.to_dict(),
+             "outcome": "masked", "faults_injected": first_faulty})
+        extra = scheduler.next_trial()
+        if not first_faulty:
+            assert extra.key == trials[2].key
+            return
+        assert extra is None
+        scheduler.record_finished(
+            {"key": second.key, "trial": second.to_dict(),
+             "outcome": "masked", "faults_injected": 1})
+        tracker = next(iter(scheduler.trackers.values()))
+        assert tracker.closed == CONVERGED
+        assert scheduler.next_trial() is None
 
     def test_pool_refills_spread_across_cells(self):
         """Scheduling with nothing finished yet (a wide worker pool's

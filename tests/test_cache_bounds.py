@@ -16,8 +16,9 @@ from repro.campaign.checkpoint import (CheckpointStore,
                                        clear_checkpoints, get_store)
 from repro.campaign.golden import (cached_trace, clear_trace_cache,
                                    trace_cache_stats)
-from repro.campaign.outcome import cache_stats, clear_result_caches, \
-    run_trial
+from repro.campaign.outcome import (_baseline_key, _cell_checkpoints,
+                                    cache_stats, clear_result_caches,
+                                    run_trial)
 from repro.campaign.spec import CampaignSpec
 from repro.program.cache import (cached_workload, clear_caches,
                                  workload_cache_stats)
@@ -97,13 +98,21 @@ class TestCheckpointStore:
         assert stats["misses"] == 1
         assert stats["size"] == 2
 
-    def test_invalidate_drops_one_cell(self):
-        store = CheckpointStore(limit=4)
-        store.put("a", "cell-a")
-        store.invalidate("a")
-        store.invalidate("never-there")     # never raises
-        assert store.get("a") is None
-        assert len(store) == 0
+    def test_stale_program_starts_the_ladder_over(self):
+        # Snapshots share decoded metadata with the Program object, so
+        # a workload-cache eviction must not leave the old ladder live.
+        spec = CampaignSpec(workloads=("gcc",), models=("SS-2",),
+                            rates_per_million=(0.0,), replicates=1,
+                            instructions=300)
+        trial = next(iter(spec.trials()))
+        run_trial(trial)
+        cell = get_store().get(_baseline_key(trial))
+        assert cell.snapshots
+        clear_caches()
+        fresh = _cell_checkpoints(trial)
+        assert fresh is not cell and not fresh.snapshots
+        assert fresh.program is cached_workload("gcc")
+        assert get_store().get(_baseline_key(trial)) is fresh
 
     def test_module_store_clear(self):
         get_store().put("probe", "cell")
@@ -128,5 +137,5 @@ class TestReporting:
                             rates_per_million=(3_000.0,),
                             replicates=1, instructions=300)
         trial = next(iter(spec.trials()))
-        record = run_trial(trial, checkpointing=True).to_record()
+        record = run_trial(trial).to_record()
         assert "cache_stats" not in str(record)

@@ -14,6 +14,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (CAMPAIGN_FINISHED, CELL_FINISHED,
                             TRIAL_FINISHED, TRIAL_STARTED,
@@ -21,7 +23,9 @@ from repro.campaign import (CAMPAIGN_FINISHED, CELL_FINISHED,
                             ExecutionOptions, JSONLStore,
                             ShardedJSONLStore, SQLiteStore,
                             cells_to_json, merge_stores)
+from repro.campaign.adaptive import SamplingPlan
 from repro.errors import ConfigError
+from repro.resilience.retry import RetryPolicy
 
 #: The acceptance-criteria grid: 1 workload x 2 models x 2 rates x 16
 #: replicates = 64 trials, half of them fault-free (cheap via result
@@ -61,7 +65,41 @@ def small_spec(**overrides):
     return CampaignSpec(**kwargs)
 
 
+#: Any JSON value a tenant body can carry.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12)
+
+
+def json_objects_over(fields):
+    """JSON objects keyed mostly by ``fields``, with arbitrary values."""
+    return st.dictionaries(
+        st.sampled_from(sorted(fields)) | st.text(max_size=8),
+        JSON_VALUES, max_size=len(fields) + 1)
+
+
 class TestExecutionOptions:
+    def test_has_eight_fields(self):
+        assert list(ExecutionOptions.__dataclass_fields__) == [
+            "workers", "max_cycles", "sampling", "poll_interval",
+            "trial_timeout", "trial_retries", "store_retry",
+            "persistent_workers"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["sampling", "store_retry"]), st.data())
+    def test_nested_option_fuzz_raises_only_config_errors(self, name,
+                                                          data):
+        fields = (SamplingPlan if name == "sampling"
+                  else RetryPolicy).__dataclass_fields__
+        value = data.draw(json_objects_over(fields) | JSON_VALUES)
+        try:
+            ExecutionOptions.from_dict({name: value})
+        except ConfigError:
+            pass
+
     def test_defaults(self):
         options = ExecutionOptions()
         assert options.workers == 1
@@ -84,8 +122,9 @@ class TestExecutionOptions:
         trial = next(small_spec().trials())
         assert ExecutionOptions().trial_payload(trial) \
             == {"trial": trial.to_dict()}
-        assert ExecutionOptions(checkpointing=True).trial_payload(trial) \
-            == {"trial": trial.to_dict(), "checkpointing": True}
+        assert ExecutionOptions(
+            workers=2, persistent_workers=True).trial_payload(trial) \
+            == {"trial": trial.to_dict()}
 
 
 class TestSessionLifecycle:

@@ -372,6 +372,25 @@ class TestDrainAndRecovery:
         finally:
             revived.close(drain_timeout=10.0)
 
+    def test_checkpointing_job_file_resumes_to_done(self, tmp_path):
+        """Job files written while checkpointing was a switch carry
+        it; a restarted service drops it like the other retired keys."""
+        data_dir = tmp_path / "svc"
+        self.write_job_file(data_dir, "job-ckpt", {
+            "checkpointing": True, "persistent_workers": True,
+            "workers": 2})
+        revived = ServiceBackend(str(data_dir), slots=2)
+        try:
+            assert [job.id for job in revived.recover()] \
+                == ["job-ckpt"]
+            assert wait_terminal(revived, "job-ckpt").state == DONE
+            plain = CampaignSession(spec(name="job-ckpt")).run()
+            assert json.dumps(records_of(revived, "job-ckpt"),
+                              sort_keys=True) \
+                == json.dumps(plain.records, sort_keys=True)
+        finally:
+            revived.close(drain_timeout=10.0)
+
     def test_invalid_job_file_is_skipped_not_fatal(self, tmp_path):
         data_dir = tmp_path / "svc"
         self.write_job_file(data_dir, "job-bad", {"workers": 0})

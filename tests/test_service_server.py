@@ -194,6 +194,12 @@ HOSTILE_BODIES = {
     "scalar-sampling": {"spec": spec_dict(), "options": {"sampling": 3}},
     "reference-simulator": {"spec": spec_dict(),
                             "options": {"simulator": "reference"}},
+    "retired-checkpointing": {"spec": spec_dict(),
+                              "options": {"checkpointing": True}},
+    "fixed-plan-junk-width": {"spec": spec_dict(),
+                              "options": {"sampling": {
+                                  "mode": "fixed",
+                                  "target_halfwidth": "x"}}},
     "integer-job-id": {"spec": spec_dict(), "job_id": 5},
     "escaping-job-id": {"spec": spec_dict(), "job_id": "../escape"},
 }
