@@ -18,21 +18,16 @@ record byte:
   their budgets before every step, so the segmented run is
   cycle-for-cycle identical to the straight one.  No run exists only
   to fill a ladder: marks are captured from the clean prefixes of runs
-  a campaign makes anyway (the fault-free baseline, a site trial up to
-  its first site index, a rate trial up to its first hit).
-* :func:`_prewalk_injector` replays a rate trial's injector draw stream
-  once: the same walk yields *both* the silent-trial verdict and, per
-  ladder boundary, the RNG state a restored run must continue from.
+  a campaign makes anyway (the fault-free baseline, or a struck trial
+  up to its first strike).
 
-Why the prefix is exactly equivalent: before its first hit the rate
-injector only *draws* (one ``pc`` draw per group when the mix has
-``pc`` weight, one draw per redundant copy — see
-``Replicator.build_group``), and a miss leaves machine state untouched;
-site policies strike only at dispatched-group index >= their
-``site.index``.  So a snapshot taken at dispatched-group count ``D``
-with ``D <= first_strike_group`` — by whichever run reached it — plus
-the RNG state recorded at draw position ``D`` reproduces the struck
-run's machine and draw stream exactly.
+Why the prefix is exactly equivalent: the first strike is the run's
+:class:`~repro.faults.policy.InjectionPolicy`'s ``next_group``, and no
+policy changes machine state below it.  A rate policy's walk is keyed
+by dispatched-group index, not by what has dispatched, so a restored
+run replays the same draw stream.  A snapshot taken at
+dispatched-group count ``D <= first_strike``, by whichever run reached
+it, therefore continues into the struck run exactly.
 
 The store is per-process (snapshots share decoded-instruction objects
 with the live program and cannot cross pickling boundaries) and
@@ -43,7 +38,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..core.faults import FaultInjector
 from ..harness.experiment import cycle_budget
 from ..uarch.snapshot import ProcessorSnapshot
 
@@ -64,46 +58,6 @@ def default_interval(instructions, warmup=0):
                (instructions + warmup) // CHECKPOINTS_PER_CELL)
 
 
-def _prewalk_injector(fault_config, redundancy, boundaries, max_groups):
-    """One replay of the injector's miss stream over the baseline run.
-
-    Returns ``(first_hit, states)``: ``first_hit`` is the 0-based
-    dispatched-group index whose draws contain the first hit (``None``
-    if every draw over ``max_groups`` groups misses — the trial is
-    provably silent), and ``states`` maps each requested boundary
-    ``D <= first_hit`` to the RNG state after consuming exactly the
-    draws of groups ``0..D-1`` — what a run restored at ``D`` must
-    continue from.  Draw order mirrors ``Replicator.build_group``
-    exactly: one group-level ``pc`` draw (when the mix gives ``pc``
-    weight) plus one draw per redundant copy, per dispatched group.  A
-    miss leaves machine state untouched, so a trial whose draws all
-    miss is state-for-state the fault-free run — exact, not
-    probabilistic.
-    """
-    probe = FaultInjector(fault_config)
-    rng = probe._rng
-    random = rng.random
-    rate = probe._rate
-    pc_rate = probe._pc_rate
-    states = {}
-    want = sorted(set(boundaries))
-    wanted = len(want)
-    position = 0
-    for group in range(max_groups):
-        while position < wanted and want[position] == group:
-            states[group] = rng.getstate()
-            position += 1
-        if pc_rate > 0 and random() < pc_rate:
-            return group, states
-        for _ in range(redundancy):
-            if random() < rate:
-                return group, states
-    while position < wanted and want[position] <= max_groups:
-        states[want[position]] = rng.getstate()
-        position += 1
-    return None, states
-
-
 class CellCheckpoints:
     """The snapshot ladder of one campaign cell, filled as runs pass
     its marks."""
@@ -112,7 +66,6 @@ class CellCheckpoints:
         self.program = program
         self._marks = {}            # instruction mark -> snapshot
         self.snapshots = []         # ordered by dispatched_groups
-        self.boundaries = ()
 
     def __contains__(self, mark):
         return mark in self._marks
@@ -121,8 +74,6 @@ class CellCheckpoints:
         self._marks[mark] = snapshot
         self.snapshots = sorted(self._marks.values(),
                                 key=lambda s: s.dispatched_groups)
-        self.boundaries = tuple(s.dispatched_groups
-                                for s in self.snapshots)
 
     def best_before(self, group_index):
         """The latest snapshot safe for a first strike at ``group_index``.
@@ -201,18 +152,14 @@ def checkpoint_store_stats():
 
 
 def run_checkpointed(processor, cell, first_strike, max_instructions,
-                     warmup_instructions=0, max_cycles=None,
-                     rng_states=None):
-    """`run_windowed` over ``cell``'s ladder, for a run whose first
-    strike lands in dispatched group ``first_strike`` (``math.inf``:
-    never).
+                     warmup_instructions=0, max_cycles=None):
+    """`run_windowed` over ``cell``'s ladder, for a run that strikes
+    no dispatched group below ``first_strike`` (``math.inf``: never).
 
-    ``processor`` must be freshly built with the run's injector or
-    policy.  The latest snapshot at or before ``first_strike`` is
-    restored first; ``rng_states`` (from :func:`_prewalk_injector`)
-    re-seats a rate injector's RNG at that snapshot's draw position —
-    ``None`` for site policies and fault-free runs, which draw nothing
-    after construction.  The run then chains ``processor.run`` calls
+    ``processor`` must be freshly built with the run's policy.  The
+    latest snapshot at or before ``first_strike`` is restored first;
+    the policy needs no re-seat, because its schedule is keyed by
+    dispatched-group index.  The run then chains ``processor.run`` calls
     toward absolute instruction targets (each chunk recomputed from
     the actual committed count, so commit-width overshoot never drifts
     the protocol), stamping the warmup extras exactly where the
@@ -229,9 +176,6 @@ def run_checkpointed(processor, cell, first_strike, max_instructions,
     snapshot = cell.best_before(first_strike)
     if snapshot is not None:
         snapshot.restore_into(processor)
-        if rng_states is not None:
-            processor.injector._rng.setstate(
-                rng_states[snapshot.dispatched_groups])
     stats = processor.stats
     # A snapshot past the warmup boundary carries the stamps its run
     # made at the crossing.

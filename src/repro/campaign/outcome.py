@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from ..errors import SimulationError
-from ..faults.policy import RatePolicy
+from ..faults.policy import WALK_CHUNK
 from ..harness.experiment import cycle_budget, run_windowed
 from ..program.cache import cached_workload as _cached_workload
 from ..program.cache import workload_cache_stats
@@ -138,48 +138,37 @@ class TrialResult:
 def run_trial(trial):
     """Execute one :class:`~repro.campaign.spec.Trial` and classify it.
 
-    All replicates of a fault-free cell share one execution, and fault
-    trials whose injector provably never fires (the draw replay of
-    :func:`repro.campaign.checkpoint._prewalk_injector` misses over the
-    fault-free run's dispatch count) reuse it too.  Every other struck
-    trial fast-forwards to the latest snapshot of its cell's
-    checkpoint ladder that precedes its first strike and simulates
-    only the suffix, filling the ladder's missing marks from its own
-    clean prefix on the way (:mod:`repro.campaign.checkpoint`).  A rate
-    trial of a cell without a fault-free baseline runs straight: only
-    the baseline's dispatch count bounds its draw replay.
+    All replicates of a fault-free cell share one execution.  A struck
+    trial first asks its policy for its first strike
+    (:meth:`~repro.faults.policy.InjectionPolicy.look_ahead`), before
+    the processor is built, because building resets the policy.  When
+    the first strike is at or past the fault-free run's dispatched-group
+    count, the trial is that run and reuses it.  Every other struck
+    trial fast-forwards to the latest snapshot of its cell's checkpoint
+    ladder at or before its first strike and simulates only the suffix,
+    filling the ladder's missing marks from its own clean prefix on the
+    way (:mod:`repro.campaign.checkpoint`).  A cell without a baseline
+    looks at most ``WALK_CHUNK`` groups ahead for the first strike;
+    past that, the first strike is a safe lower bound.
     """
     policy = trial.injection_policy()
-    if policy is not None:
-        # Addressed site strikes: no rate injector, and never a
-        # fault-free result to reuse.  No site strikes before its
-        # dispatch index (plan_group/plan_copy gate on gseq >=
-        # site.index), and the sites are armed by construction.
-        processor = _build_processor(trial, policy)
-        first_strike = min(site.index for site in policy.pending)
-        return _finish_checkpointed(trial, processor, first_strike)[0]
-    fault_config = trial.fault_config()
     baseline_key = _baseline_key(trial)
     entry = _FAULTFREE_CACHE.get(baseline_key)
-    if entry is None and (fault_config is None
-                          or _worth_baseline(trial, fault_config)):
+    if entry is None and _worth_baseline(trial, policy):
         entry = _run_baseline(trial, baseline_key)
-    if fault_config is None:
+    if policy is None:
         return replace(entry[0], trial=trial.to_dict())
     if entry is None:
-        processor = _build_processor(trial, RatePolicy(fault_config))
-        return finish_trial(trial, processor)[0]
-    result, groups, redundancy = entry
-    cell = _cell_checkpoints(trial)
-    first_hit, states = _checkpoint._prewalk_injector(
-        fault_config, redundancy, cell.boundaries, groups)
-    if first_hit is None:
-        # The injector's rate draws all miss over the exact number of
-        # dispatched groups: the trial is the fault-free run.
-        return replace(result, trial=trial.to_dict())
-    processor = _build_processor(trial, RatePolicy(fault_config))
-    return _finish_checkpointed(trial, processor, first_hit, cell,
-                                states)[0]
+        first_strike = policy.look_ahead(WALK_CHUNK)
+    else:
+        result, groups = entry
+        first_strike = policy.look_ahead(groups)
+        if first_strike >= groups:
+            # Nothing strikes before the fault-free run ends: the trial
+            # is the fault-free run.
+            return replace(result, trial=trial.to_dict())
+    processor = _build_processor(trial, policy)
+    return _finish_checkpointed(trial, processor, first_strike)[0]
 
 
 def _baseline_key(trial):
@@ -203,18 +192,16 @@ def _cell_checkpoints(trial):
     return cell
 
 
-def _finish_checkpointed(trial, processor, first_strike, cell=None,
-                         rng_states=None):
+def _finish_checkpointed(trial, processor, first_strike):
     """:func:`finish_trial` through
     :func:`repro.campaign.checkpoint.run_checkpointed` on the cell's
     ladder."""
-    if cell is None:
-        cell = _cell_checkpoints(trial)
+    cell = _cell_checkpoints(trial)
 
     def runner(proc, max_cycles):
         return _checkpoint.run_checkpointed(
             proc, cell, first_strike, trial.instructions, trial.warmup,
-            max_cycles, rng_states)
+            max_cycles)
 
     return finish_trial(trial, processor, runner=runner)
 
@@ -224,24 +211,28 @@ def _run_baseline(trial, baseline_key):
     cell's ladder on the way (stats and classification stay
     byte-identical to the straight run)."""
     processor = _build_processor(trial, None)
-    result, groups = _finish_checkpointed(trial, processor, math.inf)
-    entry = (result, groups, processor.redundancy)
+    entry = _finish_checkpointed(trial, processor, math.inf)
     _FAULTFREE_CACHE[baseline_key] = entry
     return entry
 
 
-def _worth_baseline(trial, fault_config):
+def _worth_baseline(trial, policy):
     """Is computing the fault-free baseline likely to pay off?
 
-    Pure performance heuristic (never affects results): estimate the
-    probability that a trial of this rate draws no fault at all; only
-    spend a baseline simulation when silent trials are likely enough
-    to be reused by this cell's replicates.
+    Pure performance heuristic (never affects results): a fault-free
+    trial is its own baseline, and a site trial never pays for one.
+    For a rate trial, estimate the probability that it draws no fault
+    at all; only spend a baseline simulation when silent trials are
+    likely enough to be reused by this cell's replicates.
     """
+    if policy is None:
+        return True
+    if trial.sites:
+        return False
     model = trial.resolve_model()
     draws_per_group = model.ft.redundancy + 1
     estimated_groups = 2.5 * (trial.instructions + trial.warmup)
-    p_silent = math.exp(-fault_config.rate * draws_per_group
+    p_silent = math.exp(-policy.config.rate * draws_per_group
                         * estimated_groups)
     return p_silent >= 0.3
 

@@ -25,7 +25,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from ..core.faults import DEFAULT_KIND_WEIGHTS, FaultConfig, get_kind_mix
 from ..errors import ConfigError
-from ..faults.policy import build_policy
+from ..faults.policy import RatePolicy, build_policy
 from ..models.presets import derive_model, get_model
 from ..workloads.profiles import get_profile
 from .store import shard_of_key
@@ -75,17 +75,27 @@ class Trial:
                            kind_weights=dict(self.kind_weights))
 
     def injection_policy(self):
-        """The site policy of this trial, or ``None`` on the rate path.
+        """This trial's injection policy, bound to its machine's
+        redundancy, or ``None`` for a fault-free trial.
 
-        Sampling policies are seeded from the trial's content-derived
+        A site trial's policy comes from its ``fault_sites`` cell; its
+        sampling policies are seeded from the trial's content-derived
         ``fault_seed`` and default their horizon to the instruction
-        budget, so the same trial always sweeps the same sites.
+        budget, so the same trial always sweeps the same sites.  A rate
+        trial gets a :class:`~repro.faults.policy.RatePolicy` over
+        :meth:`fault_config`.
         """
-        if not self.sites:
-            return None
-        return build_policy(json.loads(self.site_config),
-                            seed=self.fault_seed,
-                            horizon=self.instructions + self.warmup)
+        if self.sites:
+            policy = build_policy(json.loads(self.site_config),
+                                  seed=self.fault_seed,
+                                  horizon=self.instructions + self.warmup)
+        else:
+            config = self.fault_config()
+            if config is None:
+                return None
+            policy = RatePolicy(config)
+        policy.bind(self.resolve_model().ft.redundancy)
+        return policy
 
     def resolve_model(self):
         """The machine model of this trial, overrides applied."""

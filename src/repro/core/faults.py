@@ -152,9 +152,10 @@ class FaultInjector:
     def plan_for_copy_hit(self, inst):
         """Continuation of :meth:`plan_for_copy` after its rate draw hit.
 
-        Exposed so the dispatch hot loop can perform the (almost always
-        missing) rate draw inline and only pay a call on a hit; the RNG
-        consumption is identical to calling :meth:`plan_for_copy`.
+        Exposed so :class:`~repro.faults.policy.RatePolicy` can walk the
+        (almost always missing) rate draws ahead of dispatch and only
+        pay for a plan on a hit; the RNG consumption is identical to
+        calling :meth:`plan_for_copy`.
         """
         kind = self._draw_kind()
         kind = self._fit_kind_to_inst(kind, inst)

@@ -11,11 +11,15 @@ object-reference form of the paper's "+k tag offset" rule.
 The replicator owns the data-independence invariant: copy *k* of a
 consumer only ever reads values produced by copy *k* of a producer, or
 the (ECC-protected, shared) committed register file.
+
+It is also where strikes enter a run.  Each group costs one compare
+against the :class:`~repro.faults.policy.InjectionPolicy`'s
+``next_group``; a group at or past it goes to the policy's ``strike``,
+and the arms that call returns are set on the copies' ROB entries.
 """
 
 from __future__ import annotations
 
-from ..faults.sites import arm_entry, count_strike
 from ..isa.opcodes import Kind
 from ..isa.registers import ZERO
 from .rob import DONE, READY, WAITING, Group, RobEntry
@@ -24,27 +28,19 @@ from .rob import DONE, READY, WAITING, Group, RobEntry
 class Replicator:
     """Builds R-redundant groups from fetched instructions."""
 
-    def __init__(self, redundancy, renamer, committed_read,
-                 fault_injector=None, stats=None, site_policy=None):
+    def __init__(self, redundancy, renamer, committed_read, policy=None,
+                 stats=None):
         """``committed_read(areg)`` reads the committed register file.
 
-        ``fault_injector`` is the legacy rate injector (the hot loop
-        inlines its draws; RNG stream unchanged); ``site_policy`` an
-        addressable :class:`~repro.faults.policy.InjectionPolicy`
-        consulted per group and per copy.  At most one is set — the
-        processor resolves a :class:`~repro.faults.policy.RatePolicy`
-        to its wrapped injector before construction.
+        ``policy`` is the run's
+        :class:`~repro.faults.policy.InjectionPolicy` (``None``: no
+        faults); ``stats`` counts the strikes it applies at dispatch.
         """
         self.redundancy = redundancy
         self.renamer = renamer
         self.committed_read = committed_read
-        self.fault_injector = fault_injector
-        self.site_policy = site_policy
+        self.policy = policy
         self.stats = stats
-        self._gseq = 0
-        self._seq = 0
-
-    def reset_sequence(self):
         self._gseq = 0
         self._seq = 0
 
@@ -52,39 +48,17 @@ class Replicator:
         """Replicate one fetched instruction into an R-copy group."""
         inst = record.inst
         meta = record.meta
-        group = Group(self._gseq, record.pc, inst, record.pred_npc,
+        gseq = self._gseq
+        group = Group(gseq, record.pc, inst, record.pred_npc,
                       record.pred_taken, record.ras_snap,
                       record.fetch_cycle, meta)
-        self._gseq += 1
-        injector = self.fault_injector
-        rng_random = None
-        copy_rate = 0.0
-        site_policy = None
-        if injector is not None:
-            # Rate draws inlined (plan_for_*_hit fires on the rare hit);
-            # the RNG sequence is identical to the plan_for_* methods.
-            rng_random = injector._rng.random
-            copy_rate = injector._rate
-            pc_rate = injector._pc_rate
-            if pc_rate > 0 and rng_random() < pc_rate:
-                plan = injector.plan_for_group_hit()
-                # Upset in the (unprotected) PC register: all copies see
-                # the same wrong PC; only PC-continuity checking catches
-                # it (Section 3.4).
-                group.pc ^= 1 << plan.bit
-                if self.stats is not None:
-                    self.stats.faults_injected += 1
-        else:
-            site_policy = self.site_policy
-            if site_policy is not None:
-                strike = site_policy.plan_group(group.gseq, cycle)
-                if strike is not None:
-                    # Group-scope (pc) strike: applied right here — the
-                    # corrupted fetch PC is what all copies carry.
-                    group.pc ^= 1 << (strike.bit & 15)
-                    if self.stats is not None:
-                        self.stats.faults_injected += 1
-                        count_strike(self.stats, strike.structure)
+        self._gseq = gseq + 1
+        arms = None
+        policy = self.policy
+        if policy is not None and gseq >= policy.next_group:
+            # Before the copies exist: a pc strike rewrites group.pc,
+            # which inert copies read below.
+            arms = policy.strike(group, cycle, self.stats)
 
         info = meta.info if meta is not None else inst.info
         kind = info.kind
@@ -115,23 +89,12 @@ class Replicator:
                     if producer2 is None:
                         committed2 = committed_read(rs2)
         seq = self._seq
-        vidx = group.gseq * self.redundancy
+        vidx = gseq * self.redundancy
         copies = group.copies
         for copy in range(self.redundancy):
             entry = RobEntry(seq, vidx + copy, group, copy)
             seq += 1
             copies.append(entry)
-            if injector is not None:
-                if rng_random() < copy_rate:
-                    plan = injector.plan_for_copy_hit(inst)
-                    if plan is not None:
-                        entry.fault_kind = plan.kind
-                        entry.fault_bit = plan.bit
-            elif site_policy is not None:
-                strike = site_policy.plan_copy(group.gseq, copy, inst,
-                                               cycle)
-                if strike is not None:
-                    arm_entry(entry, strike)
             if inert:
                 # Nothing to execute: completes at dispatch.
                 entry.state = DONE
@@ -174,6 +137,13 @@ class Replicator:
                             waiters.append((entry, 1))
             entry.state = READY if entry.pending == 0 else WAITING
         self._seq = seq
+        if arms:
+            for copy, kind, bit, op_fault, site in arms:
+                entry = copies[copy]
+                entry.fault_kind = kind
+                entry.fault_bit = bit
+                entry.op_fault = op_fault
+                entry.site = site
         # Register the destination mapping once per group (copy 0's tag;
         # the offset rule recovers the other copies).
         if info.writes_reg and inst.rd != ZERO:

@@ -59,7 +59,7 @@ class RobEntry:
         "op_fault",     # None or (operand slot, bit): source-operand
                         # strike applied at issue (rename_tag/iq_entry)
         "site",         # addressable structure name of a planned site
-                        # strike (None on the legacy rate path)
+                        # strike (None for rate strikes)
         "squashed",
     )
 

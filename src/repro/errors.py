@@ -27,6 +27,14 @@ class ConfigError(ReproError):
     """Raised when a machine configuration is invalid."""
 
 
+class SkippedStrikeError(ReproError):
+    """Raised when a run dispatches past a strike its injection policy
+    scheduled — a snapshot restored past the run's first strike.
+    Deliberately NOT a :class:`SimulationError`: the trial runner turns
+    those into ``timeout`` records, and a skipped strike is a harness
+    bug, not an outcome of the simulated machine."""
+
+
 class OrchestratorError(ReproError):
     """Raised when a multi-shard campaign cannot be driven to
     completion (a shard worker keeps dying past its restart budget)."""

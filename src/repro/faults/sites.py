@@ -93,7 +93,7 @@ def structure_width(structure):
     """Bit width of the field a strike on ``structure`` flips."""
     try:
         return STRUCTURE_WIDTHS[structure]
-    except KeyError:
+    except (KeyError, TypeError):        # TypeError: unhashable name
         raise ConfigError(
             "unknown fault structure %r (choose from %s)"
             % (structure, ", ".join(STRUCTURES))) from None
@@ -225,52 +225,6 @@ class FaultSite:
                    bit=data.get("bit", 0),
                    operand=data.get("operand", 0),
                    window=window)
-
-
-@dataclass(frozen=True)
-class SiteStrike:
-    """A site that armed against one concrete dispatch.
-
-    What an :class:`~repro.faults.policy.InjectionPolicy` hands the
-    pipeline: the structure decides *which* field the engine corrupts,
-    ``bit`` which bit, ``operand`` which source slot (operand
-    structures only).
-    """
-
-    structure: str
-    bit: int
-    operand: int = 0
-
-
-def arm_entry(entry, strike):
-    """Arm one ROB entry with a planned site strike.
-
-    Translates the structure into the engine's application channel:
-    ``fu_result``/``lsq_address``/``branch_outcome`` ride the legacy
-    ``fault_kind`` writeback paths, ``rob_entry`` the post-wakeup
-    ``rob_value`` path, and the operand structures the issue-time
-    ``op_fault`` path.  ``entry.site`` remembers the structure for
-    per-structure accounting.
-    """
-    structure = strike.structure
-    if structure == "fu_result":
-        entry.fault_kind = "value"
-        entry.fault_bit = strike.bit
-    elif structure == "rob_entry":
-        entry.fault_kind = "rob_value"
-        entry.fault_bit = strike.bit
-    elif structure == "lsq_address":
-        entry.fault_kind = "address"
-        entry.fault_bit = strike.bit
-    elif structure == "branch_outcome":
-        entry.fault_kind = "branch"
-        entry.fault_bit = strike.bit
-    elif structure in OPERAND_STRUCTURES:
-        entry.op_fault = (strike.operand, strike.bit)
-    else:
-        raise ConfigError("cannot arm a ROB entry with a %r strike"
-                          % structure)
-    entry.site = structure
 
 
 def count_strike(stats, structure):

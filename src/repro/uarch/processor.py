@@ -53,7 +53,7 @@ from heapq import heapify, heappop, heappush
 
 from ..core.config import FTConfig, UNPROTECTED
 from ..core.detection import CommitChecker, _field_equal
-from ..core.faults import FaultInjector, check_mix_applicability
+from ..core.faults import check_mix_applicability
 from ..core.recovery import ACTION_REWIND, RecoveryController
 from ..core.replication import Replicator
 from ..faults.policy import InjectionPolicy, RatePolicy
@@ -143,8 +143,6 @@ class Processor:
 
         self.groups = deque()             # in-flight groups, program order
         self.renamer = make_renamer(self.config.rename_scheme, self.groups)
-        self.injector = None
-        site_policy = None
         self.policy = policy
         if policy is not None:
             if not isinstance(policy, InjectionPolicy):
@@ -153,20 +151,14 @@ class Processor:
                     % (policy,))
             policy.bind(self.redundancy)
             policy.reset()
-            if isinstance(policy, RatePolicy):
-                # The rate path keeps its inlined draws against the
-                # wrapped FaultInjector: byte-identical RNG stream.
-                if policy.config.rate_per_million > 0:
-                    check_mix_applicability(policy.config.kind_weights,
-                                            program)
-                    self.injector = policy.injector
-            else:
-                site_policy = policy
+            if isinstance(policy, RatePolicy) \
+                    and policy.config.rate_per_million > 0:
+                check_mix_applicability(policy.config.kind_weights,
+                                        program)
         self.stats = PipelineStats()
         self.replicator = Replicator(self.redundancy, self.renamer,
-                                     self.arch.read_reg, self.injector,
-                                     stats=self.stats,
-                                     site_policy=site_policy)
+                                     self.arch.read_reg, policy,
+                                     stats=self.stats)
         self.checker = CommitChecker(self.ft)
         self.recovery = RecoveryController(self.ft)
         self.lsq = LoadStoreQueue(self.config.lsq_size)

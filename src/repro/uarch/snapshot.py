@@ -369,8 +369,8 @@ class ProcessorSnapshot:
         """Overwrite ``processor``'s mutable state with this snapshot.
 
         ``processor`` must be freshly constructed from the same program
-        object and an equivalent machine configuration; its injector or
-        policy (absent from the fault-free snapshot) is kept as built.
+        object and an equivalent machine configuration; its policy
+        (absent from the snapshot) is kept as built.
         Every call re-clones the frozen state, so one snapshot serves
         any number of restores.
         """

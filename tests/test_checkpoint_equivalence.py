@@ -26,7 +26,6 @@ from repro.campaign.golden import clear_trace_cache
 from repro.campaign.outcome import clear_result_caches, finish_trial
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import open_store
-from repro.faults.policy import RatePolicy
 from repro.harness.bench import run_unoptimized
 from repro.models.presets import get_model
 from repro.program.cache import cached_workload
@@ -53,14 +52,11 @@ def record_lines(spec, options=None):
 
 def straight_record(trial):
     """``trial`` simulated from cycle 0 by the plain windowed protocol."""
-    policy = trial.injection_policy()
-    fault_config = trial.fault_config()
-    if policy is None and fault_config is not None:
-        policy = RatePolicy(fault_config)
     model = trial.resolve_model()
     processor = Processor(
         cached_workload(trial.workload, trial.workload_seed),
-        config=model.config, ft=model.ft, policy=policy)
+        config=model.config, ft=model.ft,
+        policy=trial.injection_policy())
     return finish_trial(trial, processor)[0].to_record()
 
 
@@ -71,6 +67,11 @@ def straight_lines(spec):
 
 def assert_identical(spec):
     assert record_lines(spec) == straight_lines(spec)
+
+
+def boundaries(cell):
+    """The dispatched-group counts of a ladder's snapshots."""
+    return [snapshot.dispatched_groups for snapshot in cell.snapshots]
 
 
 class TestSnapshotRestore:
@@ -173,13 +174,13 @@ class TestSnapshotRestore:
         stats, _, _ = run_checkpointed(fresh(), partial, math.inf, 400,
                                        max_cycles=100_000)
         assert stats.as_dict() == straight.stats.as_dict()
-        assert partial.boundaries == full.boundaries
+        assert boundaries(partial) == boundaries(full)
         assert partial.snapshots[0] is full.snapshots[0]
         # A first strike before the second mark ends the capturing.
         early = CellCheckpoints(program)
-        run_checkpointed(fresh(), early, full.boundaries[1] - 1, 400,
+        run_checkpointed(fresh(), early, boundaries(full)[1] - 1, 400,
                          max_cycles=100_000)
-        assert early.boundaries == full.boundaries[:1]
+        assert boundaries(early) == boundaries(full)[:1]
 
 
 class TestRecordEquivalence:
@@ -211,7 +212,7 @@ class TestRecordEquivalence:
 
     def test_pc_heavy_kind_mix(self):
         # pc faults add a per-group draw ahead of the per-copy draws;
-        # the prewalk must mirror that order exactly.
+        # the rate policy's walk must keep that order exactly.
         assert_identical(bench_spec(
             mixes={"pc-heavy": {"pc": 0.6, "value": 0.4}}))
 
@@ -236,6 +237,35 @@ class TestRecordEquivalence:
                 "zz-strike-250": {"policy": "site_list",
                                   "sites": [{"structure": "fu_result",
                                              "index": 250, "bit": 7}]}}))
+
+
+class TestRateCellWithoutBaseline:
+    """A rate cell with no fault-free baseline (no rate-0 sibling, and
+    too high a rate for one to pay off) still fast-forwards: each trial
+    reads its first strike from its policy, and later replicates
+    restore the marks earlier ones captured from their clean
+    prefixes."""
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"warmup": 150}, {"max_cycles": 700}],
+        ids=["plain", "warmup", "tight-max-cycles"])
+    def test_records_match_straight_runs(self, monkeypatch, overrides):
+        spec = bench_spec(models=("SS-3",), rates_per_million=(1_000.0,),
+                          replicates=4, **overrides)
+        for trial in spec.trials():
+            assert not outcome._worth_baseline(trial,
+                                               trial.injection_policy())
+        restores = []
+        real = ProcessorSnapshot.restore_into
+
+        def counting(snapshot, processor):
+            restores.append(snapshot.dispatched_groups)
+            return real(snapshot, processor)
+        monkeypatch.setattr(ProcessorSnapshot, "restore_into", counting)
+        lines = record_lines(spec)
+        assert restores
+        monkeypatch.setattr(ProcessorSnapshot, "restore_into", real)
+        assert lines == straight_lines(spec)
 
 
 class TestExecutionModes:

@@ -1,16 +1,36 @@
 """The addressable fault-site model and its injection policies."""
 
-import pytest
+import math
+import types
 
-from repro.errors import ConfigError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import ConfigError, SkippedStrikeError
 from repro.faults import (FaultSite, InjectionPolicy, POLICY_REGISTRY,
                           RatePolicy, STRUCTURES, SiteListPolicy,
-                          SiteStrike, StructureSweepPolicy, arm_entry,
-                          build_policy, register_policy,
+                          StructureSweepPolicy, build_policy,
                           structure_applies, structure_width)
 from repro.models.presets import ss1, ss2
 from repro.uarch.processor import Processor
+from repro.uarch.stats import PipelineStats
 from repro.workloads.generator import build_workload
+
+
+def _group(gseq, inst=None, pc=100):
+    """The Group fields a policy's ``strike`` reads and writes."""
+    return types.SimpleNamespace(gseq=gseq, inst=inst, pc=pc)
+
+
+def _insts():
+    """An ALU, a memory and a control instruction from gcc."""
+    program = build_workload("gcc")
+    alu = next(inst for inst in program.text
+               if inst.info.writes_reg and not inst.info.is_mem)
+    mem = next(inst for inst in program.text if inst.info.is_mem)
+    control = next(inst for inst in program.text if inst.is_control)
+    return alu, mem, control
 
 
 class TestFaultSite:
@@ -117,43 +137,41 @@ class TestStructureApplies:
             structure_applies("warp_core", by_kind["alu"])
 
 
-class _Entry:
-    """Minimal RobEntry stand-in for arm_entry unit tests."""
-
-    def __init__(self):
-        self.fault_kind = None
-        self.fault_bit = 0
-        self.op_fault = None
-        self.site = None
-
-
 class TestArmEntry:
+    """A site strike comes back as the ROB-entry fields of its copy."""
+
+    @staticmethod
+    def arms(structure, inst, **fields):
+        policy = SiteListPolicy([FaultSite(structure=structure,
+                                           **fields)])
+        return policy.strike(_group(0, inst), 1, PipelineStats())
+
     def test_result_structures_ride_fault_kind(self):
-        entry = _Entry()
-        arm_entry(entry, SiteStrike(structure="fu_result", bit=9))
-        assert (entry.fault_kind, entry.fault_bit) == ("value", 9)
-        assert entry.site == "fu_result"
-        entry = _Entry()
-        arm_entry(entry, SiteStrike(structure="rob_entry", bit=3))
-        assert entry.fault_kind == "rob_value"
-        entry = _Entry()
-        arm_entry(entry, SiteStrike(structure="lsq_address", bit=1))
-        assert entry.fault_kind == "address"
-        entry = _Entry()
-        arm_entry(entry, SiteStrike(structure="branch_outcome", bit=2))
-        assert entry.fault_kind == "branch"
+        alu, mem, control = _insts()
+        assert self.arms("fu_result", alu, bit=9) \
+            == [(0, "value", 9, None, "fu_result")]
+        assert self.arms("rob_entry", alu, bit=3) \
+            == [(0, "rob_value", 3, None, "rob_entry")]
+        assert self.arms("lsq_address", mem, bit=1) \
+            == [(0, "address", 1, None, "lsq_address")]
+        assert self.arms("branch_outcome", control, bit=2) \
+            == [(0, "branch", 2, None, "branch_outcome")]
 
     def test_operand_structures_ride_op_fault(self):
-        entry = _Entry()
-        arm_entry(entry, SiteStrike(structure="iq_entry", bit=5,
-                                    operand=1))
-        assert entry.op_fault == (1, 5)
-        assert entry.fault_kind is None
-        assert entry.site == "iq_entry"
+        alu, _, _ = _insts()
+        operand = 1 if alu.info.reads_rs2 else 0
+        assert self.arms("iq_entry", alu, bit=5, operand=operand) \
+            == [(0, None, 0, (operand, 5), "iq_entry")]
 
     def test_group_scope_strike_rejected(self):
-        with pytest.raises(ConfigError):
-            arm_entry(_Entry(), SiteStrike(structure="pc", bit=0))
+        # A pc strike is never armed on a copy: it lands on the group.
+        group = _group(0, pc=100)
+        stats = PipelineStats()
+        policy = SiteListPolicy([FaultSite(structure="pc", bit=2)])
+        assert policy.strike(group, 1, stats) == []
+        assert group.pc == 100 ^ 4
+        assert stats.faults_injected == 1
+        assert stats.extras["site_strikes"] == {"pc": 1}
 
 
 class TestSiteListPolicy:
@@ -164,45 +182,53 @@ class TestSiteListPolicy:
             SiteListPolicy([{"structure": "pc"}])      # not a FaultSite
 
     def test_strike_waits_for_applicable_target(self):
-        program = build_workload("gcc")
-        alu_inst = next(inst for inst in program.text
-                        if inst.info.writes_reg and not inst.info.is_mem)
-        mem_inst = next(inst for inst in program.text
-                        if inst.info.is_mem)
+        alu, mem, _ = _insts()
         policy = SiteListPolicy([FaultSite(structure="lsq_address",
-                                           index=5, copy=0, bit=4)])
-        assert policy.plan_copy(4, 0, mem_inst, cycle=1) is None  # early
-        assert policy.plan_copy(5, 1, mem_inst, cycle=1) is None  # copy
-        assert policy.plan_copy(5, 0, alu_inst, cycle=1) is None  # shape
-        strike = policy.plan_copy(7, 0, mem_inst, cycle=1)
-        assert strike == SiteStrike(structure="lsq_address", bit=4)
+                                           index=5, copy=1, bit=4)])
+        policy.bind(2)
+        stats = PipelineStats()
+        assert policy.next_group == 5
+        assert policy.strike(_group(4, mem), 1, stats) == []   # early
+        assert policy.strike(_group(5, alu), 1, stats) == []   # shape
+        assert policy.next_group == 5                 # still waiting
+        # Copy 0 of the same group is not the addressed copy.
+        assert policy.strike(_group(7, mem), 1, stats) \
+            == [(1, "address", 4, None, "lsq_address")]
         assert len(policy.landed) == 1 and not policy.pending
+        assert policy.next_group == math.inf
         # One strike per site: it never fires twice.
-        assert policy.plan_copy(8, 0, mem_inst, cycle=1) is None
+        assert policy.strike(_group(8, mem), 1, stats) == []
 
     def test_window_expiry(self):
-        program = build_workload("gcc")
-        inst = next(inst for inst in program.text
-                    if inst.info.writes_reg)
+        alu, _, _ = _insts()
         policy = SiteListPolicy([FaultSite(structure="fu_result",
                                            index=0, copy=0, bit=1,
                                            window=(0, 10))])
-        assert policy.plan_copy(0, 0, inst, cycle=10) is None
+        assert policy.strike(_group(0, alu), 10, PipelineStats()) == []
         assert len(policy.expired) == 1 and not policy.pending
+        assert policy.next_group == math.inf
 
-    def test_group_scope_sites_fire_in_plan_group(self):
+    def test_group_scope_sites_fire(self):
         policy = SiteListPolicy([FaultSite(structure="pc", index=3,
                                            bit=2)])
-        assert policy.plan_group(2, cycle=1) is None
-        assert policy.plan_group(3, cycle=1) \
-            == SiteStrike(structure="pc", bit=2)
-        assert policy.plan_copy(3, 0, None, cycle=1) is None
+        stats = PipelineStats()
+        assert policy.next_group == 3
+        early = _group(2)
+        assert policy.strike(early, 1, stats) == []
+        assert early.pc == 100
+        due = _group(3)
+        assert policy.strike(due, 1, stats) == []
+        assert due.pc == 100 ^ 4 and stats.faults_injected == 1
 
     def test_reset_rearms(self):
         policy = SiteListPolicy([FaultSite(structure="pc", bit=1)])
-        assert policy.plan_group(0, 1) is not None
+        stats = PipelineStats()
+        policy.strike(_group(0), 1, stats)
+        assert policy.next_group == math.inf
         policy.reset()
-        assert policy.plan_group(0, 1) is not None
+        assert policy.next_group == 0
+        policy.strike(_group(0), 1, stats)
+        assert stats.faults_injected == 2
 
 
 class TestStructureSweepPolicy:
@@ -244,6 +270,15 @@ class TestStructureSweepPolicy:
             StructureSweepPolicy("pc", strikes=0)
         with pytest.raises(ConfigError):
             StructureSweepPolicy("pc", horizon=0)
+        for seed in ([1], True, 1.5, "7"):
+            with pytest.raises(ConfigError):
+                StructureSweepPolicy("pc", seed=seed)
+
+    def test_next_group_is_the_smallest_pending_index(self):
+        policy = StructureSweepPolicy("pc", strikes=3, horizon=500,
+                                      seed=4)
+        assert policy.next_group == min(site.index
+                                        for site in policy.sites)
 
 
 class TestBuildPolicyAndRegistry:
@@ -289,32 +324,12 @@ class TestBuildPolicyAndRegistry:
             def reset(self):
                 pass
 
+            def strike(self, group, cycle, stats):
+                return None
+
         # describe() has a working default: subclasses are not forced
         # to implement a method the harness may never call.
         assert Minimal().describe()
-
-    def test_register_policy_validates(self):
-        with pytest.raises(ConfigError):
-            register_policy(dict)
-
-        class Nameless(InjectionPolicy):
-            def reset(self):
-                pass
-
-            def describe(self):
-                return ""
-
-        with pytest.raises(ConfigError):
-            register_policy(Nameless)
-
-        class Custom(Nameless):
-            name = "custom-test"
-
-        try:
-            assert register_policy(Custom) is Custom
-            assert POLICY_REGISTRY["custom-test"] is Custom
-        finally:
-            POLICY_REGISTRY.pop("custom-test", None)
 
 
 #: Strikes used by the engine-integration matrix: index 50 lands well
@@ -397,3 +412,83 @@ class TestEngineIntegration:
                                policy=RatePolicy(config))
         via_policy.run(max_instructions=1_500, max_cycles=100_000)
         assert via_config.stats.as_dict() == via_policy.stats.as_dict()
+
+    def test_rate_strikes_carry_no_site(self):
+        """Rate strikes leave ``entry.site`` unset, so rate runs (and
+        their records) never gain a ``site_strikes`` ledger."""
+        from repro.core.faults import FaultConfig
+        program = build_workload("gcc")
+        model = ss2()
+        processor = Processor(
+            program, config=model.config, ft=model.ft,
+            policy=RatePolicy(FaultConfig(rate_per_million=20_000.0,
+                                          seed=4242)))
+        processor.run(max_instructions=1_500, max_cycles=100_000)
+        assert processor.stats.faults_injected > 0
+        assert "site_strikes" not in processor.stats.extras
+
+
+class TestRateStrikeSchedule:
+    def test_skipped_strike_fails_loudly(self):
+        """A run that dispatches past the next hit without striking it
+        (a restore past the first strike) is an error, not a record."""
+        from repro.core.faults import FaultConfig
+        policy = RatePolicy(FaultConfig(rate_per_million=50_000.0,
+                                        seed=3))
+        policy.bind(2)
+        first = policy.look_ahead(10_000)
+        alu, _, _ = _insts()
+        with pytest.raises(SkippedStrikeError):
+            policy.strike(_group(first + 1, alu), 1, PipelineStats())
+
+    def test_zero_rate_never_strikes(self):
+        from repro.core.faults import FaultConfig
+        policy = RatePolicy(FaultConfig(rate_per_million=0.0))
+        assert policy.look_ahead(10_000) == math.inf
+
+
+#: Keys and values a fault-site spec uses, mixed into arbitrary JSON so
+#: the fuzz reaches past the first shape check.
+_SPEC_KEYS = st.sampled_from(
+    ["policy", "sites", "structure", "strikes", "horizon", "seed",
+     "index", "copy", "bit", "operand", "window"])
+_SPEC_WORDS = st.sampled_from(
+    ["site_list", "structure_sweep", "rate"] + list(STRUCTURES))
+# Integers stay small: ``strikes`` samples that many sites eagerly.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-70, 3_000)
+    | st.floats(allow_nan=True) | st.text(max_size=8) | _SPEC_WORDS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_SPEC_KEYS | st.text(max_size=6), children,
+                      max_size=6),
+    max_leaves=16)
+
+
+class TestHostileSpecs:
+    """Untrusted site specs fail only with ConfigError."""
+
+    def test_unhashable_structure_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            FaultSite.from_dict({"structure": ["pc"]})
+        with pytest.raises(ConfigError):
+            build_policy({"policy": "site_list",
+                          "sites": [{"structure": {"a": 1}}]})
+        with pytest.raises(ConfigError):
+            build_policy({"policy": "structure_sweep",
+                          "structure": "pc", "seed": [1]})
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON)
+    def test_fault_site_from_dict_fuzz(self, data):
+        try:
+            FaultSite.from_dict(data)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON)
+    def test_build_policy_fuzz(self, data):
+        try:
+            build_policy(data, seed=5, horizon=100)
+        except ConfigError:
+            pass

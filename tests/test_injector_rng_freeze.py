@@ -1,19 +1,22 @@
-"""The legacy injector RNG contract, frozen.
+"""The injector RNG contract, frozen.
 
-Trial keys, records, `checkpoint._prewalk_injector` and the
-golden-result reuse shortcut all assume the injector consumes its RNG
-in one exact order: per group, one ``pc``-rate draw (when the mix gives
-``pc`` weight), then one rate draw per redundant copy, with kind/bit
-draws only on a hit.  ``tests/data/golden_injector_draws.json`` records
-the full plan sequence of a fixed (seed, rate, workload) walk as
-generated by the pre-refactor injector; any refactor that shifts the
-stream — reordering draws, consuming extra randomness, changing the
-kind-fit rules — fails here before it can silently invalidate every
-stored campaign.
+Trial keys, records, the silent-trial shortcut and checkpoint restores
+all assume the rate injector consumes its RNG in one exact order: per
+group, one ``pc``-rate draw (when the mix gives ``pc`` weight), then
+one rate draw per redundant copy, with kind/bit draws only on a hit.
+:class:`~repro.faults.policy.RatePolicy` walks the rate draws ahead of
+dispatch and makes a hit's kind/bit draws when its group dispatches;
+the stream must not notice.  ``tests/data/golden_injector_draws.json``
+records the full plan sequence of a fixed (seed, rate, workload) walk
+as generated by the pre-refactor injector; any refactor that shifts
+the stream — reordering draws, consuming extra randomness, changing
+the kind-fit rules — fails here before it can silently invalidate
+every stored campaign.
 """
 
 import json
 import os
+import types
 
 import pytest
 
@@ -22,20 +25,25 @@ from repro.core.faults import (FaultConfig, FaultInjector, FaultPlan,
 from repro.errors import ConfigError
 from repro.faults.policy import RatePolicy
 from repro.isa.builder import ProgramBuilder
+from repro.uarch.stats import PipelineStats
 from repro.workloads.generator import build_workload
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                        "golden_injector_draws.json")
 
 
-def _walk_injector(injector, golden):
-    """Replay the fixture's dispatch walk; return the plan log."""
+def _fixture_insts(golden):
+    """The fixture's dispatch stream: one instruction per group."""
     program = build_workload(golden["workload"])
     insts = [program.fetch(pc) for pc in
              range(program.entry, program.entry + 400)]
-    insts = [inst for inst in insts if inst is not None]
+    return [inst for inst in insts if inst is not None] * golden["passes"]
+
+
+def _walk_injector(injector, golden):
+    """Replay the fixture's dispatch walk; return the plan log."""
     plans = []
-    for n, inst in enumerate(insts * golden["passes"]):
+    for n, inst in enumerate(_fixture_insts(golden)):
         plan = injector.plan_for_group(inst)
         if plan is not None:
             plans.append(["group", n, plan.kind, plan.bit])
@@ -64,14 +72,29 @@ class TestGoldenDrawSequence:
         assert injector._rng.random() == golden["tail_draw"]
 
     def test_rate_policy_wraps_the_same_stream(self, golden):
-        """RatePolicy is the legacy injector: same draws, same plans."""
+        """Driven through next_group/strike as the replicator drives
+        it, RatePolicy makes the injector's plans, in order."""
         policy = RatePolicy(FaultConfig(
             rate_per_million=golden["rate_per_million"],
             seed=golden["seed"]))
+        policy.bind(golden["redundancy"])
         policy.reset()
-        plans = _walk_injector(policy.injector, golden)
+        stats = PipelineStats()
+        plans = []
+        for n, inst in enumerate(_fixture_insts(golden)):
+            if n < policy.next_group:
+                continue
+            group = types.SimpleNamespace(gseq=n, inst=inst, pc=0)
+            arms = policy.strike(group, 0, stats)
+            if group.pc:
+                plans.append(["group", n, "pc", group.pc.bit_length() - 1])
+            for copy, kind, bit, op_fault, site in arms or ():
+                assert op_fault is None and site is None
+                plans.append(["copy", n, copy, kind, bit])
         assert plans == golden["plans"]
-        assert policy.injector._rng.random() == golden["tail_draw"]
+        assert policy.injector.planned == golden["planned"]
+        assert stats.faults_injected == sum(
+            1 for plan in golden["plans"] if plan[0] == "group")
 
     def test_reset_rewinds_the_stream(self, golden):
         injector = FaultInjector(FaultConfig(

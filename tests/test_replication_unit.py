@@ -2,25 +2,29 @@
 
 import pytest
 
-from repro.core.faults import FaultConfig, FaultInjector
+from repro.core.faults import FaultConfig
 from repro.core.replication import Replicator
 from repro.core.rob import DONE, READY, WAITING
+from repro.faults.policy import RatePolicy
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.uarch.fetch import FetchRecord
 from repro.uarch.rename import MapTableRenamer
+from repro.uarch.stats import PipelineStats
 
 
 def _record(inst, pc=0):
     return FetchRecord(pc, inst, pc + 1, False, None, fetch_cycle=1)
 
 
-def _replicator(redundancy=2, committed=None, injector=None):
+def _replicator(redundancy=2, committed=None, policy=None):
     renamer = MapTableRenamer()
     committed = committed or {}
+    if policy is not None:
+        policy.bind(redundancy)
     return Replicator(redundancy, renamer,
                       lambda areg: committed.get(areg, 0),
-                      fault_injector=injector), renamer
+                      policy=policy, stats=PipelineStats()), renamer
 
 
 class TestGroupConstruction:
@@ -117,10 +121,10 @@ class TestOperandWiring:
 
 class TestFaultPlanning:
     def test_plans_attached_to_copies(self):
-        injector = FaultInjector(FaultConfig(rate_per_million=1_000_000,
-                                             seed=1,
-                                             kind_weights={"value": 1.0}))
-        replicator, _ = _replicator(injector=injector)
+        policy = RatePolicy(FaultConfig(rate_per_million=1_000_000,
+                                        seed=1,
+                                        kind_weights={"value": 1.0}))
+        replicator, _ = _replicator(policy=policy)
         group = replicator.build_group(
             _record(Instruction(Op.ADDI, rd=1, rs1=0, imm=5)), 1)
         assert all(entry.fault_kind == "value"

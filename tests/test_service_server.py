@@ -200,6 +200,14 @@ HOSTILE_BODIES = {
                               "options": {"sampling": {
                                   "mode": "fixed",
                                   "target_halfwidth": "x"}}},
+    "list-site-structure": {"spec": dict(
+        spec_dict(), rates_per_million=[0.0],
+        fault_sites={"x": {"policy": "site_list",
+                           "sites": [{"structure": ["pc"]}]}})},
+    "list-sweep-seed": {"spec": dict(
+        spec_dict(), rates_per_million=[0.0],
+        fault_sites={"x": {"policy": "structure_sweep",
+                           "structure": "pc", "seed": [1]}})},
     "integer-job-id": {"spec": spec_dict(), "job_id": 5},
     "escaping-job-id": {"spec": spec_dict(), "job_id": "../escape"},
 }

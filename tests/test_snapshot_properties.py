@@ -11,7 +11,10 @@ facts checked here over generated programs (the strategies of
   and every written memory cell;
 * a prefix that dispatched no more groups than a site's index is clean:
   a snapshot of it, taken with the site armed or not, restores into a
-  site-armed processor and runs on to the straight armed run's state.
+  site-armed processor and runs on to the straight armed run's state;
+* the same holds for a rate policy's first strike, with no RNG
+  re-seat: the policy's walk is keyed by dispatched-group index, so
+  the restored run replays the straight run's draw stream.
 
 A snapshot's memory image is the written cells only, so its size is
 also pinned.
@@ -24,8 +27,9 @@ from hypothesis import strategies as st
 
 from repro.core.config import (DUAL_REDUNDANT, TRIPLE_MAJORITY,
                                TRIPLE_REWIND, UNPROTECTED)
+from repro.core.faults import FaultConfig
 from repro.errors import SimulationError
-from repro.faults.policy import SiteListPolicy
+from repro.faults.policy import RatePolicy, SiteListPolicy
 from repro.faults.sites import (OPERAND_STRUCTURES, STRUCTURES,
                                 FaultSite, structure_width)
 from repro.uarch.processor import Processor
@@ -136,4 +140,51 @@ def test_clean_prefix_restores_under_an_armed_site(program, machine,
     for snapshot in (ProcessorSnapshot(clean),
                      ProcessorSnapshot(armed_prefix)):
         processor = restored(snapshot, program, config, ft, armed())
+        assert final_state(processor, max_cycles) == expected
+
+
+@_SETTINGS
+@given(programs(), redundant_machines(), st.data())
+def test_clean_prefix_restores_under_a_rate_policy(program, machine,
+                                                   data):
+    config, ft = machine
+    probe = Processor(program, config=config, ft=ft)
+    probe.run(max_cycles=_MAX_CYCLES)
+    assert probe.halted
+    boundary = data.draw(st.integers(min_value=1,
+                                     max_value=probe.stats.instructions))
+    clean = Processor(program, config=config, ft=ft)
+    clean.run(max_instructions=boundary, max_cycles=_MAX_CYCLES)
+    dispatched = clean.stats.dispatched_groups
+    # A per-copy rate giving a few hits over the whole run, capped so
+    # a short run still leaves seeds whose first hit is past the prefix.
+    hits = data.draw(st.floats(min_value=0.5, max_value=3.0))
+    rate = min(5e4, 1e6 * hits / (probe.stats.dispatched_groups
+                                  * (ft.redundancy + 1)))
+
+    def armed(seed):
+        policy = RatePolicy(FaultConfig(rate_per_million=rate,
+                                        seed=seed))
+        policy.bind(ft.redundancy)
+        return policy
+
+    # The first seed from the drawn one that strikes nothing in the
+    # prefix, i.e. whose first next_group is at or past it.
+    seed = data.draw(st.integers(min_value=0, max_value=2 ** 16))
+    for seed in range(seed, seed + 2_000):
+        if armed(seed).look_ahead(dispatched) >= dispatched:
+            break
+    else:
+        raise AssertionError("no seed leaves the prefix unstruck")
+    max_cycles = 3 * probe.cycle + 500
+    expected = final_state(
+        Processor(program, config=config, ft=ft, policy=armed(seed)),
+        max_cycles)
+    armed_prefix = Processor(program, config=config, ft=ft,
+                             policy=armed(seed))
+    armed_prefix.run(max_instructions=boundary, max_cycles=max_cycles)
+    assert armed_prefix.stats.dispatched_groups == dispatched
+    for snapshot in (ProcessorSnapshot(clean),
+                     ProcessorSnapshot(armed_prefix)):
+        processor = restored(snapshot, program, config, ft, armed(seed))
         assert final_state(processor, max_cycles) == expected
