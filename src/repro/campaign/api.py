@@ -342,8 +342,8 @@ def _warm_worker(payloads):
 
     Executes each warm payload (a cell's trial with the rate forced to
     zero and sites stripped) so the worker's decoded-program, golden-
-    trace, fault-free-baseline and checkpoint caches are hot before
-    its first real trial.  Purely a warm-up: results are discarded,
+    trace, fault-free-twin and checkpoint caches are hot before its
+    first real trial.  Purely a warm-up: results are discarded,
     and a failing twin is skipped — an initializer exception would
     permanently break the pool, and the real trial will surface the
     same error as a normal record or worker failure.

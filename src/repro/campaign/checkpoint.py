@@ -1,25 +1,32 @@
-"""Checkpointed fast-forward: skip a struck trial's fault-free prefix.
+"""Checkpointed fast-forward and exact early exit for struck trials.
 
-Every struck trial of a cell re-simulates the same fault-free prefix up
-to its first strike — for low rates and directed site lists that prefix
-is most of the run.  This module removes it without changing a single
-record byte:
+A struck trial differs from its cell's fault-free run only between its
+first strike and the point where the fault has washed out; this
+module simulates just that stretch, without changing a single record
+byte:
 
 * :class:`CellCheckpoints` is one cell's ladder: a
   :class:`~repro.uarch.snapshot.ProcessorSnapshot` at each of the first
   ``CHECKPOINTS_PER_CELL - 1`` multiples of :func:`default_interval`
-  committed instructions.
-* :func:`run_checkpointed` is the one windowed runner.  It restores the
-  latest snapshot at or before the run's first strike, then finishes
+  committed instructions.  A struck run restores the latest one at or
+  before its first strike, skipping the clean prefix.
+* :class:`FaultFreeTwin` is the cell's fault-free run as struck runs
+  see it: every ``DIGEST_INTERVAL`` committed instructions, its
+  normalized state digest (:func:`~repro.uarch.snapshot.digest_parts`),
+  its ``PipelineStats`` sums and its dispatched-group count.  A struck
+  run whose state re-converges with the twin's at a mark, once its
+  policy has nothing left to strike, stops there: its final sums are
+  its sums at the match plus the twin's remaining delta, and its
+  verdict is the twin's.
+* :func:`run_checkpointed` is the one windowed runner.  It finishes
   the warmup-then-measure protocol of
-  :func:`repro.harness.experiment.run_windowed` in chunks, capturing
-  every mark the ladder lacks while the machine has dispatched no more
-  than first-strike groups.  Chained ``Processor.run`` calls check
+  :func:`repro.harness.experiment.run_windowed` in chunks toward
+  ladder and digest marks.  Chained ``Processor.run`` calls check
   their budgets before every step, so the segmented run is
-  cycle-for-cycle identical to the straight one.  No run exists only
-  to fill a ladder: marks are captured from the clean prefixes of runs
-  a campaign makes anyway (the fault-free baseline, or a struck trial
-  up to its first strike).
+  cycle-for-cycle identical to the straight one.  The fault-free run
+  (which a campaign makes once per cell anyway) fills every ladder
+  mark and records the twin's marks; a struck run fills the ladder
+  marks still missing from its own clean prefix.
 
 Why the prefix is exactly equivalent: the first strike is the run's
 :class:`~repro.faults.policy.InjectionPolicy`'s ``next_group``, and no
@@ -29,17 +36,35 @@ run replays the same draw stream.  A snapshot taken at
 dispatched-group count ``D <= first_strike``, by whichever run reached
 it, therefore continues into the struck run exactly.
 
-The store is per-process (snapshots share decoded-instruction objects
-with the live program and cannot cross pickling boundaries) and
-LRU-bounded so long multi-cell campaigns do not grow without limit.
+Why the suffix is: two machines whose digests match at the same
+committed count are in the same state up to a shift in cycles and ages
+and up to their running totals, so from there they run the same
+trajectory, shifted.  Both runs stop at the same final committed
+count (the warmup stamps are still ahead of both, or both crossed the
+boundary with the same commit overshoot), the struck run's policy
+strikes no group below ``D`` plus the twin's remaining groups, and the
+twin's final cycle plus the shift stays within the cycle budget, so no
+budget check or strike tells the two apart.  The twin's verdict was
+clean and the two final states are equal, so it holds for the struck
+run too; only masked versus detected_recovered depends on the spliced
+counters.
+
+The ladders are per-process (snapshots share decoded-instruction
+objects with the live program and cannot cross pickling boundaries)
+and LRU-bounded so long multi-cell campaigns do not grow without
+limit.  The twin's marks are plain values and live with its memoized
+result in :mod:`repro.campaign.outcome`, so an evicted ladder never
+turns the early exit off, and an evicted twin is simply run again.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 
 from ..harness.experiment import cycle_budget
-from ..uarch.snapshot import ProcessorSnapshot
+from ..uarch.snapshot import (STATS_SUMS, ProcessorSnapshot, digest_parts,
+                              state_digest)
 
 #: Cells whose ladders are retained per process.
 _STORE_LIMIT = 2
@@ -49,6 +74,9 @@ CHECKPOINTS_PER_CELL = 4
 
 #: Never checkpoint more often than this many committed instructions.
 MIN_INTERVAL = 50
+
+#: Committed instructions between the fault-free twin's digest marks.
+DIGEST_INTERVAL = 100
 
 
 def default_interval(instructions, warmup=0):
@@ -92,8 +120,92 @@ class CellCheckpoints:
         return best
 
 
+class _Mark:
+    """A run's position, ``PipelineStats`` sums and (at a digest mark)
+    normalized state digest."""
+
+    __slots__ = ("instructions", "cycle", "dispatched_groups", "sums",
+                 "digest")
+
+    def __init__(self, processor, digest=None):
+        stats = processor.stats
+        self.instructions = stats.instructions
+        self.cycle = processor.cycle
+        self.dispatched_groups = stats.dispatched_groups
+        self.sums = [getattr(stats, name) for name in STATS_SUMS]
+        self.digest = digest
+
+
+class FaultFreeTwin:
+    """A cell's fault-free run, as its struck runs compare against it.
+
+    :func:`run_checkpointed` fills :attr:`marks` (digest mark ->
+    :class:`_Mark`), :attr:`final` and the warmup stamps while running
+    the fault-free trial; the caller then sets :attr:`result`,
+    :attr:`groups` and :attr:`exits` from that trial's outcome.
+    """
+
+    def __init__(self):
+        self.marks = {}
+        self.final = None
+        self.warm_cycles = 0
+        self.warm_instructions = 0
+        #: The fault-free trial's result and dispatched-group count.
+        self.result = None
+        self.groups = 0
+        #: Whether struck runs may splice onto this run: its verdict
+        #: was clean.
+        self.exits = False
+
+    def converged(self, mark, processor, max_cycles, warm_instructions):
+        """Has the struck run ``processor``, stopped at digest ``mark``,
+        re-converged with this run for good?
+
+        ``warm_instructions`` is the committed count at which the run
+        crossed its warmup boundary, or ``None`` while it has not.
+        Cheapest tests first: the same committed count, the same final
+        target, a shifted end that fits ``max_cycles``, nothing left
+        for the policy to strike in the groups the rest of the run
+        dispatches, then the digest, part by part.
+        """
+        at = self.marks.get(mark)
+        if at is None:
+            return False
+        stats = processor.stats
+        if stats.instructions != at.instructions:
+            return False
+        if warm_instructions is not None \
+                and warm_instructions != self.warm_instructions:
+            # The run crossed the warmup boundary with another commit
+            # overshoot than this run, so its measurement window ends
+            # at another committed count, possibly in another cycle.
+            return False
+        if self.final.cycle + processor.cycle - at.cycle > max_cycles:
+            # Processor.run tests the budget before every step and caps
+            # idle skips at it, so a shifted end inside the budget never
+            # meets it; past it the run must simulate on to its timeout.
+            return False
+        end = stats.dispatched_groups + self.final.dispatched_groups \
+            - at.dispatched_groups
+        if processor.policy.look_ahead(end) < end:
+            return False
+        return all(mine == theirs for mine, theirs
+                   in zip(digest_parts(processor), at.digest))
+
+    def splice(self, mark, processor):
+        """Finish ``processor``'s totals by arithmetic from the match at
+        ``mark``: each sum gains the twin's remaining delta."""
+        at = self.marks[mark]
+        stats = processor.stats
+        for name, start, end in zip(STATS_SUMS, at.sums, self.final.sums):
+            setattr(stats, name, getattr(stats, name) + end - start)
+        return processor.cycle - at.cycle
+
+
 class CheckpointStore:
-    """LRU cell-checkpoint store with hit/miss/eviction counters."""
+    """LRU store of per-cell objects with hit/miss/eviction counters:
+    the checkpoint ladders here, the fault-free twins in
+    :mod:`repro.campaign.outcome`."""
 
     def __init__(self, limit=_STORE_LIMIT):
         self.limit = limit
@@ -152,7 +264,7 @@ def checkpoint_store_stats():
 
 
 def run_checkpointed(processor, cell, first_strike, max_instructions,
-                     warmup_instructions=0, max_cycles=None):
+                     warmup_instructions=0, max_cycles=None, twin=None):
     """`run_windowed` over ``cell``'s ladder, for a run that strikes
     no dispatched group below ``first_strike`` (``math.inf``: never).
 
@@ -167,9 +279,17 @@ def run_checkpointed(processor, cell, first_strike, max_instructions,
     once crossed — after any warmup stamping due at the same boundary,
     never at the final target, never once the machine halted or
     exhausted its cycle budget, and never after the machine dispatched
-    more than ``first_strike`` groups.  Returns ``(stats, warm_cycles,
-    warm_instructions)`` exactly like
-    :func:`repro.harness.experiment.run_windowed`.
+    more than ``first_strike`` groups.
+
+    ``twin`` is the cell's :class:`FaultFreeTwin`.  A fault-free run
+    records its digest marks and final totals into it.  A struck run
+    stops at the first digest mark where it has re-converged with the
+    twin (:meth:`FaultFreeTwin.converged`) and finishes its totals and
+    warmup stamps by arithmetic, outside ``Processor.run``.
+
+    Returns ``(stats, warm_cycles, warm_instructions, converged)`` like
+    :func:`repro.harness.experiment.run_windowed`, plus the twin the
+    run converged with (``None`` if it ran to its end).
     """
     if max_cycles is None:
         max_cycles = cycle_budget(max_instructions, warmup_instructions)
@@ -191,6 +311,10 @@ def run_checkpointed(processor, cell, first_strike, max_instructions,
     todo = [mark for mark in (interval * k for k in
                               range(1, CHECKPOINTS_PER_CELL))
             if mark > stats.instructions and mark not in cell]
+    recording = processor.policy is None
+    digest_mark = math.inf
+    if twin is not None and (recording or twin.exits):
+        digest_mark = _next_digest_mark(stats.instructions)
     while True:
         if stats.dispatched_groups > first_strike:
             todo = []
@@ -198,6 +322,7 @@ def run_checkpointed(processor, cell, first_strike, max_instructions,
         target = warmup_instructions if warm_pending else final
         if todo:
             target = min(target, todo[0])
+        target = min(target, digest_mark)
         if target > current:
             stats = processor.run(max_instructions=target - current,
                                   max_cycles=max_cycles)
@@ -218,5 +343,30 @@ def run_checkpointed(processor, cell, first_strike, max_instructions,
             mark = todo.pop(0)
             if stats.dispatched_groups <= first_strike:
                 cell.add(mark, ProcessorSnapshot(processor))
+        if current >= digest_mark:
+            if recording:
+                twin.marks[digest_mark] = _Mark(processor,
+                                                state_digest(processor))
+            elif twin.converged(digest_mark, processor, max_cycles,
+                                None if warm_pending else warm_instructions):
+                shift = twin.splice(digest_mark, processor)
+                if warm_pending:
+                    # The twin crossed the warmup boundary on the
+                    # shared trajectory, ``shift`` cycles earlier.
+                    warm_cycles = twin.warm_cycles + shift
+                    warm_instructions = twin.warm_instructions
+                    stats.extras["warmup_cycles"] = warm_cycles
+                    stats.extras["warmup_instructions"] = \
+                        warm_instructions
+                return stats, warm_cycles, warm_instructions, twin
+            digest_mark = _next_digest_mark(current)
     stats.cycles = processor.cycle
-    return stats, warm_cycles, warm_instructions
+    if recording and twin is not None:
+        twin.final = _Mark(processor)
+        twin.warm_cycles = warm_cycles
+        twin.warm_instructions = warm_instructions
+    return stats, warm_cycles, warm_instructions, None
+
+
+def _next_digest_mark(committed):
+    return (committed // DIGEST_INTERVAL + 1) * DIGEST_INTERVAL

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 from ..errors import SimulationError
-from ..faults.policy import WALK_CHUNK
 from ..harness.experiment import cycle_budget, run_windowed
 from ..program.cache import cached_workload as _cached_workload
 from ..program.cache import workload_cache_stats
@@ -42,10 +41,17 @@ TIMEOUT = "timeout"
 
 OUTCOMES = (MASKED, DETECTED_RECOVERED, SDC, TIMEOUT)
 
-#: Per-process memo of fault-free trial results: with no injector the
-#: simulation is a pure function of (workload, model, budgets), so all
-#: replicates of a rate-0 cell share one execution.
-_FAULTFREE_CACHE = {}
+#: Cells whose fault-free twins are retained per process.
+_TWIN_LIMIT = 16
+
+#: Per-process LRU memo of each cell's fault-free twin
+#: (:class:`~repro.campaign.checkpoint.FaultFreeTwin`): with no
+#: injector the simulation is a pure function of (workload, model,
+#: budgets), so all replicates of a rate-0 cell share one execution,
+#: and every struck trial of the cell compares against its marks.
+#: Bounded so a long-lived service worker does not keep a twin for
+#: every cell it ever ran; an evicted twin is simply run again.
+_FAULTFREE_CACHE = _checkpoint.CheckpointStore(limit=_TWIN_LIMIT)
 
 #: Optional monotonic clock injected by the bench harness (see
 #: :func:`set_phase_clock`); ``None`` — the default — keeps this
@@ -138,37 +144,30 @@ class TrialResult:
 def run_trial(trial):
     """Execute one :class:`~repro.campaign.spec.Trial` and classify it.
 
-    All replicates of a fault-free cell share one execution.  A struck
+    Every cell runs its fault-free twin once per process, and all
+    replicates of a fault-free cell share that execution.  A struck
     trial first asks its policy for its first strike
     (:meth:`~repro.faults.policy.InjectionPolicy.look_ahead`), before
     the processor is built, because building resets the policy.  When
-    the first strike is at or past the fault-free run's dispatched-group
-    count, the trial is that run and reuses it.  Every other struck
-    trial fast-forwards to the latest snapshot of its cell's checkpoint
-    ladder at or before its first strike and simulates only the suffix,
-    filling the ladder's missing marks from its own clean prefix on the
-    way (:mod:`repro.campaign.checkpoint`).  A cell without a baseline
-    looks at most ``WALK_CHUNK`` groups ahead for the first strike;
-    past that, the first strike is a safe lower bound.
+    the first strike is at or past the twin's dispatched-group count,
+    the trial is the twin and reuses it.  Every other struck trial
+    fast-forwards to the latest snapshot of its cell's checkpoint
+    ladder at or before its first strike, simulates from there, and
+    stops early once its state re-converges with the twin's
+    (:mod:`repro.campaign.checkpoint`).
     """
     policy = trial.injection_policy()
-    baseline_key = _baseline_key(trial)
-    entry = _FAULTFREE_CACHE.get(baseline_key)
-    if entry is None and _worth_baseline(trial, policy):
-        entry = _run_baseline(trial, baseline_key)
+    twin = _fault_free_twin(trial)
     if policy is None:
-        return replace(entry[0], trial=trial.to_dict())
-    if entry is None:
-        first_strike = policy.look_ahead(WALK_CHUNK)
-    else:
-        result, groups = entry
-        first_strike = policy.look_ahead(groups)
-        if first_strike >= groups:
-            # Nothing strikes before the fault-free run ends: the trial
-            # is the fault-free run.
-            return replace(result, trial=trial.to_dict())
+        return replace(twin.result, trial=trial.to_dict())
+    first_strike = policy.look_ahead(twin.groups)
+    if first_strike >= twin.groups:
+        # Nothing strikes before the fault-free run ends: the trial is
+        # the fault-free run.
+        return replace(twin.result, trial=trial.to_dict())
     processor = _build_processor(trial, policy)
-    return _finish_checkpointed(trial, processor, first_strike)[0]
+    return _finish_checkpointed(trial, processor, _cell_checkpoints(trial),
+                                first_strike, twin)[0]
 
 
 def _baseline_key(trial):
@@ -192,49 +191,39 @@ def _cell_checkpoints(trial):
     return cell
 
 
-def _finish_checkpointed(trial, processor, first_strike):
+def _finish_checkpointed(trial, processor, cell, first_strike, twin):
     """:func:`finish_trial` through
     :func:`repro.campaign.checkpoint.run_checkpointed` on the cell's
-    ladder."""
-    cell = _cell_checkpoints(trial)
-
+    ladder and twin."""
     def runner(proc, max_cycles):
         return _checkpoint.run_checkpointed(
             proc, cell, first_strike, trial.instructions, trial.warmup,
-            max_cycles)
+            max_cycles, twin)
 
     return finish_trial(trial, processor, runner=runner)
 
 
-def _run_baseline(trial, baseline_key):
-    """Run and memoize the fault-free twin of ``trial``, filling the
-    cell's ladder on the way (stats and classification stay
-    byte-identical to the straight run)."""
-    processor = _build_processor(trial, None)
-    entry = _finish_checkpointed(trial, processor, math.inf)
-    _FAULTFREE_CACHE[baseline_key] = entry
-    return entry
+def _fault_free_twin(trial):
+    """The memoized fault-free twin of ``trial``'s cell."""
+    key = _baseline_key(trial)
+    twin = _FAULTFREE_CACHE.get(key)
+    if twin is None:
+        twin = _run_twin(trial, _build_processor(trial, None),
+                         _cell_checkpoints(trial))
+        _FAULTFREE_CACHE.put(key, twin)
+    return twin
 
 
-def _worth_baseline(trial, policy):
-    """Is computing the fault-free baseline likely to pay off?
-
-    Pure performance heuristic (never affects results): a fault-free
-    trial is its own baseline, and a site trial never pays for one.
-    For a rate trial, estimate the probability that it draws no fault
-    at all; only spend a baseline simulation when silent trials are
-    likely enough to be reused by this cell's replicates.
-    """
-    if policy is None:
-        return True
-    if trial.sites:
-        return False
-    model = trial.resolve_model()
-    draws_per_group = model.ft.redundancy + 1
-    estimated_groups = 2.5 * (trial.instructions + trial.warmup)
-    p_silent = math.exp(-policy.config.rate * draws_per_group
-                        * estimated_groups)
-    return p_silent >= 0.3
+def _run_twin(trial, processor, cell):
+    """Run the fault-free ``processor`` as the twin of ``trial``'s cell,
+    filling ``cell``'s ladder and recording the twin's digest marks on
+    the way (its stats and classification stay byte-identical to the
+    straight run)."""
+    twin = _checkpoint.FaultFreeTwin()
+    twin.result, twin.groups = _finish_checkpointed(
+        trial, processor, cell, math.inf, twin)
+    twin.exits = twin.result.outcome in (MASKED, DETECTED_RECOVERED)
+    return twin
 
 
 def _build_processor(trial, policy):
@@ -270,12 +259,14 @@ def finish_trial(trial, processor, runner=None, golden=_trace_golden):
     """Run ``processor`` through ``runner`` and classify the outcome.
 
     Returns ``(TrialResult, dispatched groups)``.  ``runner(processor,
-    max_cycles)`` must return ``(stats, warm_cycles,
-    warm_instructions)`` following the
+    max_cycles)`` must return ``(stats, warm_cycles, warm_instructions,
+    twin)`` following the
     :func:`~repro.harness.experiment.run_windowed` protocol (the
-    default) — the straight run and the checkpointed run both classify
-    through this single path.  ``golden(processor, committed)`` returns the in-order state
-    after ``committed`` instructions and its
+    default runs it straight), where ``twin`` is the fault-free twin
+    the run re-converged with and stopped at, or ``None``.  The
+    straight and the checkpointed run both classify through this
+    single path.  ``golden(processor, committed)`` returns the in-order
+    state after ``committed`` instructions and its
     :class:`~repro.functional.checker.StateDiff` against the
     processor's committed state; the default reads the memoized golden
     trace, and the bench's unoptimized baseline passes a fresh
@@ -288,13 +279,13 @@ def finish_trial(trial, processor, runner=None, golden=_trace_golden):
     if runner is None:
         def runner(proc, max_cycles):
             return run_windowed(proc, trial.instructions, trial.warmup,
-                                max_cycles)
+                                max_cycles) + (None,)
     result = TrialResult(trial=trial.to_dict(), outcome=TIMEOUT)
     clock = _PHASE_CLOCK
     started = clock() if clock is not None else 0.0
     try:
-        stats, warm_cycles, warm_instructions = runner(processor,
-                                                       max_cycles)
+        stats, warm_cycles, warm_instructions, twin = runner(processor,
+                                                             max_cycles)
     except SimulationError as exc:
         stats = processor.stats
         stats.cycles = processor.cycle
@@ -307,6 +298,14 @@ def finish_trial(trial, processor, runner=None, golden=_trace_golden):
         if clock is not None:
             _PHASE_TIMES["simulate"] += clock() - started
     _fill_counters(result, stats, warm_cycles, warm_instructions)
+    if twin is not None:
+        # The run stopped where its state re-converged with the twin's,
+        # so its final state is the twin's: the twin's clean verdict
+        # holds, and only whether the run paid depends on its own
+        # (spliced) counters.
+        result.outcome = DETECTED_RECOVERED if _paid(stats) else MASKED
+        result.detail = twin.result.detail
+        return result, stats.dispatched_groups
     committed = stats.instructions
     if stats.crashed:
         result.detail = "committed control flow left the program"
@@ -342,14 +341,16 @@ def clear_result_caches():
 def cache_stats():
     """Hit/miss/eviction counters of every per-process trial cache.
 
-    Covers the golden-trace LRU, the workload-program LRU and the
-    cell-checkpoint store.  Also stamped into each executed trial's
-    ``stats.extras["cache_stats"]`` (never into records — only
-    ``site_strikes`` crosses from extras into records).
+    Covers the golden-trace LRU, the workload-program LRU, the
+    cell-checkpoint store and the fault-free twin memo.  Also stamped
+    into each executed trial's ``stats.extras["cache_stats"]`` (never
+    into records — only ``site_strikes`` crosses from extras into
+    records).
     """
     return {"golden_trace": trace_cache_stats(),
             "workload": workload_cache_stats(),
-            "checkpoints": _checkpoint.checkpoint_store_stats()}
+            "checkpoints": _checkpoint.checkpoint_store_stats(),
+            "fault_free": _FAULTFREE_CACHE.stats()}
 
 
 def _fill_counters(result, stats, warm_cycles, warm_instructions):
@@ -386,9 +387,14 @@ def _verdict(processor, golden_state, diff, result):
                       % (processor.committed_next_pc, golden_state.pc,
                          detail))
         return SDC, detail
-    stats = processor.stats
-    paid = (stats.faults_detected or stats.rewinds
-            or stats.majority_commits or stats.pc_continuity_violations)
-    if paid:
+    if _paid(processor.stats):
         return DETECTED_RECOVERED, ""
     return MASKED, ""
+
+
+def _paid(stats):
+    """Did the machine pay for a fault: a detection, rewind or
+    majority commit?"""
+    return bool(stats.faults_detected or stats.rewinds
+                or stats.majority_commits
+                or stats.pc_continuity_violations)

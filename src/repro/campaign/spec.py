@@ -341,10 +341,13 @@ class CampaignSpec:
                 raise ConfigError("fault_sites cell names must be "
                                   "non-empty strings, got %r" % (name,))
             # build_policy validates the spec shape, structure names,
-            # site bounds and windows — a bad cell dies here with a
+            # site bounds and windows, and binding checks each site's
+            # copy against every model — a bad cell dies here with a
             # ConfigError instead of mid-campaign.
-            build_policy(config, seed=0,
-                         horizon=self.instructions + self.warmup)
+            policy = build_policy(config, seed=0,
+                                  horizon=self.instructions + self.warmup)
+            for model in self.models:
+                policy.bind(get_model(model).ft.redundancy)
 
     @property
     def grid_size(self) -> int:

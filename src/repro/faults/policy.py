@@ -47,6 +47,11 @@ from .sites import (FaultSite, OPERAND_STRUCTURES, STRUCTURES,
 #: thousands of groups away, far past the end of a typical run.
 WALK_CHUNK = 1024
 
+#: The most strikes one structure sweep may sample.  The sample is
+#: built eagerly (and on every campaign submit, to validate it), so an
+#: unbounded count would let one spec stall the process.
+MAX_SWEEP_STRIKES = 4096
+
 #: The engine's fault channel per result/address/outcome structure;
 #: the operand structures ride ``op_fault`` instead.
 _FAULT_KINDS = {"fu_result": "value", "rob_entry": "rob_value",
@@ -232,6 +237,14 @@ class SiteListPolicy(InjectionPolicy):
         self.reset()
 
     def bind(self, redundancy):
+        for site in self.sites:
+            if not site.is_group_scope and site.copy >= redundancy:
+                # It could never land, and its pending index would keep
+                # every trial of the cell from exiting early.
+                raise ConfigError(
+                    "fault site %s copy %d does not exist on a machine "
+                    "with redundancy %d"
+                    % (site.structure, site.copy, redundancy))
         self._redundancy = redundancy
 
     def reset(self):
@@ -316,9 +329,10 @@ class StructureSweepPolicy(SiteListPolicy):
                 "unknown fault structure %r (choose from %s)"
                 % (structure, ", ".join(STRUCTURES)))
         if not isinstance(strikes, int) or isinstance(strikes, bool) \
-                or strikes < 1:
-            raise ConfigError("structure_sweep strikes must be >= 1, "
-                              "got %r" % (strikes,))
+                or not 1 <= strikes <= MAX_SWEEP_STRIKES:
+            raise ConfigError("structure_sweep strikes must be in "
+                              "[1, %d], got %r"
+                              % (MAX_SWEEP_STRIKES, strikes))
         if not isinstance(horizon, int) or isinstance(horizon, bool) \
                 or horizon < 1:
             raise ConfigError("structure_sweep horizon must be >= 1, "

@@ -30,13 +30,27 @@ program's data image (the same fact golden-state comparison relies
 on).  Restoring applies that diff over the fresh processor's image, so
 a snapshot costs a few dozen words of memory instead of the full
 64Ki-word array.
+
+:func:`digest_parts` hashes the same state, normalized so that two
+machines on the same trajectory at different times digest equal: cycle
+numbers are taken relative to ``processor.cycle``, group and entry
+ages relative to the next ones the replicator hands out, and running
+totals (statistics, cache/predictor/BTB/RAS counters, FU and memory
+counts) are left out, because the early exit of
+:mod:`repro.campaign.checkpoint` splices them instead of comparing
+them.  The digest reads the field tables the capture code clones, so
+a field added to a snapshot table is digested too.
 """
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 from collections import deque
+from operator import attrgetter
 
 from ..core.rob import Group, RobEntry
+from .fetch import FetchRecord
 
 _GROUP_SCALARS = (
     "gseq", "pc", "inst", "meta", "pred_npc", "pred_taken", "ras_snap",
@@ -60,6 +74,33 @@ _STATS_FIELDS = (
     "rewinds", "majority_commits", "pc_continuity_violations",
     "silent_commits", "crashed", "recovery_cycles", "rob_occupancy_sum",
     "ifq_occupancy_sum")
+
+#: The running sums among the PipelineStats fields: all but the crash
+#: flag.
+STATS_SUMS = tuple(name for name in _STATS_FIELDS if name != "crashed")
+
+# How the digest normalizes the fields of the tables above and of
+# FetchRecord; any other field is compared as it is.
+#: Fields taken relative to a base, by the base's position in
+#: ``(cycle, gseq, seq, vidx)``: cycle numbers to ``processor.cycle``;
+#: group ages, entry ages and virtual ROB indices (``gseq * R + copy``)
+#: to the next ones the replicator hands out.
+_RELATIVE_FIELDS = {
+    "value_cycle": 0, "fetch_cycle": 0, "dispatch_cycle": 0,
+    "issue_cycle": 0, "done_cycle": 0, "gseq": 1, "seq": 2, "vidx": 3}
+#: Static instructions (``Instruction`` or ``DecodedInst``), by their
+#: opcode and operands.
+_INST_FIELDS = frozenset(("inst", "meta"))
+
+#: Snapshot slots the digest leaves out.  The running totals are sums
+#: the early exit splices rather than compares; ``cycle``, ``gseq`` and
+#: ``seq`` are the bases every cycle and age is taken relative to.
+_UNDIGESTED_SLOTS = frozenset((
+    "mem_reads", "mem_writes", "memory_accesses", "bimodal_lookups",
+    "twolevel_lookups", "combined_lookups", "btb_lookups", "btb_hits",
+    "ras_pushes", "ras_pops", "stats", "stats_extras", "checker_checks",
+    "checker_mismatches", "recovery_rewinds", "recovery_majority",
+    "recovery_cycles", "cycle", "gseq", "seq"))
 
 
 def _collect_groups(processor):
@@ -474,3 +515,183 @@ class ProcessorSnapshot:
         processor._ports_used = state.ports_used
         processor._last_commit_cycle = state.last_commit_cycle
         return processor
+
+
+# -- normalized state digest ----------------------------------------------
+
+def _inst_key(inst):
+    return (int(inst.op), inst.rd, inst.rs1, inst.rs2, inst.imm)
+
+
+class _FieldPlan:
+    """Where the normalized fields of one field table sit in its row."""
+
+    def __init__(self, fields):
+        self.get = attrgetter(*fields)
+        self.relative = tuple((index, _RELATIVE_FIELDS[name])
+                              for index, name in enumerate(fields)
+                              if name in _RELATIVE_FIELDS)
+        self.insts = tuple(index for index, name in enumerate(fields)
+                           if name in _INST_FIELDS)
+
+    def row(self, obj, bases):
+        """``obj``'s fields, normalized against ``bases``."""
+        row = list(self.get(obj))
+        for index, base in self.relative:
+            value = row[index]
+            if value is not None:
+                row[index] = value - bases[base]
+        for index in self.insts:
+            inst = row[index]
+            if inst is not None:
+                row[index] = _inst_key(inst)
+        return row
+
+
+_GROUP_PLAN = _FieldPlan(_GROUP_SCALARS)
+_ENTRY_PLAN = _FieldPlan(_ENTRY_SCALARS)
+_RECORD_PLAN = _FieldPlan(FetchRecord.__slots__)
+_GSEQ = attrgetter("gseq")
+
+
+def _stale(release, cycle):
+    """A release cycle relative to ``cycle``, or 0 once it has passed.
+    Functional units and fetch only test ``release <= now``, so past
+    releases cannot be told apart."""
+    return release - cycle if release > cycle else 0
+
+
+def _arch_part(processor, cycle):
+    """Committed state plus the machine's scalar registers."""
+    arch = processor.arch
+    memory = arch.memory
+    cells = memory._cells
+    fetch = processor.fetch_unit
+    open_rewind = processor.recovery._open_rewind_cycle
+    return (
+        ("regs", arch.regs),
+        ("arch_pc", arch.pc),
+        ("arch_halted", arch.halted),
+        ("mem_cells", [(index, cells[index])
+                       for index in sorted(memory.written)]),
+        ("committed_next_pc", processor.committed_next_pc),
+        ("halted", processor.halted),
+        ("fetch_pc", fetch.pc),
+        ("fetch_stall_until", _stale(fetch.stall_until, cycle)),
+        ("fetch_halted", fetch.halted),
+        ("outstanding_misses", processor._outstanding_misses),
+        ("rob_entries", processor.rob_entries),
+        ("ports_used", processor._ports_used),
+        ("last_commit_cycle", processor._last_commit_cycle - cycle),
+        ("recovery_open_cycle",
+         None if open_rewind is None else open_rewind - cycle))
+
+
+def _window_part(processor, cycle):
+    """The in-flight window: every reachable group and entry, the
+    structures that order them, scheduled events and FU busy times."""
+    replicator = processor.replicator
+    gseq = replicator._gseq
+    seq = replicator._seq
+    vidx = gseq * processor.redundancy
+    bases = (cycle, gseq, seq, vidx)
+    groups = _collect_groups(processor)
+    groups.sort(key=_GSEQ)
+    graph = []
+    for group in groups:
+        row = _GROUP_PLAN.row(group, bases)
+        block_on = group.block_on
+        row.append(None if block_on is None else block_on.gseq - gseq)
+        for entry in group.copies:
+            cells = _ENTRY_PLAN.row(entry, bases)
+            cells.append(entry.src_vals)
+            cells.append([None if tag is None else tag - vidx
+                          for tag in entry.src_tags])
+            dependents = entry.dependents
+            cells.append(None if dependents is None else [
+                (dependent.seq - seq, slot)
+                for dependent, slot in dependents])
+            row.append(cells)
+        graph.append(row)
+    events = processor.events
+    timeline = []
+    for when in sorted(events):
+        bucket = []
+        for kind, payload in events[when]:
+            if kind == 0:                 # _EVENT_EXEC: payload = entry
+                bucket.append(payload.seq - seq)
+            else:                         # load value: (group, value, miss)
+                group, value, was_miss = payload
+                bucket.append((group.gseq - gseq, value, was_miss))
+        timeline.append((when - cycle, bucket))
+    return (
+        ("groups", (graph, [group.gseq - gseq
+                            for group in processor.groups])),
+        ("lsq", [group.gseq - gseq for group in processor.lsq]),
+        ("pending_loads", [group.gseq - gseq
+                           for group in processor.pending_loads]),
+        # Heap layout depends on push order, but pops only on the
+        # (unique) seqs a queue holds.
+        ("ready_queues", [sorted(item[0] - seq for item in queue)
+                          for queue in processor.ready_queues]),
+        ("events", timeline),
+        ("ifq", [_RECORD_PLAN.row(record, bases)
+                 for record in processor.ifq]),
+        ("fu_state", [[_stale(busy, cycle) for busy in pool._busy_until]
+                      for pool in processor.fus.pools.values()]))
+
+
+def _sets(sets):
+    """Cache or BTB sets by index, each in its own LRU order."""
+    return sorted((index, list(ways.items()))
+                  for index, ways in sets.items() if ways)
+
+
+def _table_part(processor, cycle):
+    """Caches, branch predictor, BTB and RAS contents."""
+    hierarchy = processor.hierarchy
+    fetch = processor.fetch_unit
+    predictor = fetch.predictor
+    ras = fetch.ras
+    return (
+        ("cache_state", [_sets(cache._sets) for cache in
+                         (hierarchy.il1, hierarchy.dl1, hierarchy.l2)]),
+        ("bimodal_table", predictor.bimodal._table),
+        ("twolevel_histories", predictor.twolevel._histories),
+        ("twolevel_counters", predictor.twolevel._counters),
+        ("meta_table", predictor._meta),
+        ("btb_sets", _sets(fetch.btb._sets)),
+        ("ras_stack", ras._stack),
+        ("ras_top", ras._top),
+        ("ras_occupancy", ras._occupancy))
+
+
+#: The digest's parts, cheapest first: for a redundant machine the
+#: committed state of a recovered run already matches, so the window
+#: is what usually tells two runs apart.
+_DIGEST_PARTS = (_arch_part, _window_part, _table_part)
+
+
+def digest_parts(processor):
+    """Yield the normalized state digest of ``processor``, part by part.
+
+    Lazy, so a comparison can stop at the first part that differs.
+    Two processors of the same program and machine digest equal when
+    their states are equal up to a shift in cycles and ages and up to
+    their running totals; such a pair continues identically, shifted.
+    """
+    cycle = processor.cycle
+    for part in _DIGEST_PARTS:
+        # Format 2 writes no back-references, so the bytes depend on
+        # the values alone, not on which objects they share; it writes
+        # a float as its 8 IEEE bytes, so -0.0 differs from 0.0 and a
+        # NaN keeps its payload; and it raises on objects such as enum
+        # members or instructions, so a field the encoders missed
+        # cannot slip in by identity.
+        encoded = marshal.dumps(part(processor, cycle), 2)
+        yield hashlib.blake2b(encoded, digest_size=16).digest()
+
+
+def state_digest(processor):
+    """The full normalized state digest (see :func:`digest_parts`)."""
+    return tuple(digest_parts(processor))

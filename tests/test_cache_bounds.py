@@ -127,7 +127,8 @@ class TestCheckpointStore:
 class TestReporting:
     def test_cache_stats_sections_and_keys(self):
         stats = cache_stats()
-        assert set(stats) == {"golden_trace", "workload", "checkpoints"}
+        assert set(stats) == {"golden_trace", "workload", "checkpoints",
+                              "fault_free"}
         for section in stats.values():
             assert {"hits", "misses", "evictions", "size",
                     "limit"} <= set(section)

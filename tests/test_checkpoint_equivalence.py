@@ -30,7 +30,7 @@ from repro.harness.bench import run_unoptimized
 from repro.models.presets import get_model
 from repro.program.cache import cached_workload
 from repro.uarch.processor import Processor
-from repro.uarch.snapshot import ProcessorSnapshot
+from repro.uarch.snapshot import ProcessorSnapshot, state_digest
 
 
 def bench_spec(**overrides):
@@ -148,8 +148,8 @@ class TestSnapshotRestore:
         straight.run(max_instructions=400, max_cycles=100_000)
         cell = CellCheckpoints(program)
         segmented = Processor(program, config=model.config, ft=model.ft)
-        stats, _, _ = run_checkpointed(segmented, cell, math.inf, 400,
-                                       max_cycles=100_000)
+        stats = run_checkpointed(segmented, cell, math.inf, 400,
+                                 max_cycles=100_000)[0]
         assert stats.as_dict() == straight.stats.as_dict()
         # Marks at 100, 200 and 300 of 400 committed instructions.
         assert len(cell.snapshots) == CHECKPOINTS_PER_CELL - 1
@@ -171,8 +171,8 @@ class TestSnapshotRestore:
         # captures the two marks the ladder lacks.
         partial = CellCheckpoints(program)
         partial.add(100, full.snapshots[0])
-        stats, _, _ = run_checkpointed(fresh(), partial, math.inf, 400,
-                                       max_cycles=100_000)
+        stats = run_checkpointed(fresh(), partial, math.inf, 400,
+                                 max_cycles=100_000)[0]
         assert stats.as_dict() == straight.stats.as_dict()
         assert boundaries(partial) == boundaries(full)
         assert partial.snapshots[0] is full.snapshots[0]
@@ -240,21 +240,19 @@ class TestRecordEquivalence:
 
 
 class TestRateCellWithoutBaseline:
-    """A rate cell with no fault-free baseline (no rate-0 sibling, and
-    too high a rate for one to pay off) still fast-forwards: each trial
-    reads its first strike from its policy, and later replicates
-    restore the marks earlier ones captured from their clean
-    prefixes."""
+    """A rate cell with no rate-0 baseline sibling in its grid still
+    runs its fault-free twin, exactly once: each trial reads its first
+    strike from its policy against the twin's dispatched-group count,
+    restores the ladder the twin filled, and may stop early against the
+    twin's marks."""
 
     @pytest.mark.parametrize("overrides", [
         {}, {"warmup": 150}, {"max_cycles": 700}],
         ids=["plain", "warmup", "tight-max-cycles"])
-    def test_records_match_straight_runs(self, monkeypatch, overrides):
+    def test_records_match_straight_runs(self, monkeypatch, twin_runs,
+                                         overrides):
         spec = bench_spec(models=("SS-3",), rates_per_million=(1_000.0,),
                           replicates=4, **overrides)
-        for trial in spec.trials():
-            assert not outcome._worth_baseline(trial,
-                                               trial.injection_policy())
         restores = []
         real = ProcessorSnapshot.restore_into
 
@@ -264,6 +262,7 @@ class TestRateCellWithoutBaseline:
         monkeypatch.setattr(ProcessorSnapshot, "restore_into", counting)
         lines = record_lines(spec)
         assert restores
+        assert len(twin_runs) == 1
         monkeypatch.setattr(ProcessorSnapshot, "restore_into", real)
         assert lines == straight_lines(spec)
 
@@ -322,25 +321,11 @@ class TestCheckpointSelection:
         assert default_interval(1_500, warmup=500) == 500
 
 
-class TestNoCaptureOnlyRuns:
-    """Ladders fill from runs a campaign makes anyway: a struck trial
-    never triggers an extra fault-free baseline."""
+class TestOneTwinPerCell:
+    """Every cell runs its fault-free twin exactly once per process, and
+    that run fills the ladder: no other run exists only for either."""
 
-    @pytest.fixture
-    def baseline_runs(self, monkeypatch):
-        clear_result_caches()
-        clear_trace_cache()
-        calls = []
-        real = outcome._run_baseline
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].key)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(outcome, "_run_baseline", counting)
-        yield calls
-        clear_result_caches()
-
-    def test_one_site_trial_runs_no_baseline(self, baseline_runs):
+    def test_one_site_trial_runs_one_twin(self, twin_runs):
         spec = bench_spec(
             rates_per_million=(0.0,), replicates=1,
             fault_sites={"late": {"policy": "site_list",
@@ -348,15 +333,174 @@ class TestNoCaptureOnlyRuns:
                                              "index": 250, "bit": 3}]}})
         (trial,) = spec.trials()
         record = CampaignSession(spec).run().records[0]
-        assert baseline_runs == []
+        assert twin_runs == [outcome._baseline_key(trial)]
         assert json.dumps(record, sort_keys=True) \
             == json.dumps(straight_record(trial), sort_keys=True)
-        # Its own clean prefix filled the ladder marks before index 250.
-        assert get_store().get(outcome._baseline_key(trial)).snapshots
+        # The twin filled every ladder mark up front.
+        cell = get_store().get(outcome._baseline_key(trial))
+        assert len(cell.snapshots) == CHECKPOINTS_PER_CELL - 1
 
-    def test_high_rate_campaign_runs_no_baseline(self, baseline_runs):
-        spec = bench_spec(rates_per_million=(30_000.0,))
+    def test_high_rate_campaign_runs_one_twin_per_cell(self, twin_runs):
+        spec = bench_spec(models=("SS-2", "SS-3"),
+                          rates_per_million=(30_000.0,))
         records = CampaignSession(spec).run().records
-        assert baseline_runs == []
+        assert sorted(twin_runs) == sorted(
+            {outcome._baseline_key(trial) for trial in spec.trials()})
+        assert len(twin_runs) == 2
         assert [json.dumps(record, sort_keys=True)
                 for record in records] == straight_lines(spec)
+
+    def test_ladder_eviction_keeps_the_exit(self, twin_runs, splices):
+        # The twin's marks live with its memoized result, not in the
+        # 2-cell ladder LRU: with every ladder evicted, struck trials
+        # still stop early, and still match their straight runs.
+        spec = site_sweep_spec()
+        for trial in spec.trials():
+            outcome.run_trial(trial)
+        twin_runs.clear()
+        splices.clear()
+        lines = []
+        for trial in spec.trials():
+            checkpoint.clear_checkpoints()
+            lines.append(json.dumps(outcome.run_trial(trial).to_record(),
+                                    sort_keys=True))
+        assert twin_runs == [] and splices
+        assert lines == straight_lines(spec)
+
+    def test_evicted_twin_runs_again(self, monkeypatch, twin_runs,
+                                     splices):
+        # With room for one twin, alternating between two cells evicts
+        # each cell's twin before its next trial, which runs it again
+        # and still stops early against it.
+        monkeypatch.setattr(outcome._FAULTFREE_CACHE, "limit", 1)
+        spec = site_sweep_spec(replicates=1)
+        trials = sorted(spec.trials(), key=lambda trial: trial.key)
+        by_cell = {}
+        for trial in trials:
+            by_cell.setdefault(trial.model, []).append(trial)
+        order = [trial for pair in zip(*by_cell.values())
+                 for trial in pair]
+        assert len(by_cell) == 2 and len(order) == len(trials)
+        lines = [json.dumps(outcome.run_trial(trial).to_record(),
+                            sort_keys=True) for trial in order]
+        assert len(twin_runs) == len(order)
+        assert outcome.cache_stats()["fault_free"]["evictions"] \
+            == len(order) - 1
+        assert splices
+        assert lines == [json.dumps(straight_record(trial),
+                                    sort_keys=True) for trial in order]
+
+
+@pytest.fixture
+def splices(monkeypatch):
+    """The digest mark of every early exit, in order."""
+    marks = []
+    real = checkpoint.FaultFreeTwin.splice
+
+    def counting(twin, mark, processor):
+        marks.append(mark)
+        return real(twin, mark, processor)
+    monkeypatch.setattr(checkpoint.FaultFreeTwin, "splice", counting)
+    return marks
+
+
+@pytest.fixture
+def twin_runs(monkeypatch):
+    """The cell keys of every fault-free twin run, in order."""
+    clear_result_caches()
+    clear_trace_cache()
+    calls = []
+    real = outcome._run_twin
+
+    def counting(trial, *args):
+        calls.append(outcome._baseline_key(trial))
+        return real(trial, *args)
+    monkeypatch.setattr(outcome, "_run_twin", counting)
+    yield calls
+    clear_result_caches()
+
+
+def site_sweep_spec(**overrides):
+    """One strike per trial in each structure, on two redundant models."""
+    kwargs = dict(
+        name="exit-sweep", workloads=("gcc",), models=("SS-2", "SS-3"),
+        rates_per_million=(0.0,), replicates=2, instructions=600,
+        fault_sites={structure: {"policy": "structure_sweep",
+                                 "structure": structure, "strikes": 1}
+                     for structure in ("fu_result", "rob_entry",
+                                       "branch_outcome", "pc")})
+    kwargs.update(overrides)
+    return CampaignSpec(**kwargs)
+
+
+class TestEarlyExit:
+    """Struck trials that re-converge with their twin stop early, and
+    their records stay the straight runs' records byte for byte."""
+
+    @pytest.mark.parametrize("overrides", [{}, {"warmup": 250}],
+                             ids=["plain", "warmup"])
+    def test_site_sweep_records(self, splices, overrides):
+        spec = site_sweep_spec(**overrides)
+        lines = record_lines(spec)
+        assert len(splices) >= len(lines) // 2
+        assert lines == straight_lines(spec)
+
+    @pytest.mark.parametrize("max_cycles", [1_050, 1_051])
+    def test_tight_cycle_budget(self, splices, max_cycles):
+        # The SS-3 twin ends at cycle 1051: at 1051 its struck runs
+        # that re-converge with no shift still splice, those shifted
+        # later simulate on to their exact timeout; at 1050 the twin
+        # times out itself and lends no verdict.
+        spec = site_sweep_spec(max_cycles=max_cycles)
+        lines = record_lines(spec)
+        assert any('"timeout"' in line for line in lines)
+        assert splices
+        assert lines == straight_lines(spec)
+
+    def test_warmup_crossed_with_another_overshoot(self, splices):
+        # The strike lands two groups before the warmup boundary.  The
+        # struck run crosses it at 251 committed instructions, the twin
+        # at 252, and by the digest mark at 300 the two are in the same
+        # state again.  Their windows still end at different committed
+        # counts (753 and 754), in different cycles, so the struck run
+        # must simulate on rather than take the twin's end.
+        spec = bench_spec(
+            rates_per_million=(0.0,), replicates=1, warmup=250,
+            instructions=502,
+            fault_sites={"pre-warmup": {
+                "policy": "site_list",
+                "sites": [{"structure": "fu_result", "index": 251,
+                           "bit": 3}]}})
+        (trial,) = spec.trials()
+        lines = record_lines(spec)
+        assert splices == []
+        assert lines == straight_lines(spec)
+
+        twin = outcome._FAULTFREE_CACHE.get(outcome._baseline_key(trial))
+        model = trial.resolve_model()
+        struck = Processor(cached_workload(trial.workload,
+                                           trial.workload_seed),
+                           config=model.config, ft=model.ft,
+                           policy=trial.injection_policy())
+        struck.run(max_instructions=trial.warmup, max_cycles=100_000)
+        assert (struck.stats.instructions, twin.warm_instructions) \
+            == (251, 252)
+        struck.run(max_instructions=300 - struck.stats.instructions,
+                   max_cycles=100_000)
+        assert struck.stats.faults_injected == 1
+        assert struck.stats.instructions == twin.marks[300].instructions
+        assert state_digest(struck) == twin.marks[300].digest
+
+    def test_rate_ladder_records(self, splices):
+        spec = bench_spec(rates_per_million=(0.0, 300.0, 3_000.0),
+                          replicates=3, instructions=900)
+        assert record_lines(spec) == straight_lines(spec)
+        assert splices
+
+    def test_unclean_twin_never_splices(self, splices):
+        # A twin that times out has no clean verdict to lend.
+        spec = site_sweep_spec(max_cycles=300)
+        lines = record_lines(spec)
+        assert all('"timeout"' in line for line in lines)
+        assert splices == []
+        assert lines == straight_lines(spec)

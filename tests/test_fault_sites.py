@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.campaign.spec import CampaignSpec
 from repro.errors import ConfigError, SkippedStrikeError
 from repro.faults import (FaultSite, InjectionPolicy, POLICY_REGISTRY,
                           RatePolicy, STRUCTURES, SiteListPolicy,
                           StructureSweepPolicy, build_policy,
                           structure_applies, structure_width)
+from repro.faults.policy import MAX_SWEEP_STRIKES
 from repro.models.presets import ss1, ss2
 from repro.uarch.processor import Processor
 from repro.uarch.stats import PipelineStats
@@ -476,6 +478,51 @@ class TestHostileSpecs:
         with pytest.raises(ConfigError):
             build_policy({"policy": "structure_sweep",
                           "structure": "pc", "seed": [1]})
+
+    def test_huge_sweep_is_refused_before_sampling(self):
+        # The sample is built eagerly on every submit: a huge count
+        # would stall the process, so it dies as a ConfigError first.
+        build_policy({"policy": "structure_sweep", "structure": "pc",
+                      "strikes": MAX_SWEEP_STRIKES})
+        with pytest.raises(ConfigError, match="strikes"):
+            build_policy({"policy": "structure_sweep",
+                          "structure": "pc",
+                          "strikes": MAX_SWEEP_STRIKES + 1})
+        with pytest.raises(ConfigError, match="strikes"):
+            CampaignSpec(workloads=("gcc",), models=("SS-2",),
+                         rates_per_million=(0.0,),
+                         fault_sites={"x": {"policy": "structure_sweep",
+                                            "structure": "pc",
+                                            "strikes": 100_000}})
+
+    def test_copy_beyond_redundancy_is_a_config_error(self):
+        # Such a site could never land: on SS-2 copy 5 would be
+        # recorded as an unstruck masked trial.
+        site = {"structure": "fu_result", "index": 40, "copy": 5,
+                "bit": 7}
+        policy = build_policy({"policy": "site_list", "sites": [site]})
+        with pytest.raises(ConfigError, match="copy 5"):
+            policy.bind(2)
+        with pytest.raises(ConfigError, match="copy 5"):
+            CampaignSpec(workloads=("gcc",), models=("SS-2",),
+                         rates_per_million=(0.0,),
+                         fault_sites={"x": {"policy": "site_list",
+                                            "sites": [site]}})
+        # Copy 1 exists on SS-2 and SS-3 but not on SS-1; a group-scope
+        # pc site has no copy to check.
+        copy_one = dict(site, copy=1)
+        CampaignSpec(workloads=("gcc",), models=("SS-2", "SS-3"),
+                     rates_per_million=(0.0,),
+                     fault_sites={"x": {"policy": "site_list",
+                                        "sites": [copy_one]}})
+        with pytest.raises(ConfigError, match="redundancy 1"):
+            CampaignSpec(workloads=("gcc",), models=("SS-1", "SS-2"),
+                         rates_per_million=(0.0,),
+                         fault_sites={"x": {"policy": "site_list",
+                                            "sites": [copy_one]}})
+        pc_site = {"structure": "pc", "index": 40, "copy": 3, "bit": 2}
+        build_policy({"policy": "site_list",
+                      "sites": [pc_site]}).bind(1)
 
     @settings(max_examples=300, deadline=None)
     @given(_JSON)

@@ -208,6 +208,16 @@ HOSTILE_BODIES = {
         spec_dict(), rates_per_million=[0.0],
         fault_sites={"x": {"policy": "structure_sweep",
                            "structure": "pc", "seed": [1]}})},
+    "huge-sweep-strikes": {"spec": dict(
+        spec_dict(), rates_per_million=[0.0],
+        fault_sites={"x": {"policy": "structure_sweep",
+                           "structure": "pc", "strikes": 100_000}})},
+    "copy-beyond-redundancy": {"spec": dict(
+        spec_dict(), models=["SS-2"], rates_per_million=[0.0],
+        fault_sites={"x": {"policy": "site_list",
+                           "sites": [{"structure": "fu_result",
+                                      "index": 40, "copy": 5,
+                                      "bit": 7}]}})},
     "integer-job-id": {"spec": spec_dict(), "job_id": 5},
     "escaping-job-id": {"spec": spec_dict(), "job_id": "../escape"},
 }

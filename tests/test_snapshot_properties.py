@@ -20,6 +20,7 @@ A snapshot's memory image is the written cells only, so its size is
 also pinned.
 """
 
+import struct
 from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
@@ -61,8 +62,22 @@ def redundant_machines(draw):
                      config.rob_size // redundancy * redundancy)), ft
 
 
+def bits(value):
+    """``value`` with bit-exact equality: a float becomes its 64-bit
+    pattern, so ``-0.0`` differs from ``0.0`` and a NaN equals a NaN
+    with the same payload."""
+    if type(value) is float:
+        return struct.pack("<d", value)
+    return value
+
+
 def final_state(processor, max_cycles):
-    """Everything a restored run must reproduce, after running on."""
+    """Everything a restored run must reproduce, after running on.
+
+    Registers and memory cells compare bit for bit (:func:`bits`): a
+    generated ``fdiv`` of 0.0 by 0.0 leaves a NaN, and two NaN objects
+    never compare ``==``.
+    """
     try:
         processor.run(max_cycles=max_cycles)
         error = None
@@ -70,9 +85,10 @@ def final_state(processor, max_cycles):
         error = str(exc)
     memory = processor.arch.memory
     written = sorted(memory.written)
-    return (error, processor.stats.as_dict(), list(processor.arch.regs),
+    return (error, processor.stats.as_dict(),
+            [bits(value) for value in processor.arch.regs],
             processor.committed_next_pc, processor.halted, written,
-            [memory.peek(index) for index in written])
+            [bits(memory.peek(index)) for index in written])
 
 
 def restored(snapshot, program, config, ft, policy=None):
