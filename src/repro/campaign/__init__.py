@@ -25,11 +25,12 @@ statistically aggregated injection campaigns:
 * :mod:`~repro.campaign.adaptive` — :class:`SamplingPlan` adaptive
   sampling: stop a cell once its Wilson interval is tight enough and
   spend the freed replicate budget on the widest open interval
-  (``ExecutionOptions(sampling=SamplingPlan.wilson(0.05))``);
-* :mod:`~repro.campaign.orchestrator` — the multi-shard driver:
-  launch N shard workers, monitor their stores, restart dead workers
-  from their records, merge on completion
-  (``CampaignSession.orchestrate(...)`` / ``repro-ft orchestrate``).
+  (``ExecutionOptions(sampling=SamplingPlan.wilson(0.05))``).
+
+A multi-host campaign runs ``repro-ft campaign --shard i/N --store …``
+on each host, merges the shard stores with :func:`merge_stores`, and
+aggregates the merged store through ``CampaignSession(spec,
+store=merged).aggregate()``.
 
 Quickstart::
 
@@ -58,8 +59,6 @@ from .api import (CAMPAIGN_FINISHED, CELL_CONVERGED, CELL_FINISHED,
                   CampaignEvent, CampaignProgress, CampaignResult,
                   CampaignSession, ExecutionOptions,
                   execute_trial_payload)
-from .orchestrator import (CampaignOrchestrator, ShardWorker,
-                           shard_store_path)
 from .golden import (GoldenTrace, cached_trace, clear_trace_cache,
                      compare_with_golden)
 from .outcome import (DETECTED_RECOVERED, MASKED, OUTCOMES, SDC,
@@ -79,7 +78,6 @@ __all__ = [
     "EVENT_KINDS", "TRIAL_FINISHED", "TRIAL_STARTED", "CampaignEvent",
     "CampaignProgress", "CampaignResult", "CampaignSession",
     "ExecutionOptions", "execute_trial_payload",
-    "CampaignOrchestrator", "ShardWorker", "shard_store_path",
     "GoldenTrace", "cached_trace", "clear_trace_cache",
     "compare_with_golden",
     "DETECTED_RECOVERED", "MASKED", "OUTCOMES", "SDC", "TIMEOUT",

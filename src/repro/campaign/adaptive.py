@@ -60,10 +60,6 @@ MODES = (FIXED, WILSON)
 CONVERGED = "converged"          # half-width target reached
 EXHAUSTED = "exhausted"          # every pre-keyed replicate ran
 CAPPED = "capped"                # max_replicates reached, target not
-#: Merged-view only (:func:`merged_adaptive_summary`): the cell was
-#: stopped by per-shard decisions without the *merged* sample reaching
-#: the target.
-SHARD_LOCAL = "shard_local"
 
 
 def wilson_halfwidth(successes, total, z=DEFAULT_Z):
@@ -303,12 +299,12 @@ class AdaptiveSummary:
 
 
 def _build_trackers(trials, completed,
-                    resumed_keys) -> "Dict[tuple, CellTracker]":
+                    fresh) -> "Dict[tuple, CellTracker]":
     """Per-cell trackers over ``trials``, with ``completed`` records
     (a key -> record dict) folded in — the one construction both the
-    scheduler and the merged-view summary use, so cell identity and
-    record folding can never diverge between them.  Records whose key
-    is in ``resumed_keys`` count as resumed, not executed-by-this-run.
+    scheduler and the stored-records summary use, so cell identity and
+    record folding can never diverge between them.  ``fresh`` says
+    whether the records count as executed (or as resumed).
     """
     trackers: Dict[tuple, CellTracker] = {}
     for trial in trials:
@@ -324,8 +320,7 @@ def _build_trackers(trials, completed,
         if isinstance(trial, dict):
             tracker = trackers.get(trial_cell(trial))
             if tracker is not None:
-                tracker.observe(record,
-                                fresh=key not in resumed_keys)
+                tracker.observe(record, fresh=fresh)
     return trackers
 
 
@@ -337,31 +332,26 @@ def _target_met(tracker: CellTracker, plan: SamplingPlan) -> bool:
             <= plan.target_halfwidth)
 
 
-def merged_adaptive_summary(plan: SamplingPlan, trials, completed,
-                            resumed_keys=frozenset()
+def merged_adaptive_summary(plan: SamplingPlan, trials, completed
                             ) -> AdaptiveSummary:
-    """Driver-side reconstruction of an adaptive fleet's outcome.
+    """The :class:`AdaptiveSummary` of a finished adaptive run, rebuilt
+    from its stored records alone (the campaign service's ``/result``).
 
-    The orchestrator never sees its workers'
-    :class:`AdaptiveSummary` objects (they die with the shard
-    processes), but the merged records determine the view that
-    matters: per-cell sample size, skipped replicates and the
-    half-width of the **merged** sample.  ``closed`` is the merged
-    verdict — ``converged`` (merged sample meets the target),
-    ``exhausted`` (every replicate ran) or ``shard_local`` (shards
-    stopped on their local intervals before the merged one reached
-    the target).  ``resumed_keys`` names the records that predate
-    this run, so the summary's executed counts agree with the
-    campaign result's executed/skipped split.
+    ``closed`` is the verdict over all of a cell's records:
+    ``converged`` (the sample meets the target), ``exhausted`` (every
+    replicate ran) or ``capped`` (replicates were left unrun without
+    the target met — ``max_replicates`` or a shed of adaptive extras
+    cut the cell, both of which the live scheduler closes as
+    ``capped``).
     """
-    trackers = _build_trackers(trials, completed, resumed_keys)
+    trackers = _build_trackers(trials, completed, fresh=True)
     for tracker in trackers.values():
         if _target_met(tracker, plan):
             tracker.closed = CONVERGED
         elif not tracker.pending:
             tracker.closed = EXHAUSTED
         else:
-            tracker.closed = SHARD_LOCAL
+            tracker.closed = CAPPED
     return AdaptiveSummary(
         plan=plan.to_dict(),
         cells=[tracker.as_dict(plan.metric)
@@ -401,8 +391,7 @@ class AdaptiveScheduler:
         # Resumed records count toward their cell's interval before any
         # scheduling happens — that is what makes --resume land
         # mid-adaptation instead of starting the sample over.
-        self.trackers = _build_trackers(trials, completed,
-                                        resumed_keys=set(completed))
+        self.trackers = _build_trackers(trials, completed, fresh=False)
         for tracker in self.trackers.values():
             self._close_if_done(tracker)
 

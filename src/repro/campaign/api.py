@@ -84,10 +84,6 @@ class CampaignEvent:
     trial: Optional[dict] = None
     record: Optional[dict] = None
     cell: Optional[tuple] = None
-    #: Shard index the event originated from — only set by the
-    #: multi-shard orchestrator's merged live stream (None for
-    #: single-session events).
-    shard: Optional[int] = None
 
     def to_dict(self) -> dict:
         """JSON-able form — the wire format of the campaign service's
@@ -102,16 +98,13 @@ class CampaignEvent:
             data["record"] = self.record
         if self.cell is not None:
             data["cell"] = list(self.cell)
-        if self.shard is not None:
-            data["shard"] = self.shard
         return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignEvent":
         """Rebuild an event from :meth:`to_dict` output (round-trips
         to an equal frozen dataclass)."""
-        known = {"kind", "done", "total", "trial", "record", "cell",
-                 "shard"}
+        known = {"kind", "done", "total", "trial", "record", "cell"}
         unknown = set(data) - known
         if unknown:
             raise ConfigError("unknown campaign event fields: %s"
@@ -120,8 +113,7 @@ class CampaignEvent:
         return cls(kind=data["kind"], done=data["done"],
                    total=data["total"], trial=data.get("trial"),
                    record=data.get("record"),
-                   cell=tuple(cell) if cell is not None else None,
-                   shard=data.get("shard"))
+                   cell=tuple(cell) if cell is not None else None)
 
 
 #: A session listener: any callable accepting one CampaignEvent.
@@ -142,11 +134,7 @@ class ExecutionOptions:
     stops statistically converged cells early and spends the freed
     replicate budget on the widest-interval cells (``None`` and
     ``SamplingPlan.fixed()`` are the historical run-everything
-    behaviour); ``poll_interval`` sets how often a store-watching
-    driver (the multi-shard orchestrator, the campaign service's live
-    progress feed) re-reads result stores — ``None`` keeps each
-    driver's own default (0.2 s for the orchestrator; the service
-    backend runs a tighter interval for live SSE progress).
+    behaviour).
 
     The resilience knobs only shape the pooled execution path
     (``workers > 1``): ``trial_timeout`` is the per-trial *wall-clock*
@@ -172,7 +160,6 @@ class ExecutionOptions:
     workers: int = 1
     max_cycles: Optional[int] = None
     sampling: Optional[SamplingPlan] = None
-    poll_interval: Optional[float] = None
     trial_timeout: Optional[float] = None
     trial_retries: int = 2
     store_retry: Optional[RetryPolicy] = None
@@ -193,12 +180,6 @@ class ExecutionOptions:
             raise ConfigError(
                 "sampling must be a SamplingPlan or None, got %r"
                 % (self.sampling,))
-        if self.poll_interval is not None and (
-                not isinstance(self.poll_interval, (int, float))
-                or isinstance(self.poll_interval, bool)
-                or self.poll_interval <= 0):
-            raise ConfigError("poll_interval must be a positive number "
-                              "or None, got %r" % (self.poll_interval,))
         if self.trial_timeout is not None and (
                 not isinstance(self.trial_timeout, (int, float))
                 or isinstance(self.trial_timeout, bool)
@@ -225,17 +206,15 @@ class ExecutionOptions:
         return self.sampling is not None and self.sampling.is_adaptive
 
     def to_dict(self) -> dict:
-        """Plain-dict form (orchestrator worker payloads, job files)."""
+        """Plain-dict form (job files, tenant HTTP bodies)."""
         data = {"workers": self.workers}
         if self.max_cycles is not None:
             data["max_cycles"] = self.max_cycles
         if self.sampling is not None:
             data["sampling"] = self.sampling.to_dict()
-        if self.poll_interval is not None:
-            data["poll_interval"] = self.poll_interval
         # Resilience fields ride along only when set away from their
-        # defaults, keeping worker payloads and persisted job files
-        # byte-compatible with pre-resilience runs.
+        # defaults, keeping persisted job files byte-compatible with
+        # pre-resilience runs.
         if self.trial_timeout is not None:
             data["trial_timeout"] = self.trial_timeout
         if self.trial_retries != 2:
@@ -512,34 +491,6 @@ class CampaignSession:
         """Per-structure sensitivity of this campaign's fault-site
         trials (empty for rate-only campaigns)."""
         return aggregate_structures(self.records())
-
-    def orchestrate(self, shards: int, store_dir: str,
-                    mode: str = "process",
-                    poll_interval: Optional[float] = None,
-                    max_restarts: int = 2) -> CampaignResult:
-        """Run this session's spec across ``shards`` parallel shard
-        workers (see :class:`~repro.campaign.orchestrator.
-        CampaignOrchestrator`).
-
-        The session's options (including an adaptive sampling plan)
-        apply to every shard worker, its listeners receive the merged
-        live event stream, and its store — when it has one — becomes
-        the merged destination store.  On return :attr:`result` holds
-        the merged records in spec order, so :meth:`aggregate` works
-        exactly as after :meth:`run`.
-        """
-        from .orchestrator import CampaignOrchestrator
-        orchestrator = CampaignOrchestrator(
-            self.spec, shards=shards, store_dir=store_dir,
-            options=self.options, mode=mode,
-            poll_interval=poll_interval, max_restarts=max_restarts,
-            merged_store=self.store, listeners=tuple(self._listeners))
-        result = orchestrator.run()
-        if self.store is None:
-            # Later records()/progress() calls read the merged store.
-            self.store = orchestrator.merged_store
-        self.result = result
-        return result
 
     # -- execution core ----------------------------------------------------
 

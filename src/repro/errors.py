@@ -35,19 +35,6 @@ class SkippedStrikeError(ReproError):
     bug, not an outcome of the simulated machine."""
 
 
-class OrchestratorError(ReproError):
-    """Raised when a multi-shard campaign cannot be driven to
-    completion (a shard worker keeps dying past its restart budget)."""
-
-
-class OrchestratorStopped(ReproError):
-    """Raised when a running orchestrator's ``stop_requested`` hook
-    asked it to abandon the campaign (service cancellation or drain).
-    Deliberately NOT an :class:`OrchestratorError`: a stop is an
-    honoured request, not a failure, and the shard stores keep every
-    completed record for a later resume."""
-
-
 class ResilienceError(ReproError):
     """Base class for fault-tolerance layer failures (retry budgets
     exhausted, unrecoverable pool state, hung-trial limits)."""

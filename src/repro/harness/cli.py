@@ -24,10 +24,6 @@ Examples::
     repro-ft campaign --sites rob_entry,pc --strikes 2 # sensitivity
     repro-ft campaign --adaptive 0.05 --adaptive-metric coverage \\
         --replicates 64 ...                 # stop converged cells early
-    repro-ft orchestrate --shards 4 --store-dir results/ \\
-        --workloads gcc,go --replicates 32  # multi-shard driver
-    repro-ft orchestrate --shards 2 --store-dir results/ \\
-        --adaptive 0.1 --adaptive-metric sdc_rate ...
     repro-ft faults --list
     repro-ft bench --quick
     repro-ft bench --out BENCH_simulator.json
@@ -50,7 +46,6 @@ from .report import (ascii_chart, format_adaptive_summary,
                      format_campaign_summary, format_campaign_table,
                      format_faults_listing, format_figure5_table,
                      format_figure6_table, format_machine_table,
-                     format_orchestrate_summary,
                      format_sensitivity_table, format_structure_table)
 
 
@@ -288,44 +283,10 @@ def _campaign_spec_from_args(args):
             instructions=args.instructions,
             warmup=args.warmup,
             base_seed=args.seed)
-    # orchestrate has no --shard flag: the driver shards by itself.
-    if getattr(args, "shard", ""):
+    if args.shard:
         index, total = _parse_shard(args.shard)
         spec = spec.shard(index, total)
     return spec
-
-
-def _render_campaign_output(cells, structures=None, adaptive=None,
-                            as_json=False, header_lines=()):
-    """The shared output tail of ``campaign`` and ``orchestrate``:
-    one JSON payload ({cells[, structures][, adaptive]}, or the plain
-    cells array when neither extra block applies — byte-compatible
-    with pre-adaptive output) or the summary/table sequence."""
-    from ..campaign import cells_to_json
-    if as_json:
-        if structures is not None or adaptive is not None:
-            import json as _json
-            payload = {"cells": [cell.as_dict() for cell in cells]}
-            if structures is not None:
-                payload["structures"] = [row.as_dict()
-                                         for row in structures]
-            if adaptive is not None:
-                payload["adaptive"] = adaptive.as_dict()
-            print(_json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(cells_to_json(cells))
-        return
-    for line in header_lines:
-        print(line)
-    print()
-    print(format_campaign_table(cells))
-    if structures is not None:
-        print()
-        print("Per-structure fault sensitivity (struck trials)")
-        print(format_structure_table(structures))
-    if adaptive is not None:
-        print()
-        print(format_adaptive_summary(adaptive))
 
 
 def _cmd_campaign_compact(store):
@@ -336,8 +297,9 @@ def _cmd_campaign_compact(store):
 
 
 def _cmd_campaign(args):
+    import json as _json
     from ..campaign import (TRIAL_FINISHED, CampaignSession,
-                            ExecutionOptions, open_store)
+                            ExecutionOptions, cells_to_json, open_store)
     from ..errors import ConfigError
     if args.resume and not args.store:
         raise SystemExit("repro-ft campaign: --resume requires --store")
@@ -369,99 +331,41 @@ def _cmd_campaign(args):
                 print("  [%d/%d] %s %s"
                       % (event.done, event.total, event.record["key"],
                          event.record["outcome"]), file=sys.stderr)
-    heartbeat = None
-    if args.heartbeat:
-        # A supervising driver (the orchestrator's cli mode, or any
-        # external watchdog) monitors this file for liveness.
-        from ..resilience.heartbeat import Heartbeat
-        heartbeat = Heartbeat(args.heartbeat,
-                              interval=args.heartbeat_interval)
-        session.subscribe(
-            lambda event: heartbeat.beat(progress=event.done))
-        heartbeat.beat(progress=0, force=True)
     start = time.monotonic()
     try:
         result = session.resume() if args.resume else session.run()
     except ConfigError as exc:
         raise SystemExit("repro-ft campaign: %s" % exc)
-    if heartbeat is not None:
-        heartbeat.beat(progress=len(result.records), force=True)
     elapsed = time.monotonic() - start
     cells = session.aggregate()
-    with_sites = bool(getattr(session.spec, "fault_sites", None))
-    header = [format_campaign_summary(result, elapsed=elapsed)]
+    structures = session.aggregate_structures() \
+        if getattr(session.spec, "fault_sites", None) else None
+    adaptive = result.adaptive
+    if args.json:
+        # One payload; the plain cells array when neither extra block
+        # applies, byte-compatible with pre-adaptive output.
+        if structures is None and adaptive is None:
+            print(cells_to_json(cells))
+            return
+        payload = {"cells": [cell.as_dict() for cell in cells]}
+        if structures is not None:
+            payload["structures"] = [row.as_dict() for row in structures]
+        if adaptive is not None:
+            payload["adaptive"] = adaptive.as_dict()
+        print(_json.dumps(payload, indent=2, sort_keys=True))
+        return
+    print(format_campaign_summary(result, elapsed=elapsed))
     if store is not None:
-        header.append("store: %s (%d records)"
-                      % (store.path, len(result.records)))
-    _render_campaign_output(
-        cells,
-        structures=session.aggregate_structures() if with_sites
-        else None,
-        adaptive=result.adaptive, as_json=args.json,
-        header_lines=header)
-
-
-def _cmd_orchestrate(args):
-    from ..campaign import (TRIAL_FINISHED, CampaignOrchestrator,
-                            ExecutionOptions, aggregate,
-                            aggregate_structures)
-    from ..campaign.orchestrator import (SHARD_FINISHED,
-                                         SHARD_RESTARTED,
-                                         SHARD_STARTED)
-    from ..errors import ConfigError, OrchestratorError
-    try:
-        spec = _campaign_spec_from_args(args)
-        options = ExecutionOptions(
-            workers=args.workers,
-            sampling=_sampling_plan_from_args(args),
-            persistent_workers=args.persistent_workers)
-        orchestrator = CampaignOrchestrator(
-            spec, shards=args.shards, store_dir=args.store_dir,
-            options=options, mode=args.mode,
-            poll_interval=args.poll_interval,
-            max_restarts=args.max_restarts,
-            min_uptime=args.min_uptime,
-            heartbeat_lease=args.heartbeat_lease,
-            heartbeat_interval=args.heartbeat_interval)
-    except (ConfigError, ValueError, TypeError, OSError) as exc:
-        raise SystemExit("repro-ft orchestrate: %s" % exc)
-    if not args.quiet:
-        @orchestrator.subscribe
-        def progress(event):
-            if event.kind == TRIAL_FINISHED:
-                print("  [%d/%d] %s %s (shard %d)"
-                      % (event.done, event.total, event.record["key"],
-                         event.record["outcome"], event.shard),
-                      file=sys.stderr)
-            elif event.kind == SHARD_STARTED:
-                print("shard %d/%d started" % (event.shard,
-                                               args.shards),
-                      file=sys.stderr)
-            elif event.kind == SHARD_RESTARTED:
-                print("shard %d restarted from its store"
-                      % event.shard, file=sys.stderr)
-            elif event.kind == SHARD_FINISHED:
-                print("shard %d finished" % event.shard,
-                      file=sys.stderr)
-    start = time.monotonic()
-    try:
-        result = orchestrator.run()
-    except (ConfigError, OrchestratorError, OSError) as exc:
-        # OSError: unwritable --store-dir and friends deserve the
-        # same one-line exit as every other operator mistake.
-        raise SystemExit("repro-ft orchestrate: %s" % exc)
-    elapsed = time.monotonic() - start
-    cells = aggregate(result.records)
-    with_sites = bool(getattr(spec, "fault_sites", None))
-    _render_campaign_output(
-        cells,
-        structures=aggregate_structures(result.records) if with_sites
-        else None,
-        adaptive=result.adaptive, as_json=args.json,
-        header_lines=[
-            format_campaign_summary(result),
-            format_orchestrate_summary(orchestrator,
-                                       elapsed=elapsed)])
+        print("store: %s (%d records)" % (store.path, len(result.records)))
+    print()
+    print(format_campaign_table(cells))
+    if structures is not None:
+        print()
+        print("Per-structure fault sensitivity (struck trials)")
+        print(format_structure_table(structures))
+    if adaptive is not None:
+        print()
+        print(format_adaptive_summary(adaptive))
 
 
 def _cmd_faults(args):
@@ -615,7 +519,6 @@ _COMMANDS = {
     "coverage": _cmd_coverage,
     "demo": _cmd_demo,
     "campaign": _cmd_campaign,
-    "orchestrate": _cmd_orchestrate,
     "faults": _cmd_faults,
     "bench": _cmd_bench,
     "serve": _cmd_serve,
@@ -656,9 +559,6 @@ def _add_serve_args(sub):
                      help="per-trial wall-clock deadline for pooled "
                           "jobs; expired trials SIGKILL their worker "
                           "and re-run (default: no deadline)")
-    sub.add_argument("--heartbeat-lease", type=float, default=None,
-                     help="shard heartbeat lease for orchestrated "
-                          "(shards >= 1) jobs (default: no liveness)")
 
 
 def _add_load_args(sub):
@@ -735,9 +635,7 @@ def _add_bench_args(sub):
                      help="print the full payload as JSON")
 
 
-def _add_grid_args(sub):
-    """The campaign-grid flags shared by ``campaign`` and
-    ``orchestrate`` (both feed :func:`_campaign_spec_from_args`)."""
+def _add_campaign_args(sub):
     sub.set_defaults(instructions=2_000)   # campaigns trade depth for n
     sub.add_argument("--name", default="campaign",
                      help="campaign name (part of every trial key)")
@@ -786,10 +684,6 @@ def _add_grid_args(sub):
                           "table")
     sub.add_argument("--quiet", action="store_true",
                      help="suppress per-trial progress lines")
-
-
-def _add_adaptive_args(sub):
-    """The adaptive-sampling flags (campaign and orchestrate)."""
     sub.add_argument("--adaptive", type=float, default=None,
                      metavar="HALFWIDTH",
                      help="adaptive sampling: stop each grid cell once "
@@ -808,11 +702,6 @@ def _add_adaptive_args(sub):
                      help="hard per-cell budget below the spec's "
                           "replicate count (records then diverge from "
                           "the fixed plan)")
-
-
-def _add_campaign_args(sub):
-    _add_grid_args(sub)
-    _add_adaptive_args(sub)
     sub.add_argument("--store", default="",
                      help="result store URL: PATH.jsonl, sqlite:FILE "
                           "or shard:[N:]DIR (enables --resume)")
@@ -824,75 +713,31 @@ def _add_campaign_args(sub):
                           "duplicate keys) and exit")
     sub.add_argument("--resume", action="store_true",
                      help="skip trials already completed in --store")
-    sub.add_argument("--heartbeat", default="", metavar="PATH",
-                     help="stamp a progress-coupled heartbeat file a "
-                          "supervising driver can watch for liveness")
-    sub.add_argument("--heartbeat-interval", type=float, default=1.0,
-                     help="minimum seconds between heartbeat stamps")
-
-
-def _add_orchestrate_args(sub):
-    _add_grid_args(sub)
-    _add_adaptive_args(sub)
-    sub.add_argument("--shards", type=int, required=True,
-                     help="number of shard workers to launch")
-    sub.add_argument("--store-dir", required=True,
-                     help="directory for the per-shard stores and the "
-                          "merged result (the durable campaign state)")
-    sub.add_argument("--mode", default="process",
-                     choices=("process", "cli"),
-                     help="worker launch mode: forked in-process "
-                          "sessions or repro-ft subprocesses")
-    sub.add_argument("--poll-interval", type=float, default=0.2,
-                     help="seconds between shard-store polls")
-    sub.add_argument("--max-restarts", type=int, default=2,
-                     help="restarts allowed per shard before the "
-                          "campaign fails")
-    sub.add_argument("--heartbeat-lease", type=float, default=None,
-                     help="kill and restart a shard whose heartbeat "
-                          "and store both stall this long (default: "
-                          "exit detection only)")
-    sub.add_argument("--heartbeat-interval", type=float, default=1.0,
-                     help="minimum seconds between worker heartbeats")
-    sub.add_argument("--min-uptime", type=float, default=5.0,
-                     help="a shard alive this long earns its restart "
-                          "budget back (crash-loop forgiveness; 0 "
-                          "disables)")
 
 
 def _add_chaos_args(sub):
-    sub.add_argument("--target", default="orchestrate",
-                     choices=("orchestrate", "service", "both"),
-                     help="which stack to disturb")
     sub.add_argument("--dir", required=True,
                      help="scratch directory for the chaos run's "
                           "stores/state")
     sub.add_argument("--seed", type=int, default=0,
                      help="fault-schedule seed (op kinds and times "
                           "are deterministic per seed)")
-    sub.add_argument("--shards", type=int, default=2,
-                     help="orchestrate target: shard workers")
     sub.add_argument("--kills", type=int, default=1,
                      help="scheduled worker SIGKILLs")
     sub.add_argument("--stalls", type=int, default=1,
                      help="scheduled worker SIGSTOPs (hangs the "
-                          "liveness layer must detect)")
-    sub.add_argument("--torn", type=int, default=1,
-                     help="scheduled torn store appends "
-                          "(orchestrate target only)")
-    sub.add_argument("--heartbeat-lease", type=float, default=1.5,
-                     help="orchestrate target: shard heartbeat lease")
+                          "per-trial deadline must detect)")
     sub.add_argument("--jobs", type=int, default=2,
-                     help="service target: jobs to submit")
+                     help="jobs to submit")
     sub.add_argument("--slots", type=int, default=2,
-                     help="service target: shared pool slots")
+                     help="shared pool slots")
     sub.add_argument("--trial-timeout", type=float, default=3.0,
-                     help="service target: per-trial deadline")
+                     help="per-trial deadline")
     sub.add_argument("--spec", default="",
                      help="JSON CampaignSpec to run under chaos "
                           "(default: a small built-in grid)")
     sub.add_argument("--json", action="store_true",
-                     help="print the full report(s) as JSON")
+                     help="print the full report as JSON")
 
 
 def build_parser():
@@ -912,8 +757,6 @@ def build_parser():
             sub.add_argument("--benchmark", default="fpppp")
         if name == "campaign":
             _add_campaign_args(sub)
-        if name == "orchestrate":
-            _add_orchestrate_args(sub)
         if name == "faults":
             sub.add_argument("--list", action="store_true",
                              help="list structures, kind-mix presets "

@@ -238,31 +238,6 @@ def format_adaptive_summary(summary):
     return "\n".join(lines)
 
 
-def format_orchestrate_summary(orchestrator, elapsed=None):
-    """One-paragraph header for a finished multi-shard campaign."""
-    workers = orchestrator.workers
-    result = orchestrator.result
-    lines = [
-        "orchestrated %d shard%s (%s mode): %d records merged into %s"
-        % (len(workers), "" if len(workers) == 1 else "s",
-           orchestrator.mode, len(result.records),
-           orchestrator.merged_store.path),
-        "shard stores: " + ", ".join(
-            "%d: %d record%s%s"
-            % (worker.index, len(worker.seen),
-               "" if len(worker.seen) == 1 else "s",
-               " (%d restart%s)" % (worker.restarts,
-                                    "" if worker.restarts == 1 else "s")
-               if worker.restarts else "")
-            for worker in workers),
-    ]
-    if elapsed is not None:
-        lines.append("wall clock: %.2f s (%.1f trials/s)"
-                     % (elapsed, result.executed / elapsed
-                        if elapsed > 0 else 0.0))
-    return "\n".join(lines)
-
-
 def format_machine_table(config):
     """Table-1 style machine-parameter listing from a MachineConfig."""
     hierarchy = config.hierarchy

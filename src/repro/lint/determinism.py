@@ -36,8 +36,8 @@ DETERMINISTIC_PREFIXES = (
 )
 
 #: Individual campaign-layer modules on the spec -> trial -> record
-#: path.  The rest of ``campaign/`` (session loop, orchestrator,
-#: stores) legitimately polls clocks and is excluded.
+#: path.  The rest of ``campaign/`` (session loop, stores)
+#: legitimately polls clocks and is excluded.
 DETERMINISTIC_MODULES = (
     "repro/campaign/spec.py",
     "repro/campaign/outcome.py",

@@ -13,7 +13,7 @@ cross-version replay:
 * **event-kind registry** — every kind fed to ``CampaignEvent``,
   ``_emit`` or ``job_event`` (and every ``.kind == "..."`` check)
   must be a member of one of the kind registries
-  (``EVENT_KINDS`` / ``SHARD_EVENT_KINDS`` / ``JOB_EVENT_KINDS``),
+  (``EVENT_KINDS`` / ``JOB_EVENT_KINDS``),
   and every registered kind must actually be emitted somewhere.
 
 Key extraction is deliberately conservative: a serializer that builds
@@ -32,7 +32,6 @@ from .framework import Rule, const_str, register_rule
 #: absent from the linted tree skips its registry (fixture trees).
 KIND_REGISTRIES = (
     ("repro/campaign/api.py", "EVENT_KINDS"),
-    ("repro/campaign/orchestrator.py", "SHARD_EVENT_KINDS"),
     ("repro/service/events.py", "JOB_EVENT_KINDS"),
 )
 

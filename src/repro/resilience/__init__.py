@@ -2,20 +2,18 @@
 
 The paper's thesis is detect-and-recover inside the datapath; this
 package reproduces the pattern at infrastructure level so the
-orchestrator/service layers survive the same class of faults we
+session and service layers survive the same class of faults we
 inject into the simulated machine:
 
 * :mod:`~repro.resilience.retry` — exponential backoff with
   *deterministic* jitter (seeded, replayable — same reason trial
   seeds derive from trial keys) and a token-bucket retry budget;
-* :mod:`~repro.resilience.heartbeat` — progress-coupled heartbeat
-  files and lease-expiry monitors, so a *hung* worker (SIGSTOP, dead
-  NFS, livelock) is as visible as a dead one;
 * :mod:`~repro.resilience.circuit` — a CLOSED/OPEN/HALF_OPEN circuit
   breaker used by the service to shed adaptive extra replicates
   before failing a job outright;
 * :mod:`~repro.resilience.watchdog` — :class:`PoolSupervisor`, the
-  process-pool babysitter: per-trial wall-clock deadlines,
+  process-pool babysitter: per-trial wall-clock deadlines (the one
+  hang detector, so a SIGSTOPped worker is as visible as a dead one),
   ``BrokenProcessPool`` recovery (rebuild the pool, re-submit
   in-flight trials by key) and bounded per-trial retry accounting.
 
@@ -26,13 +24,11 @@ package) — reach it as ``repro.resilience.chaos``.
 """
 
 from .circuit import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from .heartbeat import Heartbeat, HeartbeatMonitor
 from .retry import RetryBudget, RetryPolicy
 from .watchdog import PoolSupervisor
 
 __all__ = [
     "CLOSED", "HALF_OPEN", "OPEN", "CircuitBreaker",
-    "Heartbeat", "HeartbeatMonitor",
     "RetryBudget", "RetryPolicy",
     "PoolSupervisor",
 ]

@@ -4,9 +4,7 @@ Everything in the campaign stack that replays work is replayable
 *byte-for-byte* (trial seeds derive from trial keys), and the retry
 layer follows the same discipline: jitter is derived from a hash of
 ``(seed, token, attempt)``, not from a live RNG, so a re-run of the
-same failure schedule backs off on the same timeline.  That is what
-lets the chaos harness assert recovery behaviour instead of eyeballing
-it.
+same failure schedule backs off on the same timeline.
 
 :class:`RetryBudget` is the token bucket that keeps retries from
 amplifying an outage: each retry spends a token, tokens refill at a
@@ -50,8 +48,8 @@ class RetryPolicy:
         min(max_delay, base_delay * multiplier ** attempt) * jitter
 
     where jitter is a seeded hash of ``(seed, token, attempt)`` —
-    pass a distinct ``token`` per retried entity (shard index, trial
-    key, URL path) to decorrelate their timelines without losing
+    pass a distinct ``token`` per retried entity (trial key, URL
+    path) to decorrelate their timelines without losing
     replayability.
     """
 

@@ -9,14 +9,12 @@ and the simulator:
   ``slots`` workers, gated by the
   :class:`~repro.service.scheduler.SlotPool` so concurrent tenants
   split the slots by weighted max-min over live demand;
-* one :class:`JobRunner` thread per running job.  ``shards=0`` jobs
-  execute trial-by-trial through a :class:`_GatedSession` — a
+* one :class:`JobRunner` thread per running job, executing it
+  trial-by-trial through a :class:`_GatedSession` — a
   :class:`~repro.campaign.api.CampaignSession` whose one dispatch loop
   admits every trial through the slot pool, so fairness is enforced
-  at trial granularity; ``shards>=1`` jobs take all their slots at
-  once and drive a
-  :class:`~repro.campaign.orchestrator.CampaignOrchestrator` (its
-  ``stop_requested`` hook wired to the runner's stop flag);
+  at trial granularity.  A job's ``shards=N`` (N >= 1) caps it at N
+  trials in flight and N slots of declared demand;
 * per-job cancellation (:meth:`ServiceBackend.cancel`), graceful
   drain (:meth:`ServiceBackend.drain` — stop admitting, let in-flight
   trials land, mark running jobs ``interrupted``) and restart
@@ -34,6 +32,7 @@ semantics.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -41,14 +40,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from ..campaign import (CampaignOrchestrator, CampaignSession,
-                        CampaignSpec, ExecutionOptions, RetryingStore,
-                        aggregate, aggregate_structures,
+from ..campaign import (CampaignSession, CampaignSpec, ExecutionOptions,
+                        RetryingStore, aggregate, aggregate_structures,
                         merged_adaptive_summary)
 from ..campaign.adaptive import CAPPED
 from ..campaign.aggregate import trial_cell
-from ..campaign.api import TRIAL_FINISHED
-from ..errors import (OrchestratorStopped, ReproError, ServiceError)
+from ..errors import ReproError, ServiceError
 from ..resilience.circuit import CircuitBreaker
 from ..resilience.retry import RetryPolicy
 from .events import (EventLog, JOB_CANCELLED, JOB_DEGRADED, JOB_FAILED,
@@ -59,9 +56,8 @@ from .jobs import (CANCELLED, DONE, FAILED, INTERRUPTED, Job, JobQueue,
 from .scheduler import (FairScheduler, ReplicateBudget, SlotPool,
                         TenantConfig)
 
-#: The service watches stores and futures at this cadence — much
-#: tighter than the orchestrator's standalone 0.2 s default, because
-#: SSE subscribers are watching live.
+#: The service watches futures and event logs at this cadence, tight
+#: because SSE subscribers are watching live.
 SERVICE_POLL_INTERVAL = 0.05
 
 
@@ -75,9 +71,10 @@ class _GatedSession(CampaignSession):
 
     Only admission is the service's own: a trial starts once it wins a
     fair slot (plus a replicate-budget token when it is an adaptive
-    extra), its slot returns with the tenant's executed-trial credit
-    when it lands, a stop request lands the in-flight trials and then
-    stops, and an open circuit breaker sheds adaptive extras.
+    extra) and the job has fewer than its ``shards`` trials in flight,
+    its slot returns with the tenant's executed-trial credit when it
+    lands, a stop request lands the in-flight trials and then stops,
+    and an open circuit breaker sheds adaptive extras.
     Dispatch, deadlines, resume semantics, store appends and the event
     protocol are the parent's, which is precisely what makes service
     results byte-identical to a plain session run.
@@ -87,6 +84,9 @@ class _GatedSession(CampaignSession):
         super().__init__(*args, **kwargs)
         self._runner = runner
         self._admit_interval = runner.backend.poll_interval
+        #: Most trials in flight (and slots declared) at once: the
+        #: job's ``shards``; 0 leaves only the fair share to bound it.
+        self._max_inflight = runner.job.shards or math.inf
         self._held = 0              # slots held by in-flight trials
         self._deferred = None       # adaptive extra awaiting a token
 
@@ -136,7 +136,7 @@ class _GatedSession(CampaignSession):
                 self._shed_extras(source)
             pending = source.pending() + (self._deferred is not None)
             self._declare(pending, inflight)
-            if not pending:
+            if not pending or inflight >= self._max_inflight:
                 return None
             if backend.slot_pool.acquire(runner.job.tenant, timeout=0):
                 trial = self._select(source)
@@ -153,8 +153,9 @@ class _GatedSession(CampaignSession):
         """Publish this job's slot demand (and its adaptive extras)."""
         backend = self._runner.backend
         job = self._runner.job
-        backend.slot_pool.set_demand(job.tenant, job.id,
-                                     pending + inflight)
+        backend.slot_pool.set_demand(
+            job.tenant, job.id, min(pending + inflight,
+                                    self._max_inflight))
         if self.options.adaptive:
             backend.replicate_budget.set_demand(job.tenant, pending)
 
@@ -248,10 +249,7 @@ class JobRunner(threading.Thread):
         self.log.append(job_event(JOB_RESUMED if resumed
                                   else JOB_STARTED, job))
         try:
-            if job.shards:
-                self._run_orchestrated(store)
-            else:
-                self._run_pooled(store, resume=resumed)
+            self._run_session(store, resume=resumed)
         except _JobStopped:
             job.state = self.stop_reason or INTERRUPTED
             self.log.append(job_event(
@@ -276,73 +274,23 @@ class JobRunner(threading.Thread):
             job.save(backend.data_dir)
             backend._runner_finished(self)
 
-    def _listener(self):
+    def _run_session(self, store, resume: bool):
         job = self.job
-        log = self.log
-
-        def listener(event):
-            log.append(event)
-            job.done = event.done
-            job.total = event.total
-        return listener
-
-    # -- trial-level execution (shards == 0) -------------------------------
-
-    def _run_pooled(self, store, resume: bool):
-        options = self.job.options
+        options = job.options
         if options.trial_timeout is None:
             # The backend-wide deadline covers jobs that set none.
             options = replace(options,
                               trial_timeout=self.backend.trial_timeout)
-        session = _GatedSession(self.job.spec, options=options,
-                                store=store, runner=self,
-                                listeners=(self._listener(),))
-        if resume:
-            result = session.resume()
-        else:
-            result = session.run()
-        self.job.done = len(result.records)
-
-    # -- orchestrated execution (shards >= 1) ------------------------------
-
-    def _run_orchestrated(self, store):
-        backend = self.backend
-        job = self.job
-        forward = self._listener()
-        executed = {"n": 0}
 
         def listener(event):
-            forward(event)
-            if event.kind == TRIAL_FINISHED:
-                executed["n"] += 1
+            self.log.append(event)
+            job.done = event.done
+            job.total = event.total
 
-        backend.slot_pool.set_demand(job.tenant, job.id, job.shards)
-        try:
-            # Every shard slot at once or none: holding part of the set
-            # while waiting for the rest deadlocks against another
-            # tenant doing the same.
-            while not backend.slot_pool.acquire(
-                    job.tenant, timeout=backend.poll_interval,
-                    count=job.shards):
-                if self.stopping:
-                    raise _JobStopped()
-            try:
-                CampaignOrchestrator(
-                    job.spec, shards=job.shards,
-                    store_dir=job.shards_dir(backend.data_dir),
-                    options=job.options, merged_store=store,
-                    listeners=(listener,),
-                    stop_requested=self._stop_event.is_set,
-                    heartbeat_lease=backend.heartbeat_lease).run()
-            except OrchestratorStopped:
-                raise _JobStopped()
-            finally:
-                # Credit the tenant's executed-trial counter on release.
-                backend.slot_pool.release(job.tenant,
-                                          executed_trials=executed["n"],
-                                          count=job.shards)
-        finally:
-            backend.slot_pool.set_demand(job.tenant, job.id, 0)
+        session = _GatedSession(job.spec, options=options, store=store,
+                                runner=self, listeners=(listener,))
+        result = session.resume() if resume else session.run()
+        job.done = len(result.records)
 
 
 class ServiceBackend:
@@ -359,7 +307,6 @@ class ServiceBackend:
                  replicate_epoch: float = 1.0,
                  poll_interval: float = SERVICE_POLL_INTERVAL,
                  trial_timeout: Optional[float] = None,
-                 heartbeat_lease: Optional[float] = None,
                  breaker_threshold: int = 3,
                  breaker_recovery: float = 10.0,
                  store_retry: Optional[RetryPolicy] = None):
@@ -374,9 +321,6 @@ class ServiceBackend:
         #: Backend-wide default per-trial wall-clock deadline for
         #: pooled jobs; a job's own ``options.trial_timeout`` wins.
         self.trial_timeout = trial_timeout
-        #: Forwarded to orchestrated jobs' CampaignOrchestrator as its
-        #: shard heartbeat lease.
-        self.heartbeat_lease = heartbeat_lease
         self.breaker_threshold = breaker_threshold
         self.breaker_recovery = breaker_recovery
         self.store_retry = store_retry if store_retry is not None \
@@ -497,11 +441,6 @@ class ServiceBackend:
             options = ExecutionOptions()
         elif not isinstance(options, ExecutionOptions):
             options = ExecutionOptions.from_dict(options)
-        if options.poll_interval is None:
-            # Live SSE progress wants tight store polls (satellite of
-            # the configurable-interval change).
-            options = replace(options,
-                              poll_interval=self.poll_interval)
         job = Job(id=job_id or new_job_id(), tenant=tenant, spec=spec,
                   options=options, priority=priority, shards=shards,
                   total=spec.grid_size)

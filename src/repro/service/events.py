@@ -18,9 +18,10 @@ skips its torn tails.  A fresh appender starts after the last intact
 Job lifecycle markers (``job_queued`` / ``job_started`` /
 ``job_resumed`` / ``job_finished`` / ``job_failed`` /
 ``job_cancelled`` / ``job_interrupted``) share the stream with the
-campaign's own ``trial_*`` / ``cell_*`` / ``shard_*`` /
-``campaign_finished`` events; they carry ``job``, ``tenant`` and
-``state`` fields instead of trial progress.
+campaign's own ``trial_*`` / ``cell_*`` / ``campaign_finished``
+events; they carry ``job``, ``tenant`` and ``state`` fields instead
+of trial progress.  Logs are read back as plain dicts, so logs that
+older versions wrote (with ``shard_*`` events) still read.
 """
 
 from __future__ import annotations

@@ -3,15 +3,14 @@
 A :class:`Job` is one tenant's submitted campaign: a full
 :class:`~repro.campaign.spec.CampaignSpec`, an
 :class:`~repro.campaign.api.ExecutionOptions` bundle, a priority and
-an execution shape (``shards=0`` runs trial-by-trial on the backend's
-shared slot pool; ``shards>=1`` drives a
-:class:`~repro.campaign.orchestrator.CampaignOrchestrator`).  Every
-job owns a directory under the service data dir::
+a ``shards`` cap (``shards=N >= 1`` keeps at most N of the job's
+trials in flight on the backend's shared slot pool; 0 leaves only the
+fair share to bound it).  Every job owns a directory under the
+service data dir::
 
     jobs/<job_id>/job.json      # identity + state (atomic rewrites)
     jobs/<job_id>/store.jsonl   # the durable result store
     jobs/<job_id>/events.jsonl  # serialized progress event log
-    jobs/<job_id>/shards/       # orchestrator shard stores (shards>=1)
 
 ``store.jsonl`` is the source of truth: state transitions in
 ``job.json`` are advisory (a SIGKILL can outrun them), and recovery
@@ -56,16 +55,15 @@ TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 JOB_FILE = "job.json"
 STORE_FILE = "store.jsonl"
 EVENTS_FILE = "events.jsonl"
-SHARDS_DIR = "shards"
 
 
-#: Execution options that job files written before the single
-#: execution path persisted (the simulator selector and the golden-
-#: trace, fault-free-reuse and checkpointing switches).  Every value
-#: they could hold gave byte-identical records, so
-#: :meth:`Job.from_dict` drops them.
+#: Execution options that older job files persisted: the simulator
+#: selector, the golden-trace, fault-free-reuse and checkpointing
+#: switches, and the shard-store poll interval that sharded jobs read
+#: before they ran on the shared pool.  Every value they could hold
+#: gave byte-identical records, so :meth:`Job.from_dict` drops them.
 RETIRED_OPTIONS = ("simulator", "golden_cache", "reuse_faultfree",
-                   "checkpointing")
+                   "checkpointing", "poll_interval")
 
 
 #: What a job id may look like: it names the job's directory, so a
@@ -87,8 +85,8 @@ class Job:
     spec: CampaignSpec
     options: ExecutionOptions = field(default_factory=ExecutionOptions)
     priority: int = 0
-    #: 0 = trial-level execution on the shared slot pool; >= 1 = run
-    #: through a CampaignOrchestrator with this many shard workers.
+    #: Most of this job's trials in flight at once (0 = no cap beyond
+    #: the tenant's fair share of the slot pool).
     shards: int = 0
     state: str = QUEUED
     error: str = ""
@@ -131,9 +129,6 @@ class Job:
 
     def events_path(self, data_dir: str) -> str:
         return os.path.join(self.job_dir(data_dir), EVENTS_FILE)
-
-    def shards_dir(self, data_dir: str) -> str:
-        return os.path.join(self.job_dir(data_dir), SHARDS_DIR)
 
     def store(self, data_dir: str) -> JSONLStore:
         return JSONLStore(self.store_path(data_dir))

@@ -2,9 +2,8 @@
 
 The campaign service has two resources every tenant competes for:
 
-* **worker slots** — the backend's execution slots (process-pool
-  workers for trial-level jobs, shard-worker processes for
-  orchestrated jobs); and
+* **worker slots** — the backend's execution slots, one process-pool
+  worker per running trial; and
 * **adaptive replicate budget** — the per-epoch number of *extra*
   replicates (beyond a plan's ``min_replicates`` seed) that adaptive
   jobs may spend refining their confidence intervals.
@@ -301,18 +300,14 @@ class FairScheduler:
 
     # -- grants ------------------------------------------------------------
 
-    def grant(self, tenant: str, count: int = 1) -> bool:
-        """Try to hand ``count`` slots to ``tenant`` at once; True on
-        success, and nothing is granted on failure.
+    def grant(self, tenant: str) -> bool:
+        """Try to hand one slot to ``tenant``; True on success.
 
-        A grant succeeds while (a) ``count`` physical slots are free
-        and (b) the tenant stays within its current weighted max-min
-        allocation.  The allocation is recomputed from live demand on
-        every call, so slots freed by a departing tenant flow to the
-        backlogged ones immediately.  A gang (a sharded job's whole
-        slot set) may exceed the allocation when the tenant holds no
-        slots: a partial set is useless to it, and holding one while
-        waiting for the rest deadlocks two tenants doing the same.
+        A grant succeeds while (a) a physical slot is free and (b) the
+        tenant stays within its current weighted max-min allocation.
+        The allocation is recomputed from live demand on every call,
+        so slots freed by a departing tenant flow to the backlogged
+        ones immediately.
         """
         self.tenant(tenant)
         with self._lock:
@@ -320,27 +315,24 @@ class FairScheduler:
             state = self._tenants[tenant]
             total_in_flight = sum(s.in_flight
                                   for s in self._tenants.values())
-            if total_in_flight + count > self.slots:
+            if total_in_flight >= self.slots:
                 return False
             allocation = self._allocation_locked()
-            if state.in_flight + count > allocation.get(tenant, 0) \
-                    and (count == 1 or state.in_flight):
+            if state.in_flight >= allocation.get(tenant, 0):
                 return False
-            state.in_flight += count
+            state.in_flight += 1
             return True
 
-    def release(self, tenant: str, executed_trials: int = 0,
-                count: int = 1):
-        """Return ``count`` slots; ``executed_trials`` feeds the
-        report."""
+    def release(self, tenant: str, executed_trials: int = 0):
+        """Return one slot; ``executed_trials`` feeds the report."""
         with self._lock:
             self._tick_locked()
             state = self._tenants.get(tenant)
-            if state is None or state.in_flight < count:
+            if state is None or state.in_flight < 1:
                 raise ConfigError(
                     "release without a matching grant for tenant %r"
                     % tenant)
-            state.in_flight -= count
+            state.in_flight -= 1
             state.trials_executed += executed_trials
 
     # -- reporting ---------------------------------------------------------
@@ -393,15 +385,15 @@ class SlotPool:
         with self._condition:
             self._condition.notify_all()
 
-    def acquire(self, tenant: str, timeout: Optional[float] = None,
-                count: int = 1) -> bool:
-        """Take ``count`` slots at once for ``tenant``; False on
-        timeout (a timeout of 0 is a non-blocking attempt)."""
+    def acquire(self, tenant: str,
+                timeout: Optional[float] = None) -> bool:
+        """Take a slot for ``tenant``; False on timeout (a timeout of
+        0 is a non-blocking attempt)."""
         deadline = None if timeout is None \
             else time.monotonic() + timeout
         with self._condition:
             while True:
-                if self.scheduler.grant(tenant, count):
+                if self.scheduler.grant(tenant):
                     return True
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
@@ -411,10 +403,8 @@ class SlotPool:
                 else:
                     self._condition.wait()
 
-    def release(self, tenant: str, executed_trials: int = 0,
-                count: int = 1):
-        self.scheduler.release(tenant, executed_trials=executed_trials,
-                               count=count)
+    def release(self, tenant: str, executed_trials: int = 0):
+        self.scheduler.release(tenant, executed_trials=executed_trials)
         with self._condition:
             self._condition.notify_all()
 

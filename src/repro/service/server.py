@@ -25,13 +25,12 @@ GET      ``/api/tenants``                fairness report
 The SSE stream serializes the campaign's typed event protocol: each
 frame is ``id: <seq>`` / ``event: <kind>`` / ``data: <event json>``,
 where ``kind`` is ``trial_started`` / ``trial_finished`` /
-``cell_finished`` / ``cell_converged`` / ``shard_*`` /
-``campaign_finished`` or one of the service's ``job_*`` lifecycle
-markers, and the data payload is the
-:meth:`~repro.campaign.api.CampaignEvent.to_dict` wire form.  Frames
-replay from ``?after=<seq>`` (the log survives restarts), then tail
-live until the job reaches a terminal state; a final ``stream_end``
-event closes the stream.
+``cell_finished`` / ``cell_converged`` / ``campaign_finished`` or
+one of the service's ``job_*`` lifecycle markers, and the data
+payload is the :meth:`~repro.campaign.api.CampaignEvent.to_dict`
+wire form.  Frames replay from ``?after=<seq>`` (the log survives
+restarts), then tail live until the job reaches a terminal state; a
+final ``stream_end`` event closes the stream.
 
 Error mapping: bad input 400, unknown job 404, quota exceeded 429,
 draining 503.
@@ -359,8 +358,7 @@ async def _serve(args) -> int:
         replicate_budget=args.replicate_budget,
         poll_interval=args.poll_interval
         if args.poll_interval is not None else SERVICE_POLL_INTERVAL,
-        trial_timeout=getattr(args, "trial_timeout", None),
-        heartbeat_lease=getattr(args, "heartbeat_lease", None))
+        trial_timeout=getattr(args, "trial_timeout", None))
     recovered = backend.recover()
     if recovered:
         print("recovered %d interrupted/queued job%s: %s"

@@ -82,11 +82,10 @@ def json_objects_over(fields):
 
 
 class TestExecutionOptions:
-    def test_has_eight_fields(self):
+    def test_has_seven_fields(self):
         assert list(ExecutionOptions.__dataclass_fields__) == [
-            "workers", "max_cycles", "sampling", "poll_interval",
-            "trial_timeout", "trial_retries", "store_retry",
-            "persistent_workers"]
+            "workers", "max_cycles", "sampling", "trial_timeout",
+            "trial_retries", "store_retry", "persistent_workers"]
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["sampling", "store_retry"]), st.data())

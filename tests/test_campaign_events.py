@@ -1,8 +1,8 @@
 """CampaignEvent wire serialization and the service's event log.
 
 Satellite of the campaign-service PR: ``CampaignEvent.to_dict`` /
-``from_dict`` must round-trip every event shape the session and the
-orchestrator emit — the typed event stream is now the SSE wire
+``from_dict`` must round-trip every event shape the session emits —
+the typed event stream is now the SSE wire
 protocol, so a lossy serialization would silently corrupt live
 progress for every service client.
 """
@@ -38,7 +38,6 @@ EXAMPLES = [
     CampaignEvent(kind=CELL_CONVERGED, done=3, total=4,
                   cell=("gcc", "SS-2", "rob64", 3000.0, "default",
                         "pc")),
-    CampaignEvent(kind="shard_started", done=0, total=8, shard=1),
     CampaignEvent(kind=CAMPAIGN_FINISHED, done=4, total=4),
 ]
 

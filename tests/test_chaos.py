@@ -1,20 +1,16 @@
 """The chaos harness: seeded schedules and real disturbed runs.
 
-The two end-to-end tests here use explicit early-firing schedules and
-a reduced grid so the whole file stays inside a CI budget; the
+The end-to-end tests here use explicit early-firing schedules and a
+reduced grid so the whole file stays inside a CI budget; the
 full-size seeded runs live in the ``chaos-smoke`` CI job
 (``repro-ft chaos``).
 """
-
-import json
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.resilience.chaos import (ChaosOp, ChaosSchedule, KILL,
-                                    STALL, TORN, TORN_FRAGMENT,
-                                    run_orchestrate_chaos,
-                                    run_service_chaos)
+                                    STALL, run_service_chaos)
 
 SMALL_SPEC = {
     "name": "chaos-test",
@@ -28,18 +24,18 @@ SMALL_SPEC = {
 
 class TestChaosSchedule:
     def test_deterministic_per_seed(self):
-        one = ChaosSchedule.generate(42, kills=2, stalls=1, torn=1)
-        two = ChaosSchedule.generate(42, kills=2, stalls=1, torn=1)
+        one = ChaosSchedule.generate(42, kills=2, stalls=1)
+        two = ChaosSchedule.generate(42, kills=2, stalls=1)
         assert [op.as_dict() for op in one.ops] \
             == [op.as_dict() for op in two.ops]
-        other = ChaosSchedule.generate(43, kills=2, stalls=1, torn=1)
+        other = ChaosSchedule.generate(43, kills=2, stalls=1)
         assert [op.as_dict() for op in one.ops] \
             != [op.as_dict() for op in other.ops]
 
     def test_counts_and_ordering(self):
-        schedule = ChaosSchedule.generate(7, kills=2, stalls=3, torn=1)
-        assert schedule.counts() == {KILL: 2, STALL: 3, TORN: 1}
-        assert schedule.applied_counts() == {KILL: 0, STALL: 0, TORN: 0}
+        schedule = ChaosSchedule.generate(7, kills=2, stalls=3)
+        assert schedule.counts() == {KILL: 2, STALL: 3}
+        assert schedule.applied_counts() == {KILL: 0, STALL: 0}
         assert not schedule.all_applied()
         times = [op.at for op in schedule.ops]
         assert times == sorted(times)
@@ -49,27 +45,6 @@ class TestChaosSchedule:
             ChaosSchedule.generate(0, kills=-1)
         with pytest.raises(ConfigError):
             ChaosSchedule.generate(0, horizon=0.0)
-
-    def test_torn_fragment_is_rejected_by_json(self):
-        # The injected fragment must be exactly the kind of line the
-        # store loaders already quarantine: invalid JSON.
-        with pytest.raises(ValueError):
-            json.loads(TORN_FRAGMENT)
-
-
-class TestOrchestrateChaos:
-    def test_kill_stall_torn_run_matches_clean_run(self, tmp_path):
-        schedule = ChaosSchedule([ChaosOp(at=0.4, kind=KILL),
-                                  ChaosOp(at=0.7, kind=TORN),
-                                  ChaosOp(at=1.0, kind=STALL)])
-        report = run_orchestrate_chaos(
-            str(tmp_path / "chaos"), shards=2,
-            heartbeat_lease=1.0, spec=SMALL_SPEC, schedule=schedule)
-        assert report["error"] == ""
-        assert report["ops_applied"] == {KILL: 1, STALL: 1, TORN: 1}
-        assert report["identical_to_clean"]
-        assert report["hung_detected"] >= 1
-        assert report["ok"]
 
 
 class TestServiceChaos:

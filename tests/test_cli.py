@@ -20,20 +20,12 @@ SMOKE_ARGS = {
     "campaign": ["--workloads", "gcc", "--models", "SS-2",
                  "--rates", "0,3000", "--replicates", "2",
                  "--instructions", "400", "--quiet"],
-    "orchestrate": ["--shards", "2",
-                    "--store-dir", "{tmpdir}",    # filled per test run
-                    "--workloads", "gcc", "--models", "SS-2",
-                    "--rates", "0,3000", "--replicates", "2",
-                    "--instructions", "400", "--poll-interval", "0.05",
-                    "--quiet"],
     "faults": ["--list"],
     "bench": ["--quick", "--out", ""],
     # Zero-op schedule: exercises the full clean-run/chaos-run/compare
     # machinery without waiting on fault fire times.  Real disturbed
     # runs live in tests/test_chaos.py and the chaos-smoke CI job.
-    "chaos": ["--target", "orchestrate", "--dir", "{tmpdir}",
-              "--shards", "2", "--kills", "0", "--stalls", "0",
-              "--torn", "0"],
+    "chaos": ["--dir", "{tmpdir}", "--kills", "0", "--stalls", "0"],
     # The service pair cannot smoke in-process: `serve` runs until
     # signalled and `load` needs a live service.  Both are exercised
     # end to end (real subprocess, real sockets) in

@@ -204,26 +204,6 @@ class TestFairScheduler:
         scheduler.release("alice")
         assert scheduler.allocation() == {}
 
-    def test_gang_grant_is_all_or_nothing(self):
-        scheduler = FairScheduler(2, [TenantConfig("alice"),
-                                      TenantConfig("bob")])
-        scheduler.set_demand("alice", "pooled", 5)
-        scheduler.set_demand("bob", "sharded", 2)
-        assert scheduler.grant("alice")
-        # One free slot: a gang of two gets nothing, not a partial set.
-        assert scheduler.grant("bob", count=2) is False
-        assert scheduler.report()["tenants"]["bob"]["in_flight"] == 0
-        scheduler.release("alice", executed_trials=1)
-        # Bob holds no slots, so his whole gang may exceed his 1-slot
-        # share; per-trial grants still stop at the share.
-        assert scheduler.grant("bob", count=2) is True
-        assert scheduler.report()["tenants"]["bob"]["in_flight"] == 2
-        assert scheduler.grant("alice") is False
-        scheduler.release("bob", count=2)
-        assert scheduler.grant("alice") is True
-        # A tenant already holding a slot gets no gang past its share.
-        assert scheduler.grant("alice", count=2) is False
-
     def test_release_without_grant_raises(self):
         scheduler = FairScheduler(2)
         with pytest.raises(ConfigError, match="release"):
@@ -271,10 +251,10 @@ class TestSlotPool:
         assert pool.acquire("alice", timeout=0)
         assert pool.acquire("alice", timeout=0.05) is False
 
-    def test_gangs_and_single_grants_under_contention(self):
-        """More threads than cores mix single and gang acquires: the
-        held slots never exceed the pool, and every thread finishes
-        (a gang never sits on part of its set)."""
+    def test_single_grants_under_contention(self):
+        """More threads than cores acquire and release one slot at a
+        time under mixed demands: the held slots never exceed the
+        pool, and every thread finishes."""
         pool = SlotPool(FairScheduler(3))
         held = {"now": 0, "peak": 0}
         lock = threading.Lock()
@@ -282,19 +262,18 @@ class TestSlotPool:
 
         def worker(index):
             tenant = "t%d" % (index % 3)
-            count = 1 + index % 2
-            pool.set_demand(tenant, "c%d" % index, count)
+            pool.set_demand(tenant, "c%d" % index, 1 + index % 2)
             for _ in range(40):
-                if not pool.acquire(tenant, timeout=20.0, count=count):
+                if not pool.acquire(tenant, timeout=20.0):
                     failures.append(index)
                     return
                 with lock:
-                    held["now"] += count
+                    held["now"] += 1
                     held["peak"] = max(held["peak"], held["now"])
-                time.sleep(0)       # hold the slots across a switch
+                time.sleep(0)       # hold the slot across a switch
                 with lock:
-                    held["now"] -= count
-                pool.release(tenant, count=count)
+                    held["now"] -= 1
+                pool.release(tenant)
             pool.set_demand(tenant, "c%d" % index, 0)
 
         interval = sys.getswitchinterval()

@@ -29,7 +29,7 @@ class TestJobModel:
         job = make_job(priority=3, shards=2, state=INTERRUPTED,
                        options=ExecutionOptions(
                            workers=2, sampling=SamplingPlan.wilson(0.1),
-                           poll_interval=0.01),
+                           trial_timeout=0.5),
                        done=5, total=9, submitted_at=123.0,
                        started_at=124.0, error="")
         clone = Job.from_dict(json.loads(
@@ -82,7 +82,6 @@ class TestJobModel:
         root = job.job_dir(str(tmp_path))
         assert job.store_path(str(tmp_path)).startswith(root)
         assert job.events_path(str(tmp_path)).startswith(root)
-        assert job.shards_dir(str(tmp_path)).startswith(root)
 
 
 class TestJobQueue:

@@ -1,5 +1,5 @@
-"""The resilience layer: retry/backoff, circuit breaking, heartbeat
-liveness, the retrying store decorator, and the pool supervisor.
+"""The resilience layer: retry/backoff, circuit breaking, the retrying
+store decorator, and the pool supervisor.
 
 The primitives are tested with fake clocks (no wall-clock sleeps); the
 :class:`PoolSupervisor` tests run a real ``ProcessPoolExecutor`` and
@@ -18,8 +18,7 @@ import pytest
 from repro.campaign.store import JSONLStore, RetryingStore
 from repro.errors import ConfigError, ResilienceError, TrialHangError
 from repro.resilience import (CLOSED, HALF_OPEN, OPEN, CircuitBreaker,
-                              Heartbeat, HeartbeatMonitor, RetryBudget,
-                              RetryPolicy)
+                              RetryBudget, RetryPolicy)
 from repro.resilience.watchdog import PoolSupervisor
 
 
@@ -188,79 +187,6 @@ class TestCircuitBreaker:
         breaker.record_success()
         breaker.record_failure()
         assert breaker.state == CLOSED
-
-
-# -- Heartbeat / HeartbeatMonitor --------------------------------------------
-
-class TestHeartbeat:
-    def test_beat_writes_pid_seq_and_progress(self, tmp_path):
-        path = str(tmp_path / "hb")
-        heartbeat = Heartbeat(path, interval=1.0, clock=FakeClock())
-        heartbeat.beat(progress=3, force=True)
-        with open(path) as handle:
-            payload = json.load(handle)
-        assert payload["pid"] == os.getpid()
-        assert payload["seq"] == 1
-        assert payload["progress"] == 3
-
-    def test_beats_are_throttled_but_progress_always_lands(self,
-                                                           tmp_path):
-        clock = FakeClock()
-        path = str(tmp_path / "hb")
-        heartbeat = Heartbeat(path, interval=1.0, clock=clock)
-        heartbeat.beat(progress=0, force=True)
-        heartbeat.beat(progress=0)      # throttled: same progress
-        with open(path) as handle:
-            assert json.load(handle)["seq"] == 1
-        heartbeat.beat(progress=1)      # progress changed: written
-        with open(path) as handle:
-            assert json.load(handle)["progress"] == 1
-        clock.advance(1.1)
-        heartbeat.beat(progress=1)      # interval elapsed: written
-        with open(path) as handle:
-            assert json.load(handle)["seq"] == 3
-
-    def test_clear_removes_the_file(self, tmp_path):
-        path = str(tmp_path / "hb")
-        heartbeat = Heartbeat(path, clock=FakeClock())
-        heartbeat.beat(force=True)
-        heartbeat.clear()
-        assert not os.path.exists(path)
-
-
-class TestHeartbeatMonitor:
-    def test_expires_without_beats(self, tmp_path):
-        clock = FakeClock()
-        monitor = HeartbeatMonitor(str(tmp_path / "hb"), lease=2.0,
-                                   clock=clock)
-        assert not monitor.expired()
-        clock.advance(2.1)
-        assert monitor.expired()
-
-    def test_payload_change_renews_the_lease(self, tmp_path):
-        clock = FakeClock()
-        path = str(tmp_path / "hb")
-        heartbeat = Heartbeat(path, interval=0.1, clock=clock)
-        monitor = HeartbeatMonitor(path, lease=2.0, clock=clock)
-        for _ in range(3):
-            clock.advance(1.5)
-            heartbeat.beat(force=True)
-            assert not monitor.expired()
-        clock.advance(2.1)              # now nothing beats
-        assert monitor.expired()
-
-    def test_external_progress_renews_without_beats(self, tmp_path):
-        # A worker stuck inside one long trial writes no heartbeat,
-        # but the driver sees its store grow: that is progress too.
-        clock = FakeClock()
-        monitor = HeartbeatMonitor(str(tmp_path / "hb"), lease=2.0,
-                                   clock=clock)
-        clock.advance(1.5)
-        assert not monitor.expired(progress=1)
-        clock.advance(1.5)
-        assert not monitor.expired(progress=2)
-        clock.advance(2.1)
-        assert monitor.expired(progress=2)
 
 
 # -- RetryingStore -----------------------------------------------------------

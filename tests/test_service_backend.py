@@ -1,10 +1,10 @@
 """ServiceBackend: the fairness-gated execution engine.
 
 The load-bearing property throughout: the service schedules, it never
-changes results.  Every execution shape (trial-level gated pool,
-adaptive plans, orchestrated shards) must produce records
-byte-identical to a plain in-process CampaignSession run of the same
-spec, and interruption at any point (cancel, drain, recovery) must
+changes results.  Every job shape (fixed and adaptive plans, with or
+without a ``shards`` cap) must produce records byte-identical to a
+plain in-process CampaignSession run of the same spec, and
+interruption at any point (cancel, drain, recovery) must
 leave stores that a resumed run completes to the identical record set.
 """
 
@@ -73,11 +73,15 @@ class TestExecution:
         assert json.dumps(records_of(backend, job.id), sort_keys=True) \
             == json.dumps(plain.records, sort_keys=True)
 
-    def test_adaptive_job_matches_plain_adaptive_session(self, backend):
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_adaptive_job_matches_plain_adaptive_session(self, backend,
+                                                          shards):
+        """A sharded job adapts over the whole campaign, like a pooled
+        one: the cap bounds trials in flight, not what they see."""
         options = ExecutionOptions(sampling=SamplingPlan.wilson(
             0.5, min_replicates=2))
         job = backend.submit("alice", spec(replicates=6),
-                             options=options)
+                             options=options, shards=shards)
         assert wait_terminal(backend, job.id).state == DONE
         plain = CampaignSession(spec(replicates=6),
                                 options=options).run()
@@ -86,6 +90,26 @@ class TestExecution:
         result = backend.job_result(job.id)
         assert "adaptive" in result
         assert result["adaptive"]["cells"]
+
+    def test_result_closes_cut_cells_as_capped_like_the_session(
+            self, backend):
+        """Cells that ``max_replicates`` cut close as ``capped`` in a
+        live session; the summary ``/result`` rebuilds from the stored
+        records must say the same."""
+        job_spec = CampaignSpec(name="capped", workloads=("gcc",),
+                                models=("SS-1", "SS-2"),
+                                rates_per_million=(3000.0,),
+                                replicates=8, instructions=400)
+        options = ExecutionOptions(sampling=SamplingPlan.wilson(
+            0.01, min_replicates=2, max_replicates=3))
+        job = backend.submit("alice", job_spec, options=options)
+        assert wait_terminal(backend, job.id).state == DONE
+        plain = CampaignSession(job_spec, options=options).run()
+        closed = [cell["closed"] for cell in
+                  backend.job_result(job.id)["adaptive"]["cells"]]
+        assert closed == [cell["closed"]
+                          for cell in plain.adaptive.cells]
+        assert closed == ["capped", "capped"]
 
     def test_event_stream_serializes_the_campaign_protocol(
             self, backend):
@@ -111,32 +135,53 @@ class TestExecution:
         expected = [cell.as_dict() for cell in aggregate(plain.records)]
         assert backend.job_result(job.id)["cells"] == expected
 
-    def test_orchestrated_job_matches_plain_session(self, backend):
-        job = backend.submit("alice", spec(name="orch"), shards=2)
+    def test_sharded_job_matches_plain_session(self, backend):
+        job = backend.submit("alice", spec(name="sharded"), shards=2)
         assert wait_terminal(backend, job.id).state == DONE
-        plain = CampaignSession(spec(name="orch")).run()
+        plain = CampaignSession(spec(name="sharded")).run()
         assert json.dumps(records_of(backend, job.id), sort_keys=True) \
             == json.dumps(plain.records, sort_keys=True)
-        kinds = {event["kind"]
-                 for _seq, event in backend.read_events(job.id)}
-        assert "shard_started" in kinds
 
-    def test_orchestrated_shards_over_slots_rejected(self, backend):
+    def test_one_shard_job_keeps_one_trial_in_flight(self, backend):
+        """``shards=1`` on a 2-slot service: while the job runs, its
+        tenant never holds more than one slot nor declares more than
+        one, though a second slot stands free."""
+        job_spec = spec(name="one-shard", replicates=4,
+                        instructions=1_500)
+        job = backend.submit("alice", job_spec, shards=1)
+        samples = []
+        while not backend.job(job.id).terminal:
+            entry = backend.scheduler.report()["tenants"].get("alice",
+                                                              {})
+            samples.append((entry.get("in_flight", 0),
+                            entry.get("demand", 0)))
+            time.sleep(0.005)
+        assert wait_terminal(backend, job.id).state == DONE
+        assert (1, 1) in samples
+        assert max(in_flight for in_flight, _ in samples) == 1
+        assert max(demand for _, demand in samples) == 1
+        plain = CampaignSession(job_spec).run()
+        assert json.dumps(records_of(backend, job.id), sort_keys=True) \
+            == json.dumps(plain.records, sort_keys=True)
+
+    def test_shards_over_slots_rejected(self, backend):
         with pytest.raises(ServiceError, match="slots"):
             backend.submit("alice", spec(), shards=5)
 
-    def test_sharded_jobs_of_two_tenants_take_whole_gangs(self, backend):
+    def test_sharded_jobs_of_two_tenants_all_finish(self, backend):
         """Two tenants' ``shards=2`` jobs on a 2-slot service each have
-        a 1-slot fair share.  Taking slots one at a time, each job held
-        one slot and waited forever for the second; a gang is granted
-        whole or not at all, so every job finishes."""
+        a 1-slot fair share, and a pooled job holds both slots when
+        they arrive.  Each trial is admitted on its own, so no job
+        sits on one slot waiting for a second, and all three jobs
+        finish with a plain session's records."""
         hog = spec(name="hog", replicates=8, instructions=3000)
         jobs = [(backend.submit("a", hog), hog)]
         wait_until(lambda: tenant_entry(backend, "a").get("in_flight") == 2)
         for tenant in ("b", "a"):
             demand = tenant_entry(backend, tenant).get("demand", 0)
-            gang = spec(name="gang-" + tenant)
-            jobs.append((backend.submit(tenant, gang, shards=2), gang))
+            sharded = spec(name="sharded-" + tenant)
+            jobs.append((backend.submit(tenant, sharded, shards=2),
+                         sharded))
             wait_until(lambda: tenant_entry(backend, tenant)
                        .get("demand", 0) > demand)
         for job, job_spec in jobs:
@@ -219,15 +264,6 @@ class TestAdmission:
                 backend.submit("alice", spec(name="q3"))
         finally:
             backend.close(drain_timeout=10.0)
-
-    def test_poll_interval_defaults_to_the_service_interval(
-            self, backend):
-        job = backend.submit("alice", spec())
-        assert job.options.poll_interval == backend.poll_interval
-        explicit = backend.submit(
-            "alice", spec(name="explicit"),
-            options=ExecutionOptions(poll_interval=0.42))
-        assert explicit.options.poll_interval == 0.42
 
 
 class TestCancellation:
@@ -342,15 +378,30 @@ class TestDrainAndRecovery:
             backend.close(drain_timeout=10.0)
 
     @staticmethod
-    def write_job_file(data_dir, job_id, options):
+    def write_job_file(data_dir, job_id, options, shards=0):
         job_dir = data_dir / "jobs" / job_id
         job_dir.mkdir(parents=True)
         (job_dir / "job.json").write_text(json.dumps({
             "id": job_id, "tenant": "alice",
             "spec": spec(name=job_id).to_dict(), "options": options,
-            "priority": 0, "shards": 0, "state": RUNNING, "seq": 1,
+            "priority": 0, "shards": shards, "state": RUNNING, "seq": 1,
             "submitted_at": 1.0, "started_at": 2.0, "done": 0,
             "total": 4}))
+
+    @staticmethod
+    def assert_recovers_to_plain_records(data_dir, job_id):
+        """A restarted service re-queues the job file and runs it to
+        the plain session's records."""
+        revived = ServiceBackend(str(data_dir), slots=2)
+        try:
+            assert [job.id for job in revived.recover()] == [job_id]
+            assert wait_terminal(revived, job_id).state == DONE
+            plain = CampaignSession(spec(name=job_id)).run()
+            assert json.dumps(records_of(revived, job_id),
+                              sort_keys=True) \
+                == json.dumps(plain.records, sort_keys=True)
+        finally:
+            revived.close(drain_timeout=10.0)
 
     def test_parent_format_job_file_resumes_to_done(self, tmp_path):
         """Job files written before the single execution path carry
@@ -360,17 +411,7 @@ class TestDrainAndRecovery:
         self.write_job_file(data_dir, "job-parent", {
             "simulator": "fast", "golden_cache": True,
             "reuse_faultfree": True, "workers": 1})
-        revived = ServiceBackend(str(data_dir), slots=2)
-        try:
-            assert [job.id for job in revived.recover()] \
-                == ["job-parent"]
-            assert wait_terminal(revived, "job-parent").state == DONE
-            plain = CampaignSession(spec(name="job-parent")).run()
-            assert json.dumps(records_of(revived, "job-parent"),
-                              sort_keys=True) \
-                == json.dumps(plain.records, sort_keys=True)
-        finally:
-            revived.close(drain_timeout=10.0)
+        self.assert_recovers_to_plain_records(data_dir, "job-parent")
 
     def test_checkpointing_job_file_resumes_to_done(self, tmp_path):
         """Job files written while checkpointing was a switch carry
@@ -379,17 +420,19 @@ class TestDrainAndRecovery:
         self.write_job_file(data_dir, "job-ckpt", {
             "checkpointing": True, "persistent_workers": True,
             "workers": 2})
-        revived = ServiceBackend(str(data_dir), slots=2)
-        try:
-            assert [job.id for job in revived.recover()] \
-                == ["job-ckpt"]
-            assert wait_terminal(revived, "job-ckpt").state == DONE
-            plain = CampaignSession(spec(name="job-ckpt")).run()
-            assert json.dumps(records_of(revived, "job-ckpt"),
-                              sort_keys=True) \
-                == json.dumps(plain.records, sort_keys=True)
-        finally:
-            revived.close(drain_timeout=10.0)
+        self.assert_recovers_to_plain_records(data_dir, "job-ckpt")
+
+    def test_sharded_job_file_with_poll_interval_resumes_to_done(
+            self, tmp_path):
+        """Every job file written while sharded jobs ran on their own
+        shard processes carries the ``poll_interval`` the service
+        stamped on submit; a restarted service drops it and runs the
+        job, its ``shards`` now a cap, to the plain session's
+        records."""
+        data_dir = tmp_path / "svc"
+        self.write_job_file(data_dir, "job-sharded", {
+            "workers": 1, "poll_interval": 0.05}, shards=2)
+        self.assert_recovers_to_plain_records(data_dir, "job-sharded")
 
     def test_invalid_job_file_is_skipped_not_fatal(self, tmp_path):
         data_dir = tmp_path / "svc"

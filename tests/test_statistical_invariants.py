@@ -1,7 +1,7 @@
 """Property-based statistical invariants of the campaign layer.
 
-The adaptive scheduler and the multi-shard orchestrator both lean on
-two promises that are easy to break silently: the Wilson interval
+The adaptive scheduler and multi-host shard merges both lean on two
+promises that are easy to break silently: the Wilson interval
 behaves like a confidence interval (bounded, contains the sample
 proportion, narrows with evidence), and aggregation is a pure function
 of the record *set* — the order records arrive in, and whether they
@@ -201,7 +201,7 @@ class ListStore(StoreBackend):
 def test_aggregate_invariant_under_shard_split_merge(records, shards):
     """Splitting a record set by key hash across N shard stores and
     merging back must aggregate byte-identically to the single-store
-    run — the orchestrator's core correctness claim."""
+    run — the correctness claim of a multi-host ``--shard i/N`` run."""
     baseline = cells_to_json(aggregate(records))
     stores = [ListStore() for _ in range(shards)]
     for record in records:
