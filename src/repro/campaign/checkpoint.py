@@ -3,38 +3,37 @@
 A struck trial differs from its cell's fault-free run only between its
 first strike and the point where the fault has washed out; this
 module simulates just that stretch, without changing a single record
-byte:
+byte.  Everything it needs comes from :class:`FaultFreeTwin`, the
+cell's fault-free run as struck runs see it: every ``DIGEST_INTERVAL``
+committed instructions (a digest mark), the run's normalized state
+digest (:func:`~repro.uarch.snapshot.digest_parts`), its
+``PipelineStats`` sums and its dispatched-group count.  At most
+``RUNGS_PER_CELL`` marks also keep a rung, a compact
+:class:`~repro.uarch.snapshot.ProcessorSnapshot` whose digest is the
+mark's; a short run keeps one at every mark.
 
-* :class:`CellCheckpoints` is one cell's ladder: a
-  :class:`~repro.uarch.snapshot.ProcessorSnapshot` at each of the first
-  ``CHECKPOINTS_PER_CELL - 1`` multiples of :func:`default_interval`
-  committed instructions.  A struck run restores the latest one at or
-  before its first strike, skipping the clean prefix.
-* :class:`FaultFreeTwin` is the cell's fault-free run as struck runs
-  see it: every ``DIGEST_INTERVAL`` committed instructions, its
-  normalized state digest (:func:`~repro.uarch.snapshot.digest_parts`),
-  its ``PipelineStats`` sums and its dispatched-group count.  A struck
-  run whose state re-converges with the twin's at a mark, once its
-  policy has nothing left to strike, stops there: its final sums are
-  its sums at the match plus the twin's remaining delta, and its
-  verdict is the twin's.
+* A struck run restores the twin's latest rung at or before its first
+  strike, skipping the clean prefix: with a rung at every mark, it
+  starts within one mark of its strike.
+* A struck run whose state re-converges with the twin's at a mark,
+  once its policy has nothing left to strike, stops there: its final
+  sums are its sums at the match plus the twin's remaining delta, and
+  its verdict is the twin's.
 * :func:`run_checkpointed` is the one windowed runner.  It finishes
   the warmup-then-measure protocol of
-  :func:`repro.harness.experiment.run_windowed` in chunks toward
-  ladder and digest marks.  Chained ``Processor.run`` calls check
-  their budgets before every step, so the segmented run is
-  cycle-for-cycle identical to the straight one.  The fault-free run
-  (which a campaign makes once per cell anyway) fills every ladder
-  mark and records the twin's marks; a struck run fills the ladder
-  marks still missing from its own clean prefix.
+  :func:`repro.harness.experiment.run_windowed` in chunks toward the
+  digest marks.  Chained ``Processor.run`` calls check their budgets
+  before every step, so the segmented run is cycle-for-cycle identical
+  to the straight one.  The fault-free run (which a campaign makes
+  once per cell anyway) records the twin.
 
 Why the prefix is exactly equivalent: the first strike is the run's
 :class:`~repro.faults.policy.InjectionPolicy`'s ``next_group``, and no
 policy changes machine state below it.  A rate policy's walk is keyed
 by dispatched-group index, not by what has dispatched, so a restored
-run replays the same draw stream.  A snapshot taken at
-dispatched-group count ``D <= first_strike``, by whichever run reached
-it, therefore continues into the struck run exactly.
+run replays the same draw stream.  A rung taken at dispatched-group
+count ``D <= first_strike`` therefore continues into the struck run
+exactly.
 
 Why the suffix is: two machines whose digests match at the same
 committed count are in the same state up to a shift in cycles and ages
@@ -49,12 +48,11 @@ clean and the two final states are equal, so it holds for the struck
 run too; only masked versus detected_recovered depends on the spliced
 counters.
 
-The ladders are per-process (snapshots share decoded-instruction
-objects with the live program and cannot cross pickling boundaries)
-and LRU-bounded so long multi-cell campaigns do not grow without
-limit.  The twin's marks are plain values and live with its memoized
-result in :mod:`repro.campaign.outcome`, so an evicted ladder never
-turns the early exit off, and an evicted twin is simply run again.
+Early exits depend on the marks alone, not on where a run restored,
+so they come out the same whichever rung a run starts from.  Twins are
+per-process and live with their memoized results in
+:mod:`repro.campaign.outcome`, an LRU of cells; an evicted twin is
+simply run again.
 """
 
 from __future__ import annotations
@@ -66,58 +64,12 @@ from ..harness.experiment import cycle_budget
 from ..uarch.snapshot import (STATS_SUMS, ProcessorSnapshot, digest_parts,
                               state_digest)
 
-#: Cells whose ladders are retained per process.
-_STORE_LIMIT = 2
-
-#: Ladder spacing divisor: marks at budget/4, 2/4 and 3/4.
-CHECKPOINTS_PER_CELL = 4
-
-#: Never checkpoint more often than this many committed instructions.
-MIN_INTERVAL = 50
-
 #: Committed instructions between the fault-free twin's digest marks.
 DIGEST_INTERVAL = 100
 
-
-def default_interval(instructions, warmup=0):
-    """The snapshot spacing (committed instructions) for one cell's
-    budget."""
-    return max(MIN_INTERVAL,
-               (instructions + warmup) // CHECKPOINTS_PER_CELL)
-
-
-class CellCheckpoints:
-    """The snapshot ladder of one campaign cell, filled as runs pass
-    its marks."""
-
-    def __init__(self, program):
-        self.program = program
-        self._marks = {}            # instruction mark -> snapshot
-        self.snapshots = []         # ordered by dispatched_groups
-
-    def __contains__(self, mark):
-        return mark in self._marks
-
-    def add(self, mark, snapshot):
-        self._marks[mark] = snapshot
-        self.snapshots = sorted(self._marks.values(),
-                                key=lambda s: s.dispatched_groups)
-
-    def best_before(self, group_index):
-        """The latest snapshot safe for a first strike at ``group_index``.
-
-        Safe means ``snapshot.dispatched_groups <= group_index``: the
-        restored machine has dispatched only groups that provably
-        carried no strike.  ``None`` when even the earliest snapshot
-        is past the strike.
-        """
-        best = None
-        for snapshot in self.snapshots:
-            if snapshot.dispatched_groups <= group_index:
-                best = snapshot
-            else:
-                break
-        return best
+#: Most rungs one twin keeps.  A run with more digest marks keeps a
+#: rung at every k-th mark only, for the smallest k that fits.
+RUNGS_PER_CELL = 32
 
 
 class _Mark:
@@ -137,16 +89,21 @@ class _Mark:
 
 
 class FaultFreeTwin:
-    """A cell's fault-free run, as its struck runs compare against it.
+    """A cell's fault-free run, as its struck runs restore and compare
+    against it.
 
     :func:`run_checkpointed` fills :attr:`marks` (digest mark ->
-    :class:`_Mark`), :attr:`final` and the warmup stamps while running
-    the fault-free trial; the caller then sets :attr:`result`,
-    :attr:`groups` and :attr:`exits` from that trial's outcome.
+    :class:`_Mark`), :attr:`rungs`, :attr:`final` and the warmup stamps
+    while running the fault-free trial; the caller then sets
+    :attr:`result`, :attr:`groups` and :attr:`exits` from that trial's
+    outcome.
     """
 
     def __init__(self):
         self.marks = {}
+        #: Snapshots at digest marks, in run order, so by
+        #: dispatched-group count.
+        self.rungs = []
         self.final = None
         self.warm_cycles = 0
         self.warm_instructions = 0
@@ -156,6 +113,32 @@ class FaultFreeTwin:
         #: Whether struck runs may splice onto this run: its verdict
         #: was clean.
         self.exits = False
+
+    def record(self, mark, processor, rung):
+        """Record digest ``mark`` of the fault-free ``processor``,
+        keeping a rung there when ``rung`` is true."""
+        if rung:
+            snapshot = ProcessorSnapshot(processor)
+            self.rungs.append(snapshot)
+            digest = snapshot.digest
+        else:
+            digest = state_digest(processor)
+        self.marks[mark] = _Mark(processor, digest)
+
+    def rung_before(self, group_index):
+        """The latest rung safe for a first strike at ``group_index``.
+
+        Safe means ``rung.dispatched_groups <= group_index``: the
+        restored machine has dispatched only groups that provably
+        carried no strike.  ``None`` when even the earliest rung is
+        past the strike.
+        """
+        best = None
+        for rung in self.rungs:
+            if rung.dispatched_groups > group_index:
+                break
+            best = rung
+        return best
 
     def converged(self, mark, processor, max_cycles, warm_instructions):
         """Has the struck run ``processor``, stopped at digest ``mark``,
@@ -204,10 +187,9 @@ class FaultFreeTwin:
 
 class CheckpointStore:
     """LRU store of per-cell objects with hit/miss/eviction counters:
-    the checkpoint ladders here, the fault-free twins in
-    :mod:`repro.campaign.outcome`."""
+    the fault-free twins of :mod:`repro.campaign.outcome`."""
 
-    def __init__(self, limit=_STORE_LIMIT):
+    def __init__(self, limit):
         self.limit = limit
         self._cells = OrderedDict()
         self.hits = 0
@@ -236,6 +218,10 @@ class CheckpointStore:
         self.misses = 0
         self.evictions = 0
 
+    def values(self):
+        """The stored objects, least recently used first."""
+        return list(self._cells.values())
+
     def __len__(self):
         return len(self._cells)
 
@@ -245,46 +231,26 @@ class CheckpointStore:
                 "evictions": self.evictions}
 
 
-_STORE = CheckpointStore()
+def run_checkpointed(processor, twin, first_strike, max_instructions,
+                     warmup_instructions=0, max_cycles=None):
+    """`run_windowed` from ``twin``'s rungs, for a run that strikes no
+    dispatched group below ``first_strike`` (``math.inf``: never).
 
+    ``processor`` must be freshly built with the run's policy, and
+    ``twin`` is its cell's :class:`FaultFreeTwin`.  The twin's latest
+    rung at or before ``first_strike`` is restored first; the policy
+    needs no re-seat, because its schedule is keyed by dispatched-group
+    index.  The run then chains ``processor.run`` calls toward absolute
+    instruction targets (each chunk recomputed from the actual
+    committed count, so commit-width overshoot never drifts the
+    protocol), stamping the warmup extras exactly where the straight
+    protocol does.
 
-def get_store():
-    """The per-process checkpoint store."""
-    return _STORE
-
-
-def clear_checkpoints():
-    """Drop all cell checkpoints and reset counters (for tests)."""
-    _STORE.clear()
-
-
-def checkpoint_store_stats():
-    """Counters of the per-process checkpoint store."""
-    return _STORE.stats()
-
-
-def run_checkpointed(processor, cell, first_strike, max_instructions,
-                     warmup_instructions=0, max_cycles=None, twin=None):
-    """`run_windowed` over ``cell``'s ladder, for a run that strikes
-    no dispatched group below ``first_strike`` (``math.inf``: never).
-
-    ``processor`` must be freshly built with the run's policy.  The
-    latest snapshot at or before ``first_strike`` is restored first;
-    the policy needs no re-seat, because its schedule is keyed by
-    dispatched-group index.  The run then chains ``processor.run`` calls
-    toward absolute instruction targets (each chunk recomputed from
-    the actual committed count, so commit-width overshoot never drifts
-    the protocol), stamping the warmup extras exactly where the
-    straight protocol does, and captures each mark the ladder lacks
-    once crossed — after any warmup stamping due at the same boundary,
-    never at the final target, never once the machine halted or
-    exhausted its cycle budget, and never after the machine dispatched
-    more than ``first_strike`` groups.
-
-    ``twin`` is the cell's :class:`FaultFreeTwin`.  A fault-free run
-    records its digest marks and final totals into it.  A struck run
-    stops at the first digest mark where it has re-converged with the
-    twin (:meth:`FaultFreeTwin.converged`) and finishes its totals and
+    A fault-free run records ``twin``: its digest marks, a rung at each
+    kept mark (after any warmup stamping due at the same boundary) and
+    its final totals.  A struck run stops at the first digest mark
+    where it has re-converged with the twin
+    (:meth:`FaultFreeTwin.converged`) and finishes its totals and
     warmup stamps by arithmetic, outside ``Processor.run``.
 
     Returns ``(stats, warm_cycles, warm_instructions, converged)`` like
@@ -293,12 +259,12 @@ def run_checkpointed(processor, cell, first_strike, max_instructions,
     """
     if max_cycles is None:
         max_cycles = cycle_budget(max_instructions, warmup_instructions)
-    snapshot = cell.best_before(first_strike)
-    if snapshot is not None:
-        snapshot.restore_into(processor)
+    rung = twin.rung_before(first_strike)
+    if rung is not None:
+        rung.restore_into(processor)
     stats = processor.stats
-    # A snapshot past the warmup boundary carries the stamps its run
-    # made at the crossing.
+    # A rung past the warmup boundary carries the stamps its run made
+    # at the crossing.
     warm_cycles = stats.extras.get("warmup_cycles", 0)
     warm_instructions = stats.extras.get("warmup_instructions", 0)
     warm_pending = bool(warmup_instructions) \
@@ -307,21 +273,17 @@ def run_checkpointed(processor, cell, first_strike, max_instructions,
     # to the committed count after warmup, overshoot included — the
     # final absolute target is only known once warmup completes.
     final = None if warm_pending else warm_instructions + max_instructions
-    interval = default_interval(max_instructions, warmup_instructions)
-    todo = [mark for mark in (interval * k for k in
-                              range(1, CHECKPOINTS_PER_CELL))
-            if mark > stats.instructions and mark not in cell]
     recording = processor.policy is None
+    # Commit overshoot stays below one interval, so the run has at most
+    # ceil(budget / DIGEST_INTERVAL) marks.
+    stride = max(1, -(-(max_instructions + warmup_instructions)
+                      // (DIGEST_INTERVAL * RUNGS_PER_CELL)))
     digest_mark = math.inf
-    if twin is not None and (recording or twin.exits):
+    if recording or twin.exits:
         digest_mark = _next_digest_mark(stats.instructions)
     while True:
-        if stats.dispatched_groups > first_strike:
-            todo = []
         current = stats.instructions
         target = warmup_instructions if warm_pending else final
-        if todo:
-            target = min(target, todo[0])
         target = min(target, digest_mark)
         if target > current:
             stats = processor.run(max_instructions=target - current,
@@ -339,14 +301,10 @@ def run_checkpointed(processor, cell, first_strike, max_instructions,
             final = warm_instructions + max_instructions
         if stalled or (final is not None and current >= final):
             break
-        while todo and todo[0] <= current:
-            mark = todo.pop(0)
-            if stats.dispatched_groups <= first_strike:
-                cell.add(mark, ProcessorSnapshot(processor))
         if current >= digest_mark:
             if recording:
-                twin.marks[digest_mark] = _Mark(processor,
-                                                state_digest(processor))
+                twin.record(digest_mark, processor,
+                            digest_mark // DIGEST_INTERVAL % stride == 0)
             elif twin.converged(digest_mark, processor, max_cycles,
                                 None if warm_pending else warm_instructions):
                 shift = twin.splice(digest_mark, processor)
@@ -361,7 +319,7 @@ def run_checkpointed(processor, cell, first_strike, max_instructions,
                 return stats, warm_cycles, warm_instructions, twin
             digest_mark = _next_digest_mark(current)
     stats.cycles = processor.cycle
-    if recording and twin is not None:
+    if recording:
         twin.final = _Mark(processor)
         twin.warm_cycles = warm_cycles
         twin.warm_instructions = warm_instructions

@@ -48,9 +48,11 @@ _TWIN_LIMIT = 16
 #: (:class:`~repro.campaign.checkpoint.FaultFreeTwin`): with no
 #: injector the simulation is a pure function of (workload, model,
 #: budgets), so all replicates of a rate-0 cell share one execution,
-#: and every struck trial of the cell compares against its marks.
-#: Bounded so a long-lived service worker does not keep a twin for
-#: every cell it ever ran; an evicted twin is simply run again.
+#: and every struck trial of the cell restores from its rungs and
+#: compares against its marks.  Bounded so a long-lived service worker
+#: does not keep a twin for every cell it ever ran: at most
+#: ``_TWIN_LIMIT`` x ``checkpoint.RUNGS_PER_CELL`` rungs (a few KiB
+#: each) are held; an evicted twin is simply run again.
 _FAULTFREE_CACHE = _checkpoint.CheckpointStore(limit=_TWIN_LIMIT)
 
 #: Optional monotonic clock injected by the bench harness (see
@@ -151,10 +153,10 @@ def run_trial(trial):
     the processor is built, because building resets the policy.  When
     the first strike is at or past the twin's dispatched-group count,
     the trial is the twin and reuses it.  Every other struck trial
-    fast-forwards to the latest snapshot of its cell's checkpoint
-    ladder at or before its first strike, simulates from there, and
-    stops early once its state re-converges with the twin's
-    (:mod:`repro.campaign.checkpoint`).
+    restores the twin's latest rung at or before its first strike (a
+    compact snapshot kept at a digest mark, so at most one mark before
+    the strike), simulates from there, and stops early once its state
+    re-converges with the twin's (:mod:`repro.campaign.checkpoint`).
     """
     policy = trial.injection_policy()
     twin = _fault_free_twin(trial)
@@ -166,8 +168,7 @@ def run_trial(trial):
         # the fault-free run.
         return replace(twin.result, trial=trial.to_dict())
     processor = _build_processor(trial, policy)
-    return _finish_checkpointed(trial, processor, _cell_checkpoints(trial),
-                                first_strike, twin)[0]
+    return _finish_checkpointed(trial, processor, first_strike, twin)[0]
 
 
 def _baseline_key(trial):
@@ -177,28 +178,14 @@ def _baseline_key(trial):
             trial.max_cycles)
 
 
-def _cell_checkpoints(trial):
-    """This cell's snapshot ladder, identity-checked against the live
-    program object (snapshots share decoded metadata with it, so a
-    workload-cache eviction starts the ladder over)."""
-    store = _checkpoint.get_store()
-    key = _baseline_key(trial)
-    program = _cached_workload(trial.workload, trial.workload_seed)
-    cell = store.get(key)
-    if cell is None or cell.program is not program:
-        cell = _checkpoint.CellCheckpoints(program)
-        store.put(key, cell)
-    return cell
-
-
-def _finish_checkpointed(trial, processor, cell, first_strike, twin):
+def _finish_checkpointed(trial, processor, first_strike, twin):
     """:func:`finish_trial` through
     :func:`repro.campaign.checkpoint.run_checkpointed` on the cell's
-    ladder and twin."""
+    twin."""
     def runner(proc, max_cycles):
         return _checkpoint.run_checkpointed(
-            proc, cell, first_strike, trial.instructions, trial.warmup,
-            max_cycles, twin)
+            proc, twin, first_strike, trial.instructions, trial.warmup,
+            max_cycles)
 
     return finish_trial(trial, processor, runner=runner)
 
@@ -208,20 +195,18 @@ def _fault_free_twin(trial):
     key = _baseline_key(trial)
     twin = _FAULTFREE_CACHE.get(key)
     if twin is None:
-        twin = _run_twin(trial, _build_processor(trial, None),
-                         _cell_checkpoints(trial))
+        twin = _run_twin(trial, _build_processor(trial, None))
         _FAULTFREE_CACHE.put(key, twin)
     return twin
 
 
-def _run_twin(trial, processor, cell):
+def _run_twin(trial, processor):
     """Run the fault-free ``processor`` as the twin of ``trial``'s cell,
-    filling ``cell``'s ladder and recording the twin's digest marks on
-    the way (its stats and classification stay byte-identical to the
-    straight run)."""
+    recording the twin's digest marks and rungs on the way (its stats
+    and classification stay byte-identical to the straight run)."""
     twin = _checkpoint.FaultFreeTwin()
     twin.result, twin.groups = _finish_checkpointed(
-        trial, processor, cell, math.inf, twin)
+        trial, processor, math.inf, twin)
     twin.exits = twin.result.outcome in (MASKED, DETECTED_RECOVERED)
     return twin
 
@@ -332,25 +317,27 @@ def finish_trial(trial, processor, runner=None, golden=_trace_golden):
 
 
 def clear_result_caches():
-    """Drop the fault-free result memo and the cell checkpoints (for
-    tests and bench repeats)."""
+    """Drop the fault-free twin memo (for tests and bench repeats)."""
     _FAULTFREE_CACHE.clear()
-    _checkpoint.clear_checkpoints()
 
 
 def cache_stats():
     """Hit/miss/eviction counters of every per-process trial cache.
 
-    Covers the golden-trace LRU, the workload-program LRU, the
-    cell-checkpoint store and the fault-free twin memo.  Also stamped
-    into each executed trial's ``stats.extras["cache_stats"]`` (never
-    into records — only ``site_strikes`` crosses from extras into
-    records).
+    Covers the golden-trace LRU, the workload-program LRU and the
+    fault-free twin memo, whose section also counts the rungs its
+    twins hold and their bytes.  Also stamped into each executed
+    trial's ``stats.extras["cache_stats"]`` (never into records — only
+    ``site_strikes`` crosses from extras into records).
     """
+    fault_free = _FAULTFREE_CACHE.stats()
+    rungs = [rung for twin in _FAULTFREE_CACHE.values()
+             for rung in twin.rungs]
+    fault_free["rungs"] = len(rungs)
+    fault_free["rung_bytes"] = sum(len(rung.blob) for rung in rungs)
     return {"golden_trace": trace_cache_stats(),
             "workload": workload_cache_stats(),
-            "checkpoints": _checkpoint.checkpoint_store_stats(),
-            "fault_free": _FAULTFREE_CACHE.stats()}
+            "fault_free": fault_free}
 
 
 def _fill_counters(result, stats, warm_cycles, warm_instructions):

@@ -336,6 +336,9 @@ class ServiceBackend:
         self.queue = JobQueue(self.scheduler)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
+        #: Job id -> why its ``job.json`` could not be loaded, from the
+        #: last :meth:`recover`; those jobs were skipped, files kept.
+        self.skipped_jobs: Dict[str, str] = {}
         self._runners: Dict[str, JobRunner] = {}
         self._runners_lock = threading.Lock()
         self._logs: Dict[str, EventLog] = {}
@@ -388,7 +391,9 @@ class ServiceBackend:
 
     def recover(self) -> List[Job]:
         """Adopt every persisted job; non-terminal ones re-queue and
-        will resume from their stores.  Returns the re-queued jobs."""
+        will resume from their stores.  Returns the re-queued jobs; a
+        job whose ``job.json`` cannot be loaded is skipped, its files
+        kept, and listed in :attr:`skipped_jobs` with the reason."""
         jobs_dir = os.path.join(self.data_dir, "jobs")
         try:
             names = sorted(os.listdir(jobs_dir))
@@ -396,14 +401,16 @@ class ServiceBackend:
             return []
         recovered = []
         jobs = []
+        skipped = {}
         for name in names:
             if not os.path.isfile(os.path.join(jobs_dir, name,
                                                "job.json")):
                 continue
             try:
                 jobs.append(Job.load(self.data_dir, name))
-            except ServiceError:
-                continue             # torn job.json: skip, keep files
+            except ServiceError as exc:
+                skipped[name] = str(exc)
+        self.skipped_jobs = skipped
         jobs.sort(key=lambda job: (job.submitted_at, job.id))
         for job in jobs:
             if not job.terminal:
@@ -538,8 +545,11 @@ class ServiceBackend:
                 job.save(self.data_dir)
                 runner = JobRunner(self, job)
                 with self._runners_lock:
+                    # Started under the lock: drain() joins every
+                    # registered runner, and joining an unstarted
+                    # thread raises.
                     self._runners[job.id] = runner
-                runner.start()
+                    runner.start()
 
     def _runner_finished(self, runner: JobRunner):
         with self._runners_lock:

@@ -25,6 +25,7 @@ quota; ``max_queued`` bounds the backlog a tenant may pile up
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import threading
@@ -114,6 +115,29 @@ class Job:
                               % (self.shards,))
         if self.state not in JOB_STATES:
             raise ConfigError("unknown job state %r" % (self.state,))
+        # Recovery sorts jobs by submitted_at and re-queues the rest of
+        # a job file as it is, so every field must hold its type here.
+        if not isinstance(self.tenant, str) or not self.tenant:
+            raise ConfigError("tenant must be a non-empty string, got %r"
+                              % (self.tenant,))
+        for name in ("seq", "done", "total"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or value < 0:
+                raise ConfigError("%s must be an integer >= 0, got %r"
+                                  % (name, value))
+        for name in ("submitted_at", "started_at", "finished_at"):
+            value = getattr(self, name)
+            if value is None and name != "submitted_at":
+                continue
+            if not isinstance(value, (int, float)) \
+                    or isinstance(value, bool) \
+                    or isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError("%s must be a finite number, got %r"
+                                  % (name, value))
+        if not isinstance(self.error, str):
+            raise ConfigError("error must be a string, got %r"
+                              % (self.error,))
 
     @property
     def terminal(self) -> bool:

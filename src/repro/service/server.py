@@ -364,6 +364,12 @@ async def _serve(args) -> int:
         print("recovered %d interrupted/queued job%s: %s"
               % (len(recovered), "" if len(recovered) == 1 else "s",
                  ", ".join(job.id for job in recovered)))
+    skipped = backend.skipped_jobs
+    if skipped:
+        print("skipped %d unreadable job file%s (files kept): %s"
+              % (len(skipped), "" if len(skipped) == 1 else "s",
+                 "; ".join("%s (%s)" % item
+                           for item in sorted(skipped.items()))))
     server = CampaignServer(backend, host=args.host, port=args.port)
     await server.start()
     print("campaign service listening on http://%s:%d (data dir %s, "

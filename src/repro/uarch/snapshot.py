@@ -1,55 +1,50 @@
-"""Whole-machine snapshot/restore for checkpointed fast-forward.
+"""Whole-machine snapshots ("rungs") and the normalized state digest.
 
-A :class:`ProcessorSnapshot` captures every piece of mutable state a
-:class:`~repro.uarch.processor.Processor` owns — architectural state,
-cache/predictor/BTB/RAS contents, the in-flight ROB group graph, LSQ,
-ready queues, scheduled writeback events, statistics and sequence
-counters — deeply enough that restoring it into a freshly constructed
-processor and continuing the run is cycle-for-cycle, stat-for-stat
-identical to never having stopped (the checkpoint-equivalence suite
-pins this).
+:func:`digest_parts` encodes every piece of mutable state a
+:class:`~repro.uarch.processor.Processor` owns, in three parts:
+committed state and machine scalars, the in-flight window, then
+caches, predictor, BTB and RAS.  The encoding is normalized so that
+two machines on the same trajectory at different times encode equal:
+cycle numbers are taken relative to ``processor.cycle``, group and
+entry ages relative to the next ones the replicator hands out, a
+release time that has passed reads as 0, heaps are sorted and static
+instructions go by opcode and operands.  Running totals (statistics,
+cache/predictor/BTB/RAS counters, FU and memory counts) are left out,
+because the early exit of :mod:`repro.campaign.checkpoint` splices
+them instead of comparing them.  Each part is marshalled and hashed.
 
-The group/entry graph is cloned with an explicit two-pass worklist
-(collect every reachable ``Group``/``RobEntry``, then allocate shells
-and fill fields through an identity memo) instead of ``copy.deepcopy``:
-the graph is cyclic (entries point at their group, producers at their
-dependents), dependency chains can exceed the recursion limit, and
-deepcopy's per-object dispatch is an order of magnitude slower.
+A :class:`ProcessorSnapshot`, a rung of a cell's checkpoint ladder,
+keeps those three encoded parts plus a fourth that the digest leaves
+out (the running totals and the cycle, ``gseq`` and ``seq`` bases) as
+one zlib-compressed bytes blob.  Its digest is the hash of the parts
+it keeps, so one description of machine state, the field tables
+below, serves both comparing and restoring.
 
-Shared immutable objects are *not* copied: decoded-instruction
-metadata, :class:`~repro.uarch.fetch.FetchRecord` instances (never
-mutated after fetch) and RAS snapshot tuples are reference-shared
-between the live machine and the snapshot.  A snapshot therefore only
-restores correctly in the same process, onto a processor built from
-the *same* :class:`~repro.program.image.Program` object — exactly the
-per-worker cache regime of :mod:`repro.campaign.checkpoint`.
+:meth:`ProcessorSnapshot.restore_into` decodes fresh objects on every
+call.  Normalized fields are shifted back by the snapshot's bases, and
+a passed FU busy time or fetch stall comes back as the snapshot's
+cycle: both are only ever tested ``release <= now``.  Static
+instructions come from the target processor's own decode table, so
+the target needs an equal program, not the identical object.
+Restoring into a freshly built processor and running on is
+cycle-for-cycle, stat-for-stat identical to never having stopped (the
+snapshot property suite pins this).
 
-Main memory is stored as a diff: only the cells in
-``MainMemory.written``, the one set of cells that can differ from the
-program's data image (the same fact golden-state comparison relies
-on).  Restoring applies that diff over the fresh processor's image, so
-a snapshot costs a few dozen words of memory instead of the full
-64Ki-word array.
-
-:func:`digest_parts` hashes the same state, normalized so that two
-machines on the same trajectory at different times digest equal: cycle
-numbers are taken relative to ``processor.cycle``, group and entry
-ages relative to the next ones the replicator hands out, and running
-totals (statistics, cache/predictor/BTB/RAS counters, FU and memory
-counts) are left out, because the early exit of
-:mod:`repro.campaign.checkpoint` splices them instead of comparing
-them.  The digest reads the field tables the capture code clones, so
-a field added to a snapshot table is digested too.
+Main memory is kept as the written cells only: ``MainMemory.written``
+is the one set of cells that can differ from the program's data image
+(the same fact golden-state comparison relies on), and a restore
+applies them over the fresh processor's image.
 """
 
 from __future__ import annotations
 
 import hashlib
 import marshal
+import zlib
 from collections import deque
 from operator import attrgetter
 
-from ..core.rob import Group, RobEntry
+from ..core.rob import NO_TAGS, Group, RobEntry
 from .fetch import FetchRecord
 
 _GROUP_SCALARS = (
@@ -79,8 +74,8 @@ _STATS_FIELDS = (
 #: flag.
 STATS_SUMS = tuple(name for name in _STATS_FIELDS if name != "crashed")
 
-# How the digest normalizes the fields of the tables above and of
-# FetchRecord; any other field is compared as it is.
+# How the encoding normalizes the fields of the tables above and of
+# FetchRecord; any other field is kept as it is.
 #: Fields taken relative to a base, by the base's position in
 #: ``(cycle, gseq, seq, vidx)``: cycle numbers to ``processor.cycle``;
 #: group ages, entry ages and virtual ROB indices (``gseq * R + copy``)
@@ -91,16 +86,6 @@ _RELATIVE_FIELDS = {
 #: Static instructions (``Instruction`` or ``DecodedInst``), by their
 #: opcode and operands.
 _INST_FIELDS = frozenset(("inst", "meta"))
-
-#: Snapshot slots the digest leaves out.  The running totals are sums
-#: the early exit splices rather than compares; ``cycle``, ``gseq`` and
-#: ``seq`` are the bases every cycle and age is taken relative to.
-_UNDIGESTED_SLOTS = frozenset((
-    "mem_reads", "mem_writes", "memory_accesses", "bimodal_lookups",
-    "twolevel_lookups", "combined_lookups", "btb_lookups", "btb_hits",
-    "ras_pushes", "ras_pops", "stats", "stats_extras", "checker_checks",
-    "checker_mismatches", "recovery_rewinds", "recovery_majority",
-    "recovery_cycles", "cycle", "gseq", "seq"))
 
 
 def _collect_groups(processor):
@@ -148,379 +133,29 @@ def _collect_groups(processor):
     return ordered
 
 
-def _clone_graph(groups):
-    """Clone a closed set of groups; returns (clones, identity memo).
-
-    The memo maps ``id()`` of every source Group/RobEntry to its clone
-    so cross-references (copies, dependents, LSQ membership, event
-    payloads) land on the cloned objects.  The memo is only ever used
-    for lookup, never iterated, so identity keys cannot leak ordering.
-    """
-    memo = {}
-    clones = []
-    for group in groups:
-        clone = Group.__new__(Group)
-        memo[id(group)] = clone           # repro-lint: disable=determinism
-        clones.append(clone)
-        for entry in group.copies:
-            memo[id(entry)] = RobEntry.__new__(RobEntry)  # repro-lint: disable=determinism
-    for group, clone in zip(groups, clones):
-        for name in _GROUP_SCALARS:
-            setattr(clone, name, getattr(group, name))
-        block_on = group.block_on
-        if block_on is None:
-            clone.block_on = None
-        else:
-            clone.block_on = memo[id(block_on)]  # repro-lint: disable=determinism
-        copies = []
-        for entry in group.copies:
-            twin = memo[id(entry)]        # repro-lint: disable=determinism
-            for name in _ENTRY_SCALARS:
-                setattr(twin, name, getattr(entry, name))
-            twin.group = clone
-            twin.src_vals = list(entry.src_vals)
-            tags = entry.src_tags
-            # NO_TAGS is a shared immutable tuple; private lists copy.
-            twin.src_tags = list(tags) if type(tags) is list else tags
-            dependents = entry.dependents
-            if dependents:
-                twin.dependents = [
-                    (memo[id(dependent)], slot)  # repro-lint: disable=determinism
-                    for dependent, slot in dependents]
-            else:
-                twin.dependents = dependents
-            copies.append(twin)
-        clone.copies = copies
-    return memo
-
-
-def _map_events(events, memo):
-    mapped = {}
-    for cycle, bucket in events.items():
-        out = []
-        for kind, payload in bucket:
-            if kind == 0:
-                out.append((kind, memo[id(payload)]))  # repro-lint: disable=determinism
-            else:
-                group, value, was_miss = payload
-                out.append((kind, (memo[id(group)], value, was_miss)))  # repro-lint: disable=determinism
-        mapped[cycle] = out
-    return mapped
-
-
-class _MachineState:
-    """One deep-cloned image of a processor's mutable state."""
-
-    __slots__ = (
-        "groups", "lsq", "pending_loads", "ready_queues", "events",
-        "ifq", "regs", "arch_pc", "arch_halted", "mem_cells",
-        "mem_reads", "mem_writes", "cache_state",
-        "memory_accesses", "fetch_pc", "fetch_stall_until",
-        "fetch_halted", "bimodal_table", "bimodal_lookups",
-        "twolevel_histories", "twolevel_counters", "twolevel_lookups",
-        "meta_table", "combined_lookups", "btb_sets", "btb_lookups",
-        "btb_hits", "ras_stack", "ras_top", "ras_occupancy",
-        "ras_pushes", "ras_pops", "fu_state", "stats", "stats_extras",
-        "gseq", "seq", "checker_checks", "checker_mismatches",
-        "recovery_rewinds", "recovery_majority", "recovery_open_cycle",
-        "recovery_cycles", "committed_next_pc", "outstanding_misses",
-        "cycle", "halted", "rob_entries", "ports_used",
-        "last_commit_cycle")
-
-
-def _capture_state(processor):
-    """Deep-clone ``processor``'s mutable state into a _MachineState."""
-    groups = _collect_groups(processor)
-    memo = _clone_graph(groups)
-    state = _MachineState()
-    state.groups = [memo[id(group)] for group in processor.groups]  # repro-lint: disable=determinism
-    state.lsq = [memo[id(group)] for group in processor.lsq]  # repro-lint: disable=determinism
-    state.pending_loads = [memo[id(group)]  # repro-lint: disable=determinism
-                           for group in processor.pending_loads]
-    state.ready_queues = [
-        [(seq, memo[id(entry)]) for seq, entry in queue]  # repro-lint: disable=determinism
-        for queue in processor.ready_queues]
-    state.events = _map_events(processor.events, memo)
-    state.ifq = list(processor.ifq)       # FetchRecords are immutable
-
-    arch = processor.arch
-    state.regs = list(arch.regs)
-    state.arch_pc = arch.pc
-    state.arch_halted = arch.halted
-    memory = arch.memory
-    # The written cells only: every other cell still holds the data
-    # image a fresh processor of the same program starts from.
-    cells = memory._cells
-    state.mem_cells = {index: cells[index]
-                       for index in sorted(memory.written)}
-    state.mem_reads = memory.reads
-    state.mem_writes = memory.writes
-
-    hierarchy = processor.hierarchy
-    state.cache_state = [
-        ({index: dict(ways) for index, ways in cache._sets.items()},
-         cache.hits, cache.misses, cache.evictions, cache.writebacks)
-        for cache in (hierarchy.il1, hierarchy.dl1, hierarchy.l2)]
-    state.memory_accesses = hierarchy.memory_timing.accesses
-
-    fetch = processor.fetch_unit
-    state.fetch_pc = fetch.pc
-    state.fetch_stall_until = fetch.stall_until
-    state.fetch_halted = fetch.halted
-    predictor = fetch.predictor
-    bimodal = predictor.bimodal
-    twolevel = predictor.twolevel
-    state.bimodal_table = list(bimodal._table)
-    state.bimodal_lookups = bimodal.lookups
-    state.twolevel_histories = list(twolevel._histories)
-    state.twolevel_counters = list(twolevel._counters)
-    state.twolevel_lookups = twolevel.lookups
-    state.meta_table = list(predictor._meta)
-    state.combined_lookups = predictor.lookups
-    btb = fetch.btb
-    state.btb_sets = {index: dict(ways)
-                      for index, ways in btb._sets.items()}
-    state.btb_lookups = btb.lookups
-    state.btb_hits = btb.hits
-    ras = fetch.ras
-    state.ras_stack = list(ras._stack)
-    state.ras_top = ras._top
-    state.ras_occupancy = ras._occupancy
-    state.ras_pushes = ras.pushes
-    state.ras_pops = ras.pops
-
-    state.fu_state = [
-        (list(pool._busy_until), pool.issued_ops, pool.busy_cycles)
-        for pool in processor.fus.pools.values()]
-
-    stats = processor.stats
-    state.stats = [getattr(stats, name) for name in _STATS_FIELDS]
-    state.stats_extras = {
-        key: dict(value) if isinstance(value, dict) else value
-        for key, value in stats.extras.items()}
-
-    replicator = processor.replicator
-    state.gseq = replicator._gseq
-    state.seq = replicator._seq
-    checker = processor.checker
-    state.checker_checks = checker.checks
-    state.checker_mismatches = checker.mismatches
-    recovery = processor.recovery
-    state.recovery_rewinds = recovery.rewinds
-    state.recovery_majority = recovery.majority_commits
-    state.recovery_open_cycle = recovery._open_rewind_cycle
-    state.recovery_cycles = recovery.recovery_cycles
-
-    state.committed_next_pc = processor.committed_next_pc
-    state.outstanding_misses = processor._outstanding_misses
-    state.cycle = processor.cycle
-    state.halted = processor.halted
-    state.rob_entries = processor.rob_entries
-    state.ports_used = processor._ports_used
-    state.last_commit_cycle = processor._last_commit_cycle
-    return state
-
-
-class _StateView:
-    """Duck-typed processor facade so a _MachineState can be re-cloned.
-
-    ``_capture_state`` reads a processor through a fixed attribute
-    surface; this view exposes a stored state through the same surface,
-    letting every restore stamp out a fresh mutable copy of the frozen
-    snapshot with the exact same cloning code.
-    """
-
-    class _Wrap:
-        def __init__(self, **attrs):
-            self.__dict__.update(attrs)
-
-    def __init__(self, state):
-        wrap = self._Wrap
-        self.groups = state.groups
-        self.lsq = state.lsq
-        self.pending_loads = state.pending_loads
-        self.ready_queues = state.ready_queues
-        self.events = state.events
-        self.ifq = state.ifq
-        memory = wrap(_cells=state.mem_cells, written=state.mem_cells,
-                      reads=state.mem_reads, writes=state.mem_writes)
-        self.arch = wrap(regs=state.regs, pc=state.arch_pc,
-                         halted=state.arch_halted, memory=memory)
-        caches = [wrap(_sets=sets, hits=hits, misses=misses,
-                       evictions=evictions, writebacks=writebacks)
-                  for sets, hits, misses, evictions, writebacks
-                  in state.cache_state]
-        self.hierarchy = wrap(
-            il1=caches[0], dl1=caches[1], l2=caches[2],
-            memory_timing=wrap(accesses=state.memory_accesses))
-        predictor = wrap(
-            bimodal=wrap(_table=state.bimodal_table,
-                         lookups=state.bimodal_lookups),
-            twolevel=wrap(_histories=state.twolevel_histories,
-                          _counters=state.twolevel_counters,
-                          lookups=state.twolevel_lookups),
-            _meta=state.meta_table, lookups=state.combined_lookups)
-        self.fetch_unit = wrap(
-            pc=state.fetch_pc, stall_until=state.fetch_stall_until,
-            halted=state.fetch_halted, predictor=predictor,
-            btb=wrap(_sets=state.btb_sets, lookups=state.btb_lookups,
-                     hits=state.btb_hits),
-            ras=wrap(_stack=state.ras_stack, _top=state.ras_top,
-                     _occupancy=state.ras_occupancy,
-                     pushes=state.ras_pushes, pops=state.ras_pops))
-        self.fus = wrap(pools={
-            index: wrap(_busy_until=busy, issued_ops=issued,
-                        busy_cycles=busy_cycles)
-            for index, (busy, issued, busy_cycles)
-            in enumerate(state.fu_state)})
-        stats_view = wrap(extras=state.stats_extras)
-        for name, value in zip(_STATS_FIELDS, state.stats):
-            setattr(stats_view, name, value)
-        self.stats = stats_view
-        self.replicator = wrap(_gseq=state.gseq, _seq=state.seq)
-        self.checker = wrap(checks=state.checker_checks,
-                            mismatches=state.checker_mismatches)
-        self.recovery = wrap(rewinds=state.recovery_rewinds,
-                             majority_commits=state.recovery_majority,
-                             _open_rewind_cycle=state.recovery_open_cycle,
-                             recovery_cycles=state.recovery_cycles)
-        self.committed_next_pc = state.committed_next_pc
-        self._outstanding_misses = state.outstanding_misses
-        self.cycle = state.cycle
-        self.halted = state.halted
-        self.rob_entries = state.rob_entries
-        self._ports_used = state.ports_used
-        self._last_commit_cycle = state.last_commit_cycle
-
-
-class ProcessorSnapshot:
-    """A frozen image of one processor, restorable many times over."""
-
-    __slots__ = ("program", "instructions", "dispatched_groups", "cycle",
-                 "_state")
-
-    def __init__(self, processor):
-        self.program = processor.program
-        self._state = _capture_state(processor)
-        self.instructions = processor.stats.instructions
-        self.dispatched_groups = processor.stats.dispatched_groups
-        self.cycle = processor.cycle
-
-    def restore_into(self, processor):
-        """Overwrite ``processor``'s mutable state with this snapshot.
-
-        ``processor`` must be freshly constructed from the same program
-        object and an equivalent machine configuration; its policy
-        (absent from the snapshot) is kept as built.
-        Every call re-clones the frozen state, so one snapshot serves
-        any number of restores.
-        """
-        if processor.program is not self.program:
-            raise ValueError(
-                "snapshot restore requires the identical Program object "
-                "(decoded metadata is reference-shared)")
-        if processor.cycle != 0 or processor.arch.memory.written:
-            # The memory diff is applied over the target's own image,
-            # so cells a stepped processor stored would silently stay.
-            raise ValueError(
-                "snapshot restore requires a freshly constructed "
-                "processor (this one is at cycle %d with %d written "
-                "memory cells)" % (processor.cycle,
-                                   len(processor.arch.memory.written)))
-        state = _capture_state(_StateView(self._state))
-
-        # The in-flight window: the groups deque is mutated in place
-        # because AssociativeRenamer aliases the same deque object.
-        processor.groups.clear()
-        processor.groups.extend(state.groups)
-        processor.renamer.rebuild(processor.groups)
-        processor.lsq._queue = deque(state.lsq)
-        processor.pending_loads = state.pending_loads
-        processor.ready_queues = state.ready_queues
-        processor.events = state.events
-        processor.ifq = deque(state.ifq)
-
-        arch = processor.arch
-        arch.regs = state.regs
-        arch.pc = state.arch_pc
-        arch.halted = state.arch_halted
-        memory = arch.memory
-        cells = memory._cells
-        for index, value in state.mem_cells.items():
-            cells[index] = value
-        memory.written = set(state.mem_cells)
-        memory.reads = state.mem_reads
-        memory.writes = state.mem_writes
-
-        hierarchy = processor.hierarchy
-        for cache, (sets, hits, misses, evictions, writebacks) in zip(
-                (hierarchy.il1, hierarchy.dl1, hierarchy.l2),
-                state.cache_state):
-            cache._sets = sets
-            cache.hits = hits
-            cache.misses = misses
-            cache.evictions = evictions
-            cache.writebacks = writebacks
-        hierarchy.memory_timing.accesses = state.memory_accesses
-
-        fetch = processor.fetch_unit
-        fetch.pc = state.fetch_pc
-        fetch.stall_until = state.fetch_stall_until
-        fetch.halted = state.fetch_halted
-        predictor = fetch.predictor
-        predictor.bimodal._table = state.bimodal_table
-        predictor.bimodal.lookups = state.bimodal_lookups
-        predictor.twolevel._histories = state.twolevel_histories
-        predictor.twolevel._counters = state.twolevel_counters
-        predictor.twolevel.lookups = state.twolevel_lookups
-        predictor._meta = state.meta_table
-        predictor.lookups = state.combined_lookups
-        btb = fetch.btb
-        btb._sets = state.btb_sets
-        btb.lookups = state.btb_lookups
-        btb.hits = state.btb_hits
-        ras = fetch.ras
-        ras._stack = state.ras_stack
-        ras._top = state.ras_top
-        ras._occupancy = state.ras_occupancy
-        ras.pushes = state.ras_pushes
-        ras.pops = state.ras_pops
-
-        for pool, (busy, issued, busy_cycles) in zip(
-                processor.fus.pools.values(), state.fu_state):
-            pool._busy_until = busy
-            pool.issued_ops = issued
-            pool.busy_cycles = busy_cycles
-
-        stats = processor.stats
-        for name, value in zip(_STATS_FIELDS, state.stats):
-            setattr(stats, name, value)
-        stats.extras = state.stats_extras
-
-        processor.replicator._gseq = state.gseq
-        processor.replicator._seq = state.seq
-        processor.checker.checks = state.checker_checks
-        processor.checker.mismatches = state.checker_mismatches
-        recovery = processor.recovery
-        recovery.rewinds = state.recovery_rewinds
-        recovery.majority_commits = state.recovery_majority
-        recovery._open_rewind_cycle = state.recovery_open_cycle
-        recovery.recovery_cycles = state.recovery_cycles
-
-        processor.committed_next_pc = state.committed_next_pc
-        processor._outstanding_misses = state.outstanding_misses
-        processor.cycle = state.cycle
-        processor.halted = state.halted
-        processor.rob_entries = state.rob_entries
-        processor._ports_used = state.ports_used
-        processor._last_commit_cycle = state.last_commit_cycle
-        return processor
-
-
-# -- normalized state digest ----------------------------------------------
-
 def _inst_key(inst):
     return (int(inst.op), inst.rd, inst.rs1, inst.rs2, inst.imm)
+
+
+def _filler(fields):
+    """``fill(obj, row, bases, decode)``, setting each of ``fields`` of
+    ``obj`` from ``row``: :meth:`_FieldPlan.row` undone.  Generated as
+    straight-line code, the way dataclasses generate ``__init__``: a
+    restore sets every field of every in-flight object, and a loop of
+    ``setattr`` calls costs several times as much."""
+    lines = ["def fill(obj, row, bases, decode):"]
+    for index, name in enumerate(fields):
+        value = "row[%d]" % index
+        if name in _RELATIVE_FIELDS:
+            value = "None if %s is None else %s + bases[%d]" % (
+                value, value, _RELATIVE_FIELDS[name])
+        elif name in _INST_FIELDS:
+            value = "None if %s is None else decode(%s, row[%d], %r)" % (
+                value, value, fields.index("pc"), name)
+        lines.append("    obj.%s = %s" % (name, value))
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["fill"]
 
 
 class _FieldPlan:
@@ -528,6 +163,7 @@ class _FieldPlan:
 
     def __init__(self, fields):
         self.get = attrgetter(*fields)
+        self.fill = _filler(fields)
         self.relative = tuple((index, _RELATIVE_FIELDS[name])
                               for index, name in enumerate(fields)
                               if name in _RELATIVE_FIELDS)
@@ -552,6 +188,30 @@ _GROUP_PLAN = _FieldPlan(_GROUP_SCALARS)
 _ENTRY_PLAN = _FieldPlan(_ENTRY_SCALARS)
 _RECORD_PLAN = _FieldPlan(FetchRecord.__slots__)
 _GSEQ = attrgetter("gseq")
+
+
+class _Decoder:
+    """Static instructions by key, from a processor's own decode table:
+    the entry at the recorded pc when it matches (every fetched
+    instruction), else any entry that does (a group whose pc a strike
+    rewrote)."""
+
+    def __init__(self, decoded):
+        self.decoded = decoded
+        self.by_key = None
+
+    def __call__(self, key, pc, name):
+        decoded = self.decoded
+        if 0 <= pc < len(decoded) and _inst_key(decoded[pc]) == key:
+            meta = decoded[pc]
+        else:
+            if self.by_key is None:
+                self.by_key = {_inst_key(entry): entry for entry in decoded}
+            meta = self.by_key.get(key)
+            if meta is None:
+                raise ValueError("snapshot instruction %r is not in the "
+                                 "target's program" % (key,))
+        return meta if name == "meta" else meta.inst
 
 
 def _stale(release, cycle):
@@ -666,10 +326,60 @@ def _table_part(processor, cycle):
         ("ras_occupancy", ras._occupancy))
 
 
+def _totals_part(processor, cycle):
+    """What the digest leaves out: the bases its cycles and ages are
+    relative to, and every running total."""
+    replicator = processor.replicator
+    memory = processor.arch.memory
+    hierarchy = processor.hierarchy
+    fetch = processor.fetch_unit
+    predictor = fetch.predictor
+    stats = processor.stats
+    checker = processor.checker
+    recovery = processor.recovery
+    return (
+        ("cycle", cycle),
+        ("gseq", replicator._gseq),
+        ("seq", replicator._seq),
+        ("memory_counts", (memory.reads, memory.writes,
+                           hierarchy.memory_timing.accesses)),
+        ("cache_counts", [(cache.hits, cache.misses, cache.evictions,
+                           cache.writebacks) for cache in
+                          (hierarchy.il1, hierarchy.dl1, hierarchy.l2)]),
+        ("branch_counts", (predictor.bimodal.lookups,
+                           predictor.twolevel.lookups, predictor.lookups,
+                           fetch.btb.lookups, fetch.btb.hits,
+                           fetch.ras.pushes, fetch.ras.pops)),
+        ("fu_counts", [(pool.issued_ops, pool.busy_cycles)
+                       for pool in processor.fus.pools.values()]),
+        ("stats", [getattr(stats, name) for name in _STATS_FIELDS]),
+        ("stats_extras", stats.extras),
+        ("commit_counts", (checker.checks, checker.mismatches,
+                           recovery.rewinds, recovery.majority_commits,
+                           recovery.recovery_cycles)))
+
+
 #: The digest's parts, cheapest first: for a redundant machine the
 #: committed state of a recovered run already matches, so the window
 #: is what usually tells two runs apart.
 _DIGEST_PARTS = (_arch_part, _window_part, _table_part)
+
+
+def _encoded(processor, parts):
+    """Each of ``parts`` of ``processor``, marshalled, one at a time."""
+    cycle = processor.cycle
+    for part in parts:
+        # Format 2 writes no back-references, so the bytes depend on
+        # the values alone, not on which objects they share; it writes
+        # a float as its 8 IEEE bytes, so -0.0 differs from 0.0 and a
+        # NaN keeps its payload; it keeps tuples apart from lists; and
+        # it raises on objects such as enum members or instructions,
+        # so a field the encoders missed cannot slip in by identity.
+        yield marshal.dumps(part(processor, cycle), 2)
+
+
+def _hash(encoded):
+    return hashlib.blake2b(encoded, digest_size=16).digest()
 
 
 def digest_parts(processor):
@@ -680,18 +390,201 @@ def digest_parts(processor):
     their states are equal up to a shift in cycles and ages and up to
     their running totals; such a pair continues identically, shifted.
     """
-    cycle = processor.cycle
-    for part in _DIGEST_PARTS:
-        # Format 2 writes no back-references, so the bytes depend on
-        # the values alone, not on which objects they share; it writes
-        # a float as its 8 IEEE bytes, so -0.0 differs from 0.0 and a
-        # NaN keeps its payload; and it raises on objects such as enum
-        # members or instructions, so a field the encoders missed
-        # cannot slip in by identity.
-        encoded = marshal.dumps(part(processor, cycle), 2)
-        yield hashlib.blake2b(encoded, digest_size=16).digest()
+    for encoded in _encoded(processor, _DIGEST_PARTS):
+        yield _hash(encoded)
 
 
 def state_digest(processor):
     """The full normalized state digest (see :func:`digest_parts`)."""
     return tuple(digest_parts(processor))
+
+
+class ProcessorSnapshot:
+    """A rung: one processor's state as a compressed bytes blob,
+    restorable any number of times."""
+
+    __slots__ = ("program", "instructions", "dispatched_groups", "cycle",
+                 "digest", "blob")
+
+    def __init__(self, processor):
+        parts = list(_encoded(processor, _DIGEST_PARTS + (_totals_part,)))
+        stats = processor.stats
+        self.program = processor.program
+        self.instructions = stats.instructions
+        self.dispatched_groups = stats.dispatched_groups
+        self.cycle = processor.cycle
+        #: :func:`state_digest` of the source: the hash of each part
+        #: the blob keeps, bar the totals.
+        self.digest = tuple(_hash(encoded) for encoded in parts[:-1])
+        self.blob = zlib.compress(marshal.dumps(parts, 2), 1)
+
+    def decode(self):
+        """The fields of every part, by name, as fresh objects."""
+        fields = {}
+        for encoded in marshal.loads(zlib.decompress(self.blob)):
+            fields.update(marshal.loads(encoded))
+        return fields
+
+    def restore_into(self, processor):
+        """Overwrite ``processor``'s mutable state with this snapshot.
+
+        ``processor`` must be freshly constructed from an equal program
+        and an equivalent machine configuration; its policy (absent
+        from the snapshot) is kept as built.
+        """
+        program = processor.program
+        if program is not self.program and program != self.program:
+            raise ValueError(
+                "snapshot restore requires an equal program (snapshot "
+                "of %r, processor of %r)" % (self.program.name,
+                                             program.name))
+        if processor.cycle != 0 or processor.arch.memory.written:
+            # The memory diff is applied over the target's own image,
+            # so cells a stepped processor stored would silently stay.
+            raise ValueError(
+                "snapshot restore requires a freshly constructed "
+                "processor (this one is at cycle %d with %d written "
+                "memory cells)" % (processor.cycle,
+                                   len(processor.arch.memory.written)))
+        _restore(processor, self.decode())
+        return processor
+
+
+def _restore(processor, fields):
+    """Set every piece of ``processor``'s mutable state from the
+    decoded ``fields`` of a snapshot."""
+    cycle = fields["cycle"]
+    gseq = fields["gseq"]
+    seq = fields["seq"]
+    vidx = gseq * processor.redundancy
+    bases = (cycle, gseq, seq, vidx)
+    decode = _Decoder(processor.decoded)
+
+    # The window: groups and entries first, then the references
+    # between them, which may point either way in age.
+    scalars = len(_GROUP_SCALARS)
+    operands = len(_ENTRY_SCALARS)
+    by_gseq = {}
+    by_seq = {}
+    blockers = []
+    waiters = []
+    graph, rob = fields["groups"]
+    for row in graph:
+        group = Group.__new__(Group)
+        _GROUP_PLAN.fill(group, row, bases, decode)
+        by_gseq[group.gseq] = group
+        blockers.append((group, row[scalars]))
+        copies = []
+        for cells in row[scalars + 1:]:
+            entry = RobEntry.__new__(RobEntry)
+            _ENTRY_PLAN.fill(entry, cells, bases, decode)
+            entry.group = group
+            entry.src_vals = cells[operands]
+            tags = cells[operands + 1]
+            # Only a captured producer gives an entry its own tag list.
+            entry.src_tags = NO_TAGS if tags == [None, None] else [
+                None if tag is None else tag + vidx for tag in tags]
+            waiters.append((entry, cells[operands + 2]))
+            by_seq[entry.seq] = entry
+            copies.append(entry)
+        group.copies = copies
+    for group, block_on in blockers:
+        group.block_on = None if block_on is None \
+            else by_gseq[block_on + gseq]
+    for entry, dependents in waiters:
+        entry.dependents = None if dependents is None else [
+            (by_seq[dependent + seq], slot) for dependent, slot in dependents]
+
+    # The groups deque is refilled in place: the renamer aliases it.
+    processor.groups.clear()
+    processor.groups.extend(by_gseq[age + gseq] for age in rob)
+    processor.renamer.rebuild(processor.groups)
+    processor.lsq._queue = deque(by_gseq[age + gseq]
+                                 for age in fields["lsq"])
+    processor.pending_loads = [by_gseq[age + gseq]
+                               for age in fields["pending_loads"]]
+    # Each queue was encoded sorted, and a sorted list is a heap.
+    processor.ready_queues = [
+        [(age + seq, by_seq[age + seq]) for age in queue]
+        for queue in fields["ready_queues"]]
+    processor.events = {
+        when + cycle: [
+            (0, by_seq[item + seq]) if type(item) is int
+            else (1, (by_gseq[item[0] + gseq], item[1], item[2]))
+            for item in bucket]
+        for when, bucket in fields["events"]}
+    ifq = deque()
+    for row in fields["ifq"]:
+        record = FetchRecord.__new__(FetchRecord)
+        _RECORD_PLAN.fill(record, row, bases, decode)
+        ifq.append(record)
+    processor.ifq = ifq
+    for pool, busy, (issued, busy_cycles) in zip(
+            processor.fus.pools.values(), fields["fu_state"],
+            fields["fu_counts"]):
+        pool._busy_until = [release + cycle for release in busy]
+        pool.issued_ops = issued
+        pool.busy_cycles = busy_cycles
+
+    arch = processor.arch
+    arch.regs = fields["regs"]
+    arch.pc = fields["arch_pc"]
+    arch.halted = fields["arch_halted"]
+    memory = arch.memory
+    cells = memory._cells
+    written = set()
+    for index, value in fields["mem_cells"]:
+        cells[index] = value
+        written.add(index)
+    memory.written = written
+    hierarchy = processor.hierarchy
+    memory.reads, memory.writes, hierarchy.memory_timing.accesses = \
+        fields["memory_counts"]
+    for cache, sets, counts in zip(
+            (hierarchy.il1, hierarchy.dl1, hierarchy.l2),
+            fields["cache_state"], fields["cache_counts"]):
+        cache._sets = {index: dict(ways) for index, ways in sets}
+        cache.hits, cache.misses, cache.evictions, cache.writebacks = \
+            counts
+
+    fetch = processor.fetch_unit
+    fetch.pc = fields["fetch_pc"]
+    fetch.stall_until = fields["fetch_stall_until"] + cycle
+    fetch.halted = fields["fetch_halted"]
+    predictor = fetch.predictor
+    predictor.bimodal._table = fields["bimodal_table"]
+    predictor.twolevel._histories = fields["twolevel_histories"]
+    predictor.twolevel._counters = fields["twolevel_counters"]
+    predictor._meta = fields["meta_table"]
+    btb = fetch.btb
+    btb._sets = {index: dict(ways) for index, ways in fields["btb_sets"]}
+    ras = fetch.ras
+    ras._stack = fields["ras_stack"]
+    ras._top = fields["ras_top"]
+    ras._occupancy = fields["ras_occupancy"]
+    (predictor.bimodal.lookups, predictor.twolevel.lookups,
+     predictor.lookups, btb.lookups, btb.hits, ras.pushes,
+     ras.pops) = fields["branch_counts"]
+
+    stats = processor.stats
+    for name, value in zip(_STATS_FIELDS, fields["stats"]):
+        setattr(stats, name, value)
+    stats.extras = fields["stats_extras"]
+    processor.replicator._gseq = gseq
+    processor.replicator._seq = seq
+    checker = processor.checker
+    recovery = processor.recovery
+    (checker.checks, checker.mismatches, recovery.rewinds,
+     recovery.majority_commits, recovery.recovery_cycles) = \
+        fields["commit_counts"]
+    open_rewind = fields["recovery_open_cycle"]
+    recovery._open_rewind_cycle = None if open_rewind is None \
+        else open_rewind + cycle
+
+    processor.committed_next_pc = fields["committed_next_pc"]
+    processor._outstanding_misses = fields["outstanding_misses"]
+    processor.cycle = cycle
+    processor.halted = fields["halted"]
+    processor.rob_entries = fields["rob_entries"]
+    processor._ports_used = fields["ports_used"]
+    processor._last_commit_cycle = fields["last_commit_cycle"] + cycle

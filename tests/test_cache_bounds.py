@@ -1,27 +1,28 @@
 """Per-process trial caches are bounded and observable.
 
-PR-9 put every per-process cache on the spec -> trial -> record path
+Every per-process cache on the spec -> trial -> record path sits
 behind an LRU bound with hit/miss/eviction counters: the workload
-program cache, the golden-trace cache, and the cell-checkpoint store.
-These tests pin the eviction behaviour, the counter arithmetic, and
-the reporting contract — counters reach ``stats.extras`` for
-observability but never a persisted record.
+program cache, the golden-trace cache, and the fault-free twin memo,
+which also reports the rungs its twins hold.  These tests pin the
+eviction behaviour, the counter arithmetic, and the reporting
+contract — counters reach ``stats.extras`` for observability but never
+a persisted record.
 """
 
 import pytest
 
+import json
+
 import repro.program.cache as program_cache
-from repro.campaign.checkpoint import (CheckpointStore,
-                                       checkpoint_store_stats,
-                                       clear_checkpoints, get_store)
+from repro.campaign.checkpoint import CheckpointStore
 from repro.campaign.golden import (cached_trace, clear_trace_cache,
                                    trace_cache_stats)
-from repro.campaign.outcome import (_baseline_key, _cell_checkpoints,
-                                    cache_stats, clear_result_caches,
+from repro.campaign.outcome import (cache_stats, clear_result_caches,
                                     run_trial)
 from repro.campaign.spec import CampaignSpec
 from repro.program.cache import (cached_workload, clear_caches,
                                  workload_cache_stats)
+from repro.uarch.snapshot import ProcessorSnapshot
 from repro.workloads.generator import build_workload
 
 
@@ -98,28 +99,44 @@ class TestCheckpointStore:
         assert stats["misses"] == 1
         assert stats["size"] == 2
 
-    def test_stale_program_starts_the_ladder_over(self):
-        # Snapshots share decoded metadata with the Program object, so
-        # a workload-cache eviction must not leave the old ladder live.
+    def test_rungs_restore_onto_a_rebuilt_program(self, monkeypatch):
+        # A workload-cache eviction rebuilds the program as a new, equal
+        # object; the twin's rungs decode onto its own decode table.
+        spec = CampaignSpec(
+            workloads=("gcc",), models=("SS-2",),
+            rates_per_million=(0.0,), replicates=1, instructions=300,
+            fault_sites={"late": {"policy": "site_list",
+                                  "sites": [{"structure": "fu_result",
+                                             "index": 250, "bit": 3}]}})
+        (trial,) = spec.trials()
+        first = json.dumps(run_trial(trial).to_record(), sort_keys=True)
+        targets = []
+        real = ProcessorSnapshot.restore_into
+
+        def spying(rung, processor):
+            targets.append((rung.program, processor.program))
+            return real(rung, processor)
+        monkeypatch.setattr(ProcessorSnapshot, "restore_into", spying)
+        clear_caches()
+        again = json.dumps(run_trial(trial).to_record(), sort_keys=True)
+        assert again == first
+        ((old, new),) = targets
+        assert new is cached_workload("gcc")
+        assert old is not new and old == new
+        stats = cache_stats()["fault_free"]
+        assert (stats["misses"], stats["hits"]) == (1, 1)
+
+    def test_module_store_clear(self):
         spec = CampaignSpec(workloads=("gcc",), models=("SS-2",),
                             rates_per_million=(0.0,), replicates=1,
                             instructions=300)
-        trial = next(iter(spec.trials()))
-        run_trial(trial)
-        cell = get_store().get(_baseline_key(trial))
-        assert cell.snapshots
-        clear_caches()
-        fresh = _cell_checkpoints(trial)
-        assert fresh is not cell and not fresh.snapshots
-        assert fresh.program is cached_workload("gcc")
-        assert get_store().get(_baseline_key(trial)) is fresh
-
-    def test_module_store_clear(self):
-        get_store().put("probe", "cell")
-        assert checkpoint_store_stats()["size"] == 1
-        clear_checkpoints()
-        stats = checkpoint_store_stats()
-        assert stats["size"] == 0
+        run_trial(next(iter(spec.trials())))
+        stats = cache_stats()["fault_free"]
+        assert stats["size"] == 1
+        assert stats["rungs"] == 2 and stats["rung_bytes"] > 0
+        clear_result_caches()
+        stats = cache_stats()["fault_free"]
+        assert stats["size"] == stats["rungs"] == stats["rung_bytes"] == 0
         assert stats["hits"] == stats["misses"] \
             == stats["evictions"] == 0
 
@@ -127,8 +144,8 @@ class TestCheckpointStore:
 class TestReporting:
     def test_cache_stats_sections_and_keys(self):
         stats = cache_stats()
-        assert set(stats) == {"golden_trace", "workload", "checkpoints",
-                              "fault_free"}
+        assert set(stats) == {"golden_trace", "workload", "fault_free"}
+        assert {"rungs", "rung_bytes"} <= set(stats["fault_free"])
         for section in stats.values():
             assert {"hits", "misses", "evictions", "size",
                     "limit"} <= set(section)

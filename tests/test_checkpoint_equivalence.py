@@ -6,7 +6,7 @@ resume) and every policy family (rate injector, directed site list,
 structure sweep), the campaign's record list is byte-for-byte the
 record list of straight runs — each trial simulated from cycle 0
 through :func:`~repro.campaign.outcome.finish_trial`'s default
-``run_windowed`` protocol, with no ladder, no restore and no fault-free
+``run_windowed`` protocol, with no rung, no restore and no fault-free
 reuse.  Every test here compares full ``json.dumps(...,
 sort_keys=True)`` serializations, the same bytes the stores persist.
 """
@@ -14,19 +14,22 @@ sort_keys=True)`` serializations, the same bytes the stores persist.
 import json
 import math
 import types
+from dataclasses import replace
 
 import pytest
 
 from repro.campaign import checkpoint, outcome
 from repro.campaign.api import CampaignSession, ExecutionOptions
-from repro.campaign.checkpoint import (CHECKPOINTS_PER_CELL,
-                                       CellCheckpoints, default_interval,
-                                       get_store, run_checkpointed)
+from repro.campaign.checkpoint import (DIGEST_INTERVAL, RUNGS_PER_CELL,
+                                       FaultFreeTwin, run_checkpointed)
 from repro.campaign.golden import clear_trace_cache
 from repro.campaign.outcome import clear_result_caches, finish_trial
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import open_store
+from repro.faults.policy import SiteListPolicy
+from repro.faults.sites import FaultSite
 from repro.harness.bench import run_unoptimized
+from repro.harness.experiment import cycle_budget
 from repro.models.presets import get_model
 from repro.program.cache import cached_workload
 from repro.uarch.processor import Processor
@@ -67,11 +70,6 @@ def straight_lines(spec):
 
 def assert_identical(spec):
     assert record_lines(spec) == straight_lines(spec)
-
-
-def boundaries(cell):
-    """The dispatched-group counts of a ladder's snapshots."""
-    return [snapshot.dispatched_groups for snapshot in cell.snapshots]
 
 
 class TestSnapshotRestore:
@@ -141,46 +139,73 @@ class TestSnapshotRestore:
         with pytest.raises(ValueError, match="freshly constructed"):
             snapshot.restore_into(one_cycle)
 
+    def test_restore_onto_an_equal_program_continues_identically(self):
+        # A workload-cache eviction rebuilds a program as a new, equal
+        # object with its own decode table; a rung restores onto it.
+        program = cached_workload("gcc")
+        model = get_model("SS-2")
+        straight = Processor(program, config=model.config, ft=model.ft)
+        straight.run(max_instructions=600, max_cycles=100_000)
+        source = Processor(program, config=model.config, ft=model.ft)
+        source.run(max_instructions=300, max_cycles=100_000)
+        snapshot = ProcessorSnapshot(source)
+        rebuilt = replace(program)
+        assert rebuilt == program and rebuilt is not program
+        processor = Processor(rebuilt, config=model.config, ft=model.ft)
+        assert processor.decoded is not source.decoded
+        snapshot.restore_into(processor)
+        assert state_digest(processor) == snapshot.digest
+        stats = processor.run(
+            max_instructions=600 - processor.stats.instructions,
+            max_cycles=100_000)
+        assert stats.as_dict() == straight.stats.as_dict()
+
+    def test_restore_decodes_a_group_whose_pc_a_strike_rewrote(self):
+        # A pc strike leaves the group's instruction as fetched, so it
+        # no longer matches the decode-table entry at the group's pc.
+        program = cached_workload("gcc")
+        model = get_model("SS-2")
+        site = FaultSite(structure="pc", index=200, bit=3)
+
+        def armed():
+            return Processor(program, config=model.config, ft=model.ft,
+                             policy=SiteListPolicy([site]))
+
+        straight = armed()
+        straight.run(max_instructions=600, max_cycles=100_000)
+        source = armed()
+        while source.stats.dispatched_groups <= 200:
+            source.step()
+        (struck,) = [group for group in source.groups
+                     if group.gseq == 200]
+        assert struck.meta is not source.decoded[struck.pc]
+        snapshot = ProcessorSnapshot(source)
+        # The site is spent: a processor with no policy runs on alike.
+        processor = Processor(program, config=model.config, ft=model.ft)
+        snapshot.restore_into(processor)
+        assert state_digest(processor) == snapshot.digest
+        stats = processor.run(
+            max_instructions=600 - processor.stats.instructions,
+            max_cycles=100_000)
+        assert stats.faults_injected == 1
+        assert stats.as_dict() == straight.stats.as_dict()
+
     def test_capturing_run_matches_straight_protocol(self):
         program = cached_workload("fpppp")
         model = get_model("SS-2")
         straight = Processor(program, config=model.config, ft=model.ft)
         straight.run(max_instructions=400, max_cycles=100_000)
-        cell = CellCheckpoints(program)
+        twin = FaultFreeTwin()
         segmented = Processor(program, config=model.config, ft=model.ft)
-        stats = run_checkpointed(segmented, cell, math.inf, 400,
+        stats = run_checkpointed(segmented, twin, math.inf, 400,
                                  max_cycles=100_000)[0]
         assert stats.as_dict() == straight.stats.as_dict()
-        # Marks at 100, 200 and 300 of 400 committed instructions.
-        assert len(cell.snapshots) == CHECKPOINTS_PER_CELL - 1
-        assert [s.instructions // 100 for s in cell.snapshots] \
+        # A rung at every digest mark: 100, 200 and 300 of 400
+        # committed instructions, each digesting as its mark.
+        assert [rung.instructions // 100 for rung in twin.rungs] \
             == [1, 2, 3]
-
-    def test_restoring_run_captures_only_missing_marks(self):
-        program = cached_workload("fpppp")
-        model = get_model("SS-2")
-
-        def fresh():
-            return Processor(program, config=model.config, ft=model.ft)
-
-        straight = fresh()
-        straight.run(max_instructions=400, max_cycles=100_000)
-        full = CellCheckpoints(program)
-        run_checkpointed(fresh(), full, math.inf, 400, max_cycles=100_000)
-        # Holding only the first mark, the next run restores it and
-        # captures the two marks the ladder lacks.
-        partial = CellCheckpoints(program)
-        partial.add(100, full.snapshots[0])
-        stats = run_checkpointed(fresh(), partial, math.inf, 400,
-                                 max_cycles=100_000)[0]
-        assert stats.as_dict() == straight.stats.as_dict()
-        assert boundaries(partial) == boundaries(full)
-        assert partial.snapshots[0] is full.snapshots[0]
-        # A first strike before the second mark ends the capturing.
-        early = CellCheckpoints(program)
-        run_checkpointed(fresh(), early, boundaries(full)[1] - 1, 400,
-                         max_cycles=100_000)
-        assert boundaries(early) == boundaries(full)[:1]
+        assert [rung.digest for rung in twin.rungs] \
+            == [twin.marks[mark].digest for mark in (100, 200, 300)]
 
 
 class TestRecordEquivalence:
@@ -205,9 +230,9 @@ class TestRecordEquivalence:
         assert_identical(bench_spec(warmup=150))
 
     def test_explicit_odd_interval(self, monkeypatch):
-        # An odd spacing that never lines up with commit-width groups.
-        monkeypatch.setattr(checkpoint, "default_interval",
-                            lambda instructions, warmup=0: 37)
+        # An odd spacing of marks and rungs that never lines up with
+        # commit-width groups.
+        monkeypatch.setattr(checkpoint, "DIGEST_INTERVAL", 37)
         assert_identical(bench_spec())
 
     def test_pc_heavy_kind_mix(self):
@@ -292,33 +317,93 @@ class TestExecutionModes:
 
 
 class TestCheckpointSelection:
-    """Pure logic of the per-cell snapshot ladder."""
+    """Pure logic of the twin's rung selection."""
 
     @staticmethod
     def ladder(*boundaries):
-        cell = CellCheckpoints(None)
-        for mark, boundary in enumerate(boundaries):
-            cell.add(mark, types.SimpleNamespace(
-                dispatched_groups=boundary))
-        return cell
+        twin = FaultFreeTwin()
+        twin.rungs = [types.SimpleNamespace(dispatched_groups=boundary)
+                      for boundary in boundaries]
+        return twin
 
     def test_best_before_picks_latest_safe_boundary(self):
-        snapshot = self.ladder(50, 100, 150).best_before(120)
-        assert snapshot.dispatched_groups == 100
+        rung = self.ladder(50, 100, 150).rung_before(120)
+        assert rung.dispatched_groups == 100
 
     def test_best_before_exact_boundary_is_safe(self):
-        # A snapshot at D is taken before group D's draws — a first
+        # A rung at D is taken before group D's draws — a first
         # strike inside group D may still restore from it.
-        snapshot = self.ladder(50, 100).best_before(100)
-        assert snapshot.dispatched_groups == 100
+        rung = self.ladder(50, 100).rung_before(100)
+        assert rung.dispatched_groups == 100
 
     def test_best_before_none_when_strike_precedes_all(self):
-        assert self.ladder(50, 100).best_before(49) is None
+        assert self.ladder(50, 100).rung_before(49) is None
 
-    def test_default_interval_floor(self):
-        assert default_interval(100) == 50
-        assert default_interval(1_600) == 400
-        assert default_interval(1_500, warmup=500) == 500
+
+class TestRungs:
+    """The twin keeps a compact rung at each digest mark, and every
+    struck trial starts from the last one before its strike."""
+
+    def test_struck_trials_restore_within_one_mark_of_their_strike(
+            self, monkeypatch, twin_runs):
+        restored = []
+        real = ProcessorSnapshot.restore_into
+
+        def spying(rung, processor):
+            restored.append(rung)
+            return real(rung, processor)
+        monkeypatch.setattr(ProcessorSnapshot, "restore_into", spying)
+        spec = site_sweep_spec(models=("SS-2",), instructions=1_500)
+        struck = 0
+        for trial in spec.trials():
+            restored.clear()
+            outcome.run_trial(trial)
+            twin = outcome._FAULTFREE_CACHE.get(
+                outcome._baseline_key(trial))
+            assert len(twin.rungs) == len(twin.marks)
+            strike = trial.injection_policy().look_ahead(twin.groups)
+            if strike >= twin.groups:
+                assert restored == []
+                continue
+            struck += 1
+            (rung,) = restored
+            assert rung.dispatched_groups <= strike
+            following = twin.rungs[twin.rungs.index(rung) + 1:]
+            assert not following \
+                or following[0].dispatched_groups > strike
+            # The next rung sits at the next digest mark.
+            mark = rung.instructions // DIGEST_INTERVAL * DIGEST_INTERVAL
+            assert not following or following[0].instructions \
+                // DIGEST_INTERVAL * DIGEST_INTERVAL \
+                == mark + DIGEST_INTERVAL
+        assert struck >= 6
+        assert len(twin_runs) == 1
+
+    @pytest.mark.parametrize("workload,model", [("gcc", "SS-2"),
+                                                ("fpppp", "SS-3")])
+    def test_rungs_are_small(self, workload, model):
+        program = cached_workload(workload)
+        machine = get_model(model)
+        twin = FaultFreeTwin()
+        run_checkpointed(Processor(program, config=machine.config,
+                                   ft=machine.ft), twin, math.inf, 1_500)
+        assert len(twin.rungs) == 14
+        assert max(len(rung.blob) for rung in twin.rungs) <= 16 * 1024
+
+    def test_a_long_cell_thins_its_rungs(self):
+        program = cached_workload("gcc")
+        machine = get_model("SS-1")
+        twin = FaultFreeTwin()
+        straight = Processor(program, config=machine.config,
+                             ft=machine.ft)
+        straight.run(max_instructions=20_000,
+                     max_cycles=cycle_budget(20_000))
+        stats = run_checkpointed(Processor(program, config=machine.config,
+                                           ft=machine.ft),
+                                 twin, math.inf, 20_000)[0]
+        assert stats.as_dict() == straight.stats.as_dict()
+        assert len(twin.marks) == 199
+        assert RUNGS_PER_CELL // 2 < len(twin.rungs) <= RUNGS_PER_CELL
 
 
 class TestOneTwinPerCell:
@@ -336,9 +421,9 @@ class TestOneTwinPerCell:
         assert twin_runs == [outcome._baseline_key(trial)]
         assert json.dumps(record, sort_keys=True) \
             == json.dumps(straight_record(trial), sort_keys=True)
-        # The twin filled every ladder mark up front.
-        cell = get_store().get(outcome._baseline_key(trial))
-        assert len(cell.snapshots) == CHECKPOINTS_PER_CELL - 1
+        # The twin kept a rung at each of its marks, 100 and 200.
+        twin = outcome._FAULTFREE_CACHE.get(outcome._baseline_key(trial))
+        assert [rung.instructions // 100 for rung in twin.rungs] == [1, 2]
 
     def test_high_rate_campaign_runs_one_twin_per_cell(self, twin_runs):
         spec = bench_spec(models=("SS-2", "SS-3"),
@@ -351,28 +436,42 @@ class TestOneTwinPerCell:
                 for record in records] == straight_lines(spec)
 
     def test_ladder_eviction_keeps_the_exit(self, twin_runs, splices):
-        # The twin's marks live with its memoized result, not in the
-        # 2-cell ladder LRU: with every ladder evicted, struck trials
-        # still stop early, and still match their straight runs.
+        # The exit reads the twin's marks, never a rung: with every
+        # rung dropped, struck trials simulate from cycle 0 and still
+        # stop early, and still match their straight runs.
         spec = site_sweep_spec()
         for trial in spec.trials():
             outcome.run_trial(trial)
         twin_runs.clear()
         splices.clear()
-        lines = []
-        for trial in spec.trials():
-            checkpoint.clear_checkpoints()
-            lines.append(json.dumps(outcome.run_trial(trial).to_record(),
-                                    sort_keys=True))
+        for twin in outcome._FAULTFREE_CACHE.values():
+            twin.rungs = []
+        lines = [json.dumps(outcome.run_trial(trial).to_record(),
+                            sort_keys=True) for trial in spec.trials()]
         assert twin_runs == [] and splices
         assert lines == straight_lines(spec)
 
     def test_evicted_twin_runs_again(self, monkeypatch, twin_runs,
                                      splices):
         # With room for one twin, alternating between two cells evicts
-        # each cell's twin before its next trial, which runs it again
-        # and still stops early against it.
+        # each cell's twin before its next trial, which runs it again,
+        # refills its rungs, restores from them and still stops early
+        # against it.
         monkeypatch.setattr(outcome._FAULTFREE_CACHE, "limit", 1)
+        twins = []
+        run_twin = outcome._run_twin
+
+        def keeping(trial, *args):
+            twins.append(run_twin(trial, *args))
+            return twins[-1]
+        monkeypatch.setattr(outcome, "_run_twin", keeping)
+        restores = []
+        real = ProcessorSnapshot.restore_into
+
+        def counting(rung, processor):
+            restores.append(rung)
+            return real(rung, processor)
+        monkeypatch.setattr(ProcessorSnapshot, "restore_into", counting)
         spec = site_sweep_spec(replicates=1)
         trials = sorted(spec.trials(), key=lambda trial: trial.key)
         by_cell = {}
@@ -386,7 +485,11 @@ class TestOneTwinPerCell:
         assert len(twin_runs) == len(order)
         assert outcome.cache_stats()["fault_free"]["evictions"] \
             == len(order) - 1
-        assert splices
+        assert all(len(twin.rungs) == len(twin.marks) >= 5
+                   for twin in twins)
+        assert {id(rung) for rung in restores} \
+            <= {id(rung) for twin in twins for rung in twin.rungs}
+        assert restores and splices
         assert lines == [json.dumps(straight_record(trial),
                                     sort_keys=True) for trial in order]
 

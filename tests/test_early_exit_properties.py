@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import checkpoint, outcome
-from repro.campaign.checkpoint import CellCheckpoints, FaultFreeTwin
+from repro.campaign.checkpoint import FaultFreeTwin
 from repro.core.faults import FaultConfig
 from repro.faults.policy import RatePolicy, SiteListPolicy
 from repro.faults.sites import (OPERAND_STRUCTURES, STRUCTURES,
@@ -46,17 +46,16 @@ def record_line(result):
 
 def early_exit_record(trial, program, config, ft, make_policy):
     """``trial`` the way a campaign runs it: the cell's twin first,
-    then the struck run against the twin's ladder and marks."""
-    cell = CellCheckpoints(program)
+    then the struck run against the twin's rungs and marks."""
     twin = outcome._run_twin(trial, Processor(program, config=config,
-                                              ft=ft), cell)
+                                              ft=ft))
     policy = make_policy()
     first_strike = policy.look_ahead(twin.groups)
     if first_strike >= twin.groups:
         return record_line(twin.result)
     processor = Processor(program, config=config, ft=ft, policy=policy)
     return record_line(outcome._finish_checkpointed(
-        trial, processor, cell, first_strike, twin)[0])
+        trial, processor, first_strike, twin)[0])
 
 
 def test_early_exit_record_equals_straight_record(monkeypatch):

@@ -207,8 +207,7 @@ class TestBenchCampaignAccounting:
 
     def test_cache_stats_internally_consistent(self, payload):
         caches = payload["optimized_cache_stats"]
-        assert set(caches) == {"golden_trace", "workload",
-                               "checkpoints", "fault_free"}
+        assert set(caches) == {"golden_trace", "workload", "fault_free"}
         for name, stats in caches.items():
             for key in ("hits", "misses", "evictions", "size",
                         "limit"):

@@ -21,6 +21,7 @@ from repro.errors import QuotaError, ServiceError
 from repro.resilience.circuit import CircuitBreaker
 from repro.service import (CANCELLED, DONE, INTERRUPTED, QUEUED,
                            RUNNING, ServiceBackend, TenantConfig)
+from repro.service.backend import JobRunner
 from repro.service.jobs import Job
 
 
@@ -377,6 +378,26 @@ class TestDrainAndRecovery:
         finally:
             backend.close(drain_timeout=10.0)
 
+    def test_drain_never_joins_a_runner_before_it_starts(
+            self, tmp_path, monkeypatch):
+        """A drain that finds a runner registered must be able to join
+        it, however late its thread starts."""
+        start = JobRunner.start
+
+        def slow_start(runner):
+            time.sleep(0.3)
+            start(runner)
+        monkeypatch.setattr(JobRunner, "start", slow_start)
+        backend = ServiceBackend(str(tmp_path / "svc"), slots=2,
+                                 poll_interval=0.02)
+        try:
+            job = backend.submit("alice", spec(name="late-start"))
+            wait_until(lambda: backend.job(job.id).state != QUEUED)
+            assert backend.drain(timeout=30.0)
+            assert backend.job(job.id).state != RUNNING
+        finally:
+            backend.close(drain_timeout=10.0)
+
     @staticmethod
     def write_job_file(data_dir, job_id, options, shards=0):
         job_dir = data_dir / "jobs" / job_id
@@ -441,6 +462,47 @@ class TestDrainAndRecovery:
         try:
             assert revived.recover() == []
             assert (data_dir / "jobs" / "job-bad" / "job.json").exists()
+        finally:
+            revived.close(drain_timeout=5.0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("submitted_at", "yesterday"), ("tenant", 5), ("tenant", ""),
+        ("done", "x"), ("done", True), ("seq", [1]), ("total", -1),
+        ("started_at", "noon"), ("finished_at", [2]),
+        ("submitted_at", float("nan")), ("error", 7)])
+    def test_bad_job_field_is_skipped_beside_a_valid_job(
+            self, tmp_path, name, value):
+        data_dir = tmp_path / "svc"
+        self.write_job_file(data_dir, "job-bad", {"workers": 1})
+        path = data_dir / "jobs" / "job-bad" / "job.json"
+        data = json.loads(path.read_text())
+        data[name] = value
+        path.write_text(json.dumps(data))
+        self.write_job_file(data_dir, "job-good", {"workers": 1})
+        revived = ServiceBackend(str(data_dir), slots=2)
+        try:
+            assert [job.id for job in revived.recover()] == ["job-good"]
+            assert list(revived.skipped_jobs) == ["job-bad"]
+            assert name in revived.skipped_jobs["job-bad"]
+            assert path.exists()
+        finally:
+            revived.close(drain_timeout=30.0)
+
+    def test_unreadable_job_files_are_listed_with_reasons(self, tmp_path):
+        data_dir = tmp_path / "svc"
+        self.write_job_file(data_dir, "job-unknown",
+                            {"workers": 1, "turbo": True})
+        self.write_job_file(data_dir, "job-torn", {"workers": 1})
+        torn = data_dir / "jobs" / "job-torn" / "job.json"
+        torn.write_text(torn.read_text()[:40])
+        revived = ServiceBackend(str(data_dir), slots=2)
+        try:
+            assert revived.recover() == []
+            reasons = revived.skipped_jobs
+            assert sorted(reasons) == ["job-torn", "job-unknown"]
+            assert "turbo" in reasons["job-unknown"]
+            assert "corrupt job file" in reasons["job-torn"]
+            assert torn.exists()
         finally:
             revived.close(drain_timeout=5.0)
 

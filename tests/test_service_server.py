@@ -277,3 +277,29 @@ class TestKillRecovery:
             assert "job_resumed" in kinds
         finally:
             second.terminate()
+
+
+def test_startup_names_unreadable_job_files(tmp_path):
+    data_dir = tmp_path / "svc"
+    for job_id, options in (("job-unknown", {"workers": 1, "turbo": 1}),
+                            ("job-torn", {"workers": 1})):
+        job_dir = data_dir / "jobs" / job_id
+        job_dir.mkdir(parents=True)
+        (job_dir / "job.json").write_text(json.dumps({
+            "id": job_id, "tenant": "alice",
+            "spec": spec_dict(name=job_id), "options": options,
+            "state": "running", "submitted_at": 1.0}))
+    torn = data_dir / "jobs" / "job-torn" / "job.json"
+    torn.write_text(torn.read_text()[:40])
+    serve = ServeProcess(data_dir)
+    try:
+        with pytest.raises(ServiceError):
+            serve.client.job("job-unknown")
+    finally:
+        serve.process.send_signal(signal.SIGTERM)
+        output = serve.process.communicate(timeout=60)[0].decode()
+    (line,) = [line for line in output.splitlines()
+               if line.startswith("skipped")]
+    assert line.startswith("skipped 2 unreadable job files")
+    assert "job-torn (corrupt job file" in line
+    assert "job-unknown (corrupt job file" in line and "turbo" in line

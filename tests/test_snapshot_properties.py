@@ -2,13 +2,13 @@
 continues the run exactly, for any program, machine shape and
 redundancy.
 
-The checkpoint ladder of :mod:`repro.campaign.checkpoint` rests on two
-facts checked here over generated programs (the strategies of
+The rungs of :mod:`repro.campaign.checkpoint` rest on these facts,
+checked here over generated programs (the strategies of
 ``test_property_equivalence.py``):
 
-* restoring a snapshot into a fresh processor and running on equals a
-  straight run — pipeline statistics, registers, the committed next-PC
-  and every written memory cell;
+* a processor restored from a rung digests equal to its source, and
+  running on equals a straight run — pipeline statistics, registers,
+  the committed next-PC and every written memory cell;
 * a prefix that dispatched no more groups than a site's index is clean:
   a snapshot of it, taken with the site armed or not, restores into a
   site-armed processor and runs on to the straight armed run's state;
@@ -16,8 +16,8 @@ facts checked here over generated programs (the strategies of
   re-seat: the policy's walk is keyed by dispatched-group index, so
   the restored run replays the straight run's draw stream.
 
-A snapshot's memory image is the written cells only, so its size is
-also pinned.
+A rung's memory image is the written cells only, so its size is also
+pinned.
 """
 
 import struct
@@ -34,7 +34,7 @@ from repro.faults.policy import RatePolicy, SiteListPolicy
 from repro.faults.sites import (OPERAND_STRUCTURES, STRUCTURES,
                                 FaultSite, structure_width)
 from repro.uarch.processor import Processor
-from repro.uarch.snapshot import ProcessorSnapshot
+from repro.uarch.snapshot import ProcessorSnapshot, state_digest
 from test_property_equivalence import machine_shapes, programs
 
 _SETTINGS = settings(max_examples=25, deadline=None,
@@ -94,6 +94,7 @@ def final_state(processor, max_cycles):
 def restored(snapshot, program, config, ft, policy=None):
     processor = Processor(program, config=config, ft=ft, policy=policy)
     snapshot.restore_into(processor)
+    assert state_digest(processor) == snapshot.digest
     return processor
 
 
@@ -110,7 +111,8 @@ def test_restore_at_any_boundary_matches_straight_run(program, machine,
     source = Processor(program, config=config, ft=ft)
     source.run(max_instructions=boundary, max_cycles=_MAX_CYCLES)
     snapshot = ProcessorSnapshot(source)
-    assert len(snapshot._state.mem_cells) \
+    assert snapshot.digest == state_digest(source)
+    assert len(snapshot.decode()["mem_cells"]) \
         == len(source.arch.memory.written)
     assert final_state(restored(snapshot, program, config, ft),
                        _MAX_CYCLES) == expected

@@ -85,13 +85,24 @@ def assert_digest_changes(machine, obj, name):
 class TestCoverage:
     """A field added to a snapshot table cannot escape the digest."""
 
-    def test_every_snapshot_slot_is_digested_or_spliced(self, machine):
-        names = [name for part in snapshot._DIGEST_PARTS
+    def test_every_restored_field_is_encoded(self, machine):
+        parts = snapshot._DIGEST_PARTS + (snapshot._totals_part,)
+        names = [name for part in parts
                  for name, _ in part(machine, machine.cycle)]
         assert len(names) == len(set(names))
-        assert not set(names) & snapshot._UNDIGESTED_SLOTS
-        assert set(names) | snapshot._UNDIGESTED_SLOTS \
-            == set(snapshot._MachineState.__slots__)
+        fields = ProcessorSnapshot(machine).decode()
+        assert set(fields) == set(names)
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, name):
+                read.add(name)
+                return dict.__getitem__(self, name)
+        target = Processor(machine.program, config=machine.config,
+                           ft=machine.ft)
+        snapshot._restore(target, Recording(fields))
+        assert read == set(fields)
+        assert state_digest(target) == state_digest(machine)
 
     def test_field_tables_cover_the_window_objects(self):
         assert set(Group.__slots__) \
