@@ -3,7 +3,7 @@
 A session owns everything one campaign run needs — the spec (or a
 :meth:`~repro.campaign.spec.CampaignSpec.shard` of one), an
 :class:`ExecutionOptions` bundle (how trials run: pool width, cycle
-budget, sampling plan, resilience and throughput knobs), a
+budget, sampling plan and per-trial deadline and retries), a
 :class:`~repro.campaign.store.StoreBackend`, and a typed
 :class:`CampaignEvent` stream — and exposes the four verbs of the
 campaign lifecycle::
@@ -42,8 +42,7 @@ from .adaptive import AdaptiveScheduler, AdaptiveSummary, SamplingPlan
 from .aggregate import aggregate, aggregate_structures, trial_cell
 from .outcome import run_trial
 from .spec import CampaignShard, CampaignSpec, Trial
-from .store import RetryingStore, StoreBackend, open_store
-from ..resilience.retry import RetryPolicy
+from .store import StoreBackend, open_store
 from ..resilience.watchdog import PoolSupervisor
 
 # -- events ----------------------------------------------------------------
@@ -143,18 +142,16 @@ class ExecutionOptions:
     ``timeout`` outcome (which returns promptly as a normal record);
     ``trial_retries`` bounds how often one trial may be re-submitted
     across pool rebuilds before the run fails with
-    :class:`~repro.errors.TrialHangError`; ``store_retry`` wraps the
-    session's store in a :class:`~repro.campaign.store.RetryingStore`
-    so a transient write error does not discard a finished simulation.
-    The serial path (``workers == 1``, the benchmark hot path) is
-    untouched by the first two — zero overhead.
+    :class:`~repro.errors.TrialHangError`.  The serial path
+    (``workers == 1``, the benchmark hot path) is untouched by both —
+    zero overhead.  Retried store writes are the store's business:
+    pass a :class:`~repro.campaign.store.RetryingStore` as the
+    session's ``store``.
 
-    ``persistent_workers`` selects a record-identical warm start: a
-    pool ``initializer`` pre-runs each cell's fault-free twin so
-    decoded programs, golden traces and checkpoint ladders are hot
-    before the first real trial lands.  Checkpointed fast-forward
-    (:mod:`repro.campaign.checkpoint`) is not an option: every struck
-    trial takes it.
+    Checkpointed fast-forward (:mod:`repro.campaign.checkpoint`) is not
+    an option: every struck trial takes it, and each worker fills its
+    per-process caches (programs, golden traces, fault-free twins) as
+    its trials land.
     """
 
     workers: int = 1
@@ -162,8 +159,6 @@ class ExecutionOptions:
     sampling: Optional[SamplingPlan] = None
     trial_timeout: Optional[float] = None
     trial_retries: int = 2
-    store_retry: Optional[RetryPolicy] = None
-    persistent_workers: bool = False
 
     def __post_init__(self):
         if not isinstance(self.workers, int) \
@@ -191,14 +186,6 @@ class ExecutionOptions:
                 or self.trial_retries < 0:
             raise ConfigError("trial_retries must be an integer >= 0, "
                               "got %r" % (self.trial_retries,))
-        if self.store_retry is not None \
-                and not isinstance(self.store_retry, RetryPolicy):
-            raise ConfigError(
-                "store_retry must be a RetryPolicy or None, got %r"
-                % (self.store_retry,))
-        if not isinstance(self.persistent_workers, bool):
-            raise ConfigError("persistent_workers must be a bool, got %r"
-                              % (self.persistent_workers,))
 
     @property
     def adaptive(self) -> bool:
@@ -219,10 +206,6 @@ class ExecutionOptions:
             data["trial_timeout"] = self.trial_timeout
         if self.trial_retries != 2:
             data["trial_retries"] = self.trial_retries
-        if self.store_retry is not None:
-            data["store_retry"] = self.store_retry.to_dict()
-        if self.persistent_workers:
-            data["persistent_workers"] = True
         return data
 
     @classmethod
@@ -238,15 +221,12 @@ class ExecutionOptions:
         if unknown:
             raise ConfigError("unknown execution option fields: %s"
                               % sorted(unknown))
-        for name, parse in (("sampling", SamplingPlan.from_dict),
-                            ("store_retry", RetryPolicy.from_dict)):
-            value = data.get(name)
-            if value is None:
-                continue
-            if not isinstance(value, dict):
-                raise ConfigError("%s must be a JSON object, got %r"
-                                  % (name, value))
-            data[name] = parse(value)
+        sampling = data.get("sampling")
+        if sampling is not None:
+            if not isinstance(sampling, dict):
+                raise ConfigError("sampling must be a JSON object, got %r"
+                                  % (sampling,))
+            data["sampling"] = SamplingPlan.from_dict(sampling)
         return cls(**data)
 
     def trial_payload(self, trial: Trial) -> dict:
@@ -311,54 +291,6 @@ def execute_trial_payload(payload):
     return run_trial(Trial.from_dict(payload["trial"])).to_record()
 
 
-#: Cells warmed per worker by the persistent-worker initializer; a
-#: bound, not coverage — workers warm the rest lazily as trials land.
-_WARM_CELL_LIMIT = 8
-
-
-def _warm_worker(payloads):
-    """Persistent-worker pool initializer: pre-run fault-free twins.
-
-    Executes each warm payload (a cell's trial with the rate forced to
-    zero and sites stripped) so the worker's decoded-program, golden-
-    trace, fault-free-twin and checkpoint caches are hot before its
-    first real trial.  Purely a warm-up: results are discarded,
-    and a failing twin is skipped — an initializer exception would
-    permanently break the pool, and the real trial will surface the
-    same error as a normal record or worker failure.
-    """
-    for payload in payloads:
-        try:
-            execute_trial_payload(payload)
-        except Exception:  # repro-lint: disable=except-policy
-            # Warm-up only: any error here will recur on the real
-            # trial and surface through the normal record/retry path;
-            # raising instead would permanently break the pool.
-            continue
-
-
-def warm_payloads(options: ExecutionOptions, trials) -> list:
-    """Fault-free warm-up payloads, one per distinct cell of ``trials``
-    (capped at ``_WARM_CELL_LIMIT`` cells)."""
-    seen = set()
-    payloads = []
-    for trial in trials:
-        cell = (trial.workload, trial.workload_seed, trial.model,
-                trial.machine_overrides, trial.instructions,
-                trial.warmup, trial.max_cycles)
-        if cell in seen:
-            continue
-        seen.add(cell)
-        twin = trial.to_dict()
-        twin["rate_per_million"] = 0.0
-        twin.pop("sites", None)
-        twin.pop("site_config", None)
-        payloads.append(options.trial_payload(Trial.from_dict(twin)))
-        if len(payloads) >= _WARM_CELL_LIMIT:
-            break
-    return payloads
-
-
 #: The aggregation cell a trial (as a dict) belongs to — shared with
 #: the aggregate reducer so the two can never drift.
 _cell_of = trial_cell
@@ -391,11 +323,6 @@ class CampaignSession:
             else ExecutionOptions()
         self.spec = self._stamp_max_cycles(spec, self.options.max_cycles)
         self.store: Optional[StoreBackend] = open_store(store)
-        if self.store is not None \
-                and self.options.store_retry is not None \
-                and not isinstance(self.store, RetryingStore):
-            self.store = RetryingStore(self.store,
-                                       policy=self.options.store_retry)
         self._listeners: List[CampaignListener] = list(listeners)
         self.result: Optional[CampaignResult] = None
 
@@ -664,23 +591,16 @@ class CampaignSession:
         executor through ``reset_pool`` and lazily rebuilds through
         ``get_pool``, so a SIGKILL'd pool worker (or a trial past
         ``options.trial_timeout``) costs a rebuild + resubmit instead
-        of the whole session.  In persistent-worker mode every worker
-        — rebuilt ones included — first runs the fault-free warm-up
-        payloads of ``todo``'s cells through :func:`_warm_worker`.
+        of the whole session.
         """
         workers = self.options.workers
         if workers == 1 or len(todo) <= 1:
             return None
-        warm = {}
-        if self.options.persistent_workers:
-            warm = {"initializer": _warm_worker,
-                    "initargs": (warm_payloads(self.options, todo),)}
         holder = {"pool": None}
 
         def get_pool():
             if holder["pool"] is None:
-                holder["pool"] = ProcessPoolExecutor(max_workers=workers,
-                                                     **warm)
+                holder["pool"] = ProcessPoolExecutor(max_workers=workers)
             return holder["pool"]
 
         def reset_pool(broken=None):

@@ -58,7 +58,6 @@ simply run again.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 
 from ..harness.experiment import cycle_budget
 from ..uarch.snapshot import (STATS_SUMS, ProcessorSnapshot, digest_parts,
@@ -183,52 +182,6 @@ class FaultFreeTwin:
         for name, start, end in zip(STATS_SUMS, at.sums, self.final.sums):
             setattr(stats, name, getattr(stats, name) + end - start)
         return processor.cycle - at.cycle
-
-
-class CheckpointStore:
-    """LRU store of per-cell objects with hit/miss/eviction counters:
-    the fault-free twins of :mod:`repro.campaign.outcome`."""
-
-    def __init__(self, limit):
-        self.limit = limit
-        self._cells = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key):
-        cell = self._cells.get(key)
-        if cell is None:
-            self.misses += 1
-            return None
-        self._cells.move_to_end(key)
-        self.hits += 1
-        return cell
-
-    def put(self, key, cell):
-        self._cells[key] = cell
-        self._cells.move_to_end(key)
-        while len(self._cells) > self.limit:
-            self._cells.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self):
-        self._cells.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def values(self):
-        """The stored objects, least recently used first."""
-        return list(self._cells.values())
-
-    def __len__(self):
-        return len(self._cells)
-
-    def stats(self):
-        return {"size": len(self._cells), "limit": self.limit,
-                "hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions}
 
 
 def run_checkpointed(processor, twin, first_strike, max_instructions,

@@ -28,19 +28,16 @@ asserts this):
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from ..functional.checker import StateDiff
 from ..functional.numeric import u64, values_equal
 from ..functional.simulator import FunctionalSimulator
 from ..isa.opcodes import Kind
 from ..isa.registers import NUM_LOGICAL_REGS
+from ..program.cache import LRUCache
 
-#: Cached traces per worker process (LRU, small: each trace owns a full
+#: Cached traces per worker process (small: each trace owns a full
 #: simulated memory).
-_TRACE_CACHE_LIMIT = 8
-_TRACE_CACHE = OrderedDict()
-_TRACE_CACHE_COUNTERS = {"hits": 0, "misses": 0, "evictions": 0}
+_TRACE_CACHE = LRUCache(limit=8)
 
 # Undo-record slot kinds.
 _UNDO_NONE = 0
@@ -108,36 +105,25 @@ def cached_trace(key, program, mem_size=None):
 
     ``key`` must capture the program's semantic identity (e.g.
     workload name + seed + model memory size); the program object is
-    additionally identity-checked to defeat stale entries.
+    additionally identity-checked to defeat stale entries, and a stale
+    entry counts as a miss.
     """
-    trace = _TRACE_CACHE.get(key)
-    if trace is not None and trace.program is program:
-        _TRACE_CACHE.move_to_end(key)
-        _TRACE_CACHE_COUNTERS["hits"] += 1
-        return trace
-    _TRACE_CACHE_COUNTERS["misses"] += 1
-    trace = GoldenTrace(program, mem_size=mem_size)
-    _TRACE_CACHE[key] = trace
-    _TRACE_CACHE.move_to_end(key)
-    while len(_TRACE_CACHE) > _TRACE_CACHE_LIMIT:
-        _TRACE_CACHE.popitem(last=False)
-        _TRACE_CACHE_COUNTERS["evictions"] += 1
+    trace = _TRACE_CACHE.get(key, fresh=lambda trace:
+                             trace.program is program)
+    if trace is None:
+        trace = GoldenTrace(program, mem_size=mem_size)
+        _TRACE_CACHE.put(key, trace)
     return trace
 
 
 def trace_cache_stats():
     """Size, limit and hit/miss/eviction counters of the trace cache."""
-    stats = dict(_TRACE_CACHE_COUNTERS)
-    stats["size"] = len(_TRACE_CACHE)
-    stats["limit"] = _TRACE_CACHE_LIMIT
-    return stats
+    return _TRACE_CACHE.stats()
 
 
 def clear_trace_cache():
     """Drop all memoized traces and reset counters (for tests)."""
     _TRACE_CACHE.clear()
-    for name in _TRACE_CACHE_COUNTERS:
-        _TRACE_CACHE_COUNTERS[name] = 0
 
 
 def compare_with_golden(arch, golden_state):

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field, replace
 
 from ..errors import SimulationError
 from ..harness.experiment import cycle_budget, run_windowed
+from ..program.cache import LRUCache, workload_cache_stats
 from ..program.cache import cached_workload as _cached_workload
-from ..program.cache import workload_cache_stats
 from ..uarch.processor import Processor
 from . import checkpoint as _checkpoint
 from .golden import cached_trace, compare_with_golden, trace_cache_stats
@@ -41,51 +41,16 @@ TIMEOUT = "timeout"
 
 OUTCOMES = (MASKED, DETECTED_RECOVERED, SDC, TIMEOUT)
 
-#: Cells whose fault-free twins are retained per process.
-_TWIN_LIMIT = 16
-
 #: Per-process LRU memo of each cell's fault-free twin
 #: (:class:`~repro.campaign.checkpoint.FaultFreeTwin`): with no
 #: injector the simulation is a pure function of (workload, model,
 #: budgets), so all replicates of a rate-0 cell share one execution,
 #: and every struck trial of the cell restores from its rungs and
 #: compares against its marks.  Bounded so a long-lived service worker
-#: does not keep a twin for every cell it ever ran: at most
-#: ``_TWIN_LIMIT`` x ``checkpoint.RUNGS_PER_CELL`` rungs (a few KiB
-#: each) are held; an evicted twin is simply run again.
-_FAULTFREE_CACHE = _checkpoint.CheckpointStore(limit=_TWIN_LIMIT)
-
-#: Optional monotonic clock injected by the bench harness (see
-#: :func:`set_phase_clock`); ``None`` — the default — keeps this
-#: module free of wall-clock reads, which the determinism lint bans.
-_PHASE_CLOCK = None
-
-#: Accumulated seconds per execution phase while a clock is installed.
-_PHASE_TIMES = {"decode": 0.0, "golden": 0.0, "simulate": 0.0,
-                "classify": 0.0}
-
-
-def set_phase_clock(clock):
-    """Install (or with ``None`` remove) the phase-timing clock.
-
-    ``clock`` is a zero-argument callable returning seconds (the bench
-    passes ``time.perf_counter``).  While installed, trial execution
-    accumulates per-phase wall time into :func:`phase_times`; the
-    default ``None`` costs one predicate per phase and keeps the
-    module deterministic.
-    """
-    global _PHASE_CLOCK
-    _PHASE_CLOCK = clock
-
-
-def phase_times():
-    """A copy of the accumulated per-phase seconds."""
-    return dict(_PHASE_TIMES)
-
-
-def reset_phase_times():
-    for name in _PHASE_TIMES:
-        _PHASE_TIMES[name] = 0.0
+#: does not keep a twin for every cell it ever ran: at most 16 cells
+#: x ``checkpoint.RUNGS_PER_CELL`` rungs (a few KiB each) are held; an
+#: evicted twin is simply run again.
+_FAULTFREE_CACHE = LRUCache(limit=16)
 
 
 @dataclass
@@ -213,29 +178,20 @@ def _run_twin(trial, processor):
 
 def _build_processor(trial, policy):
     """The trial's machine, armed with ``policy`` (``None``: fault-free)."""
-    clock = _PHASE_CLOCK
-    started = clock() if clock is not None else 0.0
     program = _cached_workload(trial.workload, trial.workload_seed)
     model = trial.resolve_model()
-    processor = Processor(program, config=model.config, ft=model.ft,
-                          policy=policy)
-    if clock is not None:
-        _PHASE_TIMES["decode"] += clock() - started
-    return processor
+    return Processor(program, config=model.config, ft=model.ft,
+                     policy=policy)
 
 
 def _trace_golden(processor, committed):
     """The memoized in-order state after ``committed`` instructions and
     its store-footprint diff against the processor's committed state."""
-    clock = _PHASE_CLOCK
-    started = clock() if clock is not None else 0.0
     program = processor.program
     mem_size = processor.config.mem_size_words
     trace = cached_trace((program.name, id(program), mem_size), program,
                          mem_size=mem_size)
     golden_state = trace.seek(committed)
-    if clock is not None:
-        _PHASE_TIMES["golden"] += clock() - started
     return golden_state, compare_with_golden(processor.arch,
                                              golden_state)
 
@@ -266,8 +222,6 @@ def finish_trial(trial, processor, runner=None, golden=_trace_golden):
             return run_windowed(proc, trial.instructions, trial.warmup,
                                 max_cycles) + (None,)
     result = TrialResult(trial=trial.to_dict(), outcome=TIMEOUT)
-    clock = _PHASE_CLOCK
-    started = clock() if clock is not None else 0.0
     try:
         stats, warm_cycles, warm_instructions, twin = runner(processor,
                                                              max_cycles)
@@ -279,9 +233,6 @@ def finish_trial(trial, processor, runner=None, golden=_trace_golden):
                        stats.extras.get("warmup_instructions", 0))
         result.detail = "simulation error: %s" % exc
         return result, stats.dispatched_groups
-    finally:
-        if clock is not None:
-            _PHASE_TIMES["simulate"] += clock() - started
     _fill_counters(result, stats, warm_cycles, warm_instructions)
     if twin is not None:
         # The run stopped where its state re-converged with the twin's,
@@ -299,12 +250,9 @@ def finish_trial(trial, processor, runner=None, golden=_trace_golden):
         result.detail = ("cycle budget exhausted: %d/%d instructions "
                          "in %d cycles" % (committed, budget, stats.cycles))
         return result, stats.dispatched_groups
-    started = clock() if clock is not None else 0.0
     golden_state, diff = golden(processor, committed)
     result.outcome, result.detail = _verdict(processor, golden_state,
                                              diff, result)
-    if clock is not None:
-        _PHASE_TIMES["classify"] += clock() - started
     if processor.halted and committed < budget:
         # HALT committed before the budget: either the program really
         # ends here (golden agrees: masked/recovered) or a fault
@@ -326,9 +274,8 @@ def cache_stats():
 
     Covers the golden-trace LRU, the workload-program LRU and the
     fault-free twin memo, whose section also counts the rungs its
-    twins hold and their bytes.  Also stamped into each executed
-    trial's ``stats.extras["cache_stats"]`` (never into records — only
-    ``site_strikes`` crosses from extras into records).
+    twins hold and their bytes.  Read from outside the trial path
+    (``repro-ft bench`` records it); no trial or record carries it.
     """
     fault_free = _FAULTFREE_CACHE.stats()
     rungs = [rung for twin in _FAULTFREE_CACHE.values()
@@ -342,7 +289,6 @@ def cache_stats():
 
 def _fill_counters(result, stats, warm_cycles, warm_instructions):
     """Copy run counters; IPC refers to the post-warmup window."""
-    stats.extras["cache_stats"] = cache_stats()
     cycles = stats.cycles - warm_cycles
     instructions = stats.instructions - warm_instructions
     result.cycles = stats.cycles

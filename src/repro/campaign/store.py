@@ -40,11 +40,67 @@ import sqlite3
 import zlib
 from typing import Iterable, List, Optional, Set, Tuple
 
+from ..resilience.retry import RetryPolicy
+
 #: Default fan-out of :class:`ShardedJSONLStore` when the directory does
 #: not already fix a shard count.
 DEFAULT_SHARDS = 8
 
 _SHARD_FILE = "shard-%03d.jsonl"
+
+
+def append_json_line(path, payload, fsync=False):
+    """Append ``payload`` to the JSONL file ``path`` as one flushed
+    line, creating parent directories; ``fsync`` also syncs it.
+
+    A writer killed mid-append leaves a torn last line; appending
+    straight after it would merge the new line into the fragment and
+    lose it, so a newline first quarantines the fragment on its own
+    (skipped) line.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    line = json.dumps(payload, sort_keys=True)
+    if _tail_is_torn(path):
+        line = "\n" + line
+    with open(path, "a") as handle:
+        handle.write(line + "\n")
+        handle.flush()
+        if fsync:
+            os.fsync(handle.fileno())
+
+
+def _tail_is_torn(path):
+    """True if the file ends mid-line (writer killed mid-append)."""
+    try:
+        size = os.path.getsize(path)
+    except OSError:
+        return False
+    if size == 0:
+        return False
+    with open(path, "rb") as handle:
+        handle.seek(-1, os.SEEK_END)
+        return handle.read(1) != b"\n"
+
+
+def read_json_objects(path):
+    """Every intact JSON object line of ``path``, in file order (none
+    for a missing file); torn, blank and non-object lines are
+    skipped."""
+    try:
+        handle = open(path)
+    except FileNotFoundError:
+        return
+    with handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                value = json.loads(line)
+            except ValueError:
+                continue        # torn tail of a killed writer
+            if isinstance(value, dict):
+                yield value
 
 
 class StoreBackend(abc.ABC):
@@ -119,52 +175,14 @@ class JSONLStore(StoreBackend):
             pass
 
     def append(self, record):
-        """Persist one trial record as a single flushed JSON line."""
+        """Persist one trial record as a single fsynced JSON line."""
         self._check_key(record)
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
-        line = json.dumps(record, sort_keys=True)
-        if self._tail_is_torn():
-            line = "\n" + line
-        with open(self.path, "a") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def _tail_is_torn(self):
-        """True if the file ends mid-line (writer killed mid-append).
-
-        Appending directly after a torn tail would merge the new record
-        into the corrupt line and lose it; a newline first quarantines
-        the fragment on its own (skipped) line.
-        """
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return False
-        if size == 0:
-            return False
-        with open(self.path, "rb") as handle:
-            handle.seek(-1, os.SEEK_END)
-            return handle.read(1) != b"\n"
+        append_json_line(self.path, record, fsync=True)
 
     def load(self):
         """All intact records, in file order; torn/corrupt lines skipped."""
-        if not self.exists:
-            return []
-        records = []
-        with open(self.path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail of a killed campaign
-                if isinstance(record, dict) and "key" in record:
-                    records.append(record)
-        return records
+        return [record for record in read_json_objects(self.path)
+                if "key" in record]
 
     def compact(self):
         """Rewrite the file with one record per key (last write wins).
@@ -373,19 +391,25 @@ class RetryingStore(StoreBackend):
     Appends/loads/compactions retry under the policy with the record
     key as jitter token; persistent failure propagates the last error
     unchanged.  ``sqlite3.OperationalError`` is an ``sqlite3.Error``,
-    not an ``OSError``, so both are retried.
+    not an ``OSError``, so both are retried.  The campaign service
+    wraps every job store in one with :attr:`DEFAULT_POLICY`; a
+    library caller gets retried writes by passing
+    ``RetryingStore(store)`` as a session's store.
     """
 
     #: Exception classes treated as transient storage failures.
     RETRY_ON = (OSError, sqlite3.Error)
 
+    #: 3 tries, backing off from 50 ms up to 1 s.
+    DEFAULT_POLICY = RetryPolicy(attempts=3, base_delay=0.05,
+                                 max_delay=1.0)
+
     def __init__(self, inner: StoreBackend, policy=None,
                  sleep=None):
-        from ..resilience.retry import RetryPolicy
         self.inner = inner
         self.path = inner.path
         self.policy = policy if policy is not None \
-            else RetryPolicy(attempts=3, base_delay=0.05, max_delay=1.0)
+            else self.DEFAULT_POLICY
         self._sleep = sleep
         #: Appends that needed at least one retry (observability).
         self.retried = 0

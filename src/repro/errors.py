@@ -63,3 +63,8 @@ class ServiceError(ReproError):
 
 class QuotaError(ServiceError):
     """Raised when a tenant's submission exceeds its queue quota."""
+
+
+class JobGoneError(ServiceError):
+    """Raised for a job whose ``job.json`` the service skipped at
+    start-up: its files are kept, but the service cannot serve it."""

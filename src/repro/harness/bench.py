@@ -33,16 +33,17 @@ comparisons have a distribution, not a point.
 
 from __future__ import annotations
 
+import contextlib
 import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+from ..campaign import checkpoint, outcome
 from ..campaign.api import CampaignSession, ExecutionOptions
-from ..campaign.golden import clear_trace_cache
+from ..campaign.golden import GoldenTrace, clear_trace_cache
 from ..campaign.outcome import (cache_stats, clear_result_caches,
-                                finish_trial, phase_times,
-                                reset_phase_times, set_phase_clock)
+                                finish_trial)
 from ..campaign.spec import CampaignSpec, Trial
 from ..functional.checker import compare_states
 from ..functional.simulator import FunctionalSimulator
@@ -74,6 +75,20 @@ ENGINE_INSTRUCTIONS = 1_500
 #: instructions) — the campaign bench sweeps it end to end.
 FIGURE6_BENCH_RATES = (0.0, 10.0, 100.0, 300.0, 1000.0, 3000.0,
                        10_000.0, 30_000.0)
+
+#: Where the optimized repeats time each phase: ``(phase, owner,
+#: attribute)`` of trial-path functions, none of which calls another,
+#: so the phases are disjoint.  ``finish_trial`` binds
+#: ``outcome._trace_golden`` as a default argument, so the golden and
+#: classify points are the functions that one calls.
+PHASE_POINTS = (
+    ("decode", outcome, "_build_processor"),
+    ("simulate", checkpoint, "run_checkpointed"),
+    ("golden", outcome, "cached_trace"),
+    ("golden", GoldenTrace, "seek"),
+    ("classify", outcome, "compare_with_golden"),
+    ("classify", outcome, "_verdict"),
+)
 
 
 class BenchDivergence(AssertionError):
@@ -189,6 +204,32 @@ def bench_engine(workloads=ENGINE_WORKLOADS, models=ENGINE_MODELS,
     return {"instructions": instructions, "rows": rows}
 
 
+@contextlib.contextmanager
+def timed_phases(seconds):
+    """Add each :data:`PHASE_POINTS` call's wall time to
+    ``seconds[phase]`` while the block runs, wrapping the functions
+    from outside; every one is put back on exit, also on an error."""
+    def timed(phase, fn):
+        def wrapper(*args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[phase] += time.perf_counter() - started
+        return wrapper
+
+    originals = []
+    try:
+        for phase, owner, name in PHASE_POINTS:
+            fn = getattr(owner, name)
+            originals.append((owner, name, fn))
+            setattr(owner, name, timed(phase, fn))
+        yield
+    finally:
+        for owner, name, fn in reversed(originals):
+            setattr(owner, name, fn)
+
+
 def bench_campaign(quick=False, workers=1, repeats=None):
     """Campaign-path A/B run; returns a JSON-ready dict.
 
@@ -202,11 +243,11 @@ def bench_campaign(quick=False, workers=1, repeats=None):
     checkpointed fast-forward like every campaign, so the divergence
     check covers it.  The optimized side's best run also reports a
     per-phase wall-time breakdown (decode / golden / simulate /
-    classify) and the trial-cache counters; phases are measured
-    in-process, so they read zero when ``workers > 1`` moves trial
-    execution into pool children.  Raises :class:`BenchDivergence`
-    unless the optimized path's records are byte-identical to the
-    unoptimized path's.
+    classify, timed by :func:`timed_phases`) and the trial-cache
+    counters; phases are measured in-process, so they read zero when
+    ``workers > 1`` moves trial execution into pool children.  Raises
+    :class:`BenchDivergence` unless the optimized path's records are
+    byte-identical to the unoptimized path's.
     """
     spec = campaign_bench_spec(quick=quick)
     if repeats is None:
@@ -217,7 +258,7 @@ def bench_campaign(quick=False, workers=1, repeats=None):
     reference = optimized = None
     reference_samples = []
     optimized_samples = []
-    phase_samples = {}
+    phase_samples = {phase: [] for phase, _owner, _name in PHASE_POINTS}
     for _ in range(repeats):
         clear_result_caches()
         clear_trace_cache()
@@ -226,26 +267,22 @@ def bench_campaign(quick=False, workers=1, repeats=None):
         reference_samples.append(time.perf_counter() - start)
     phases = caches = None
     optimized_seconds = None
-    set_phase_clock(time.perf_counter)
-    try:
-        for _ in range(repeats):
-            clear_result_caches()
-            clear_trace_cache()
-            reset_phase_times()
+    for _ in range(repeats):
+        clear_result_caches()
+        clear_trace_cache()
+        run_phases = dict.fromkeys(phase_samples, 0.0)
+        with timed_phases(run_phases):
             start = time.perf_counter()
             optimized = CampaignSession(spec,
                                         options=optimized_options).run()
             elapsed = time.perf_counter() - start
-            optimized_samples.append(elapsed)
-            run_phases = phase_times()
-            for name, seconds in run_phases.items():
-                phase_samples.setdefault(name, []).append(seconds)
-            if optimized_seconds is None or elapsed < optimized_seconds:
-                optimized_seconds = elapsed
-                phases = run_phases
-                caches = cache_stats()
-    finally:
-        set_phase_clock(None)
+        optimized_samples.append(elapsed)
+        for name, seconds in run_phases.items():
+            phase_samples[name].append(seconds)
+        if optimized_seconds is None or elapsed < optimized_seconds:
+            optimized_seconds = elapsed
+            phases = run_phases
+            caches = cache_stats()
     if reference != optimized.records:
         differing = [left["key"] for left, right
                      in zip(reference, optimized.records)

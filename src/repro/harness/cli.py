@@ -317,8 +317,7 @@ def _cmd_campaign(args):
         spec = _campaign_spec_from_args(args)
         options = ExecutionOptions(
             workers=args.workers,
-            sampling=_sampling_plan_from_args(args),
-            persistent_workers=args.persistent_workers)
+            sampling=_sampling_plan_from_args(args))
         session = CampaignSession(spec, options=options, store=store)
     except (ConfigError, ValueError, TypeError, OSError) as exc:
         raise SystemExit("repro-ft campaign: %s" % exc)
@@ -675,10 +674,6 @@ def _add_campaign_args(sub):
     sub.add_argument("--workers", type=int, default=1,
                      help="process-pool width per session "
                           "(1 = in-process serial)")
-    sub.add_argument("--persistent-workers", action="store_true",
-                     help="pre-warm each pool worker's per-process "
-                          "caches with the campaign's fault-free "
-                          "baselines (needs --workers > 1 to matter)")
     sub.add_argument("--json", action="store_true",
                      help="print the aggregate as JSON instead of a "
                           "table")

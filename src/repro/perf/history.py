@@ -40,8 +40,8 @@ from ..errors import HistoryError
 #: Current entry schema generation (see module docstring).
 SCHEMA_VERSION = 3
 
-#: The execution phases a v3 entry samples per repeat (the bench's
-#: injectable phase clock; see ``repro.campaign.outcome``).
+#: The execution phases a v3 entry samples per repeat (timed from
+#: outside the trial path; see ``repro.harness.bench.timed_phases``).
 PHASES = ("decode", "golden", "simulate", "classify")
 
 #: Safety cap on retained history entries (newest kept).

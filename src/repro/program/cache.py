@@ -14,9 +14,12 @@ Two layers, both transparent to callers:
 * :func:`cached_workload` — a per-process cache of generated synthetic
   workloads keyed by ``(name, seed)``.  Workload generation is
   deterministic in that key and every simulator copies the data image,
-  so rebuilding a program per trial would be pure waste.  (Moved here
-  from ``repro.campaign.outcome`` so non-campaign callers can share
-  it.)
+  so rebuilding a program per trial would be pure waste.
+
+:class:`LRUCache` is the one bounded, counted memo of the trial path:
+the workload cache here, the golden traces of
+:mod:`repro.campaign.golden` and the fault-free twins of
+:mod:`repro.campaign.outcome` are all instances of it.
 """
 
 from __future__ import annotations
@@ -111,12 +114,60 @@ def decode_program(program, config):
     return table
 
 
-#: Per-process LRU cache of generated workload programs.  Bounded so a
-#: long multi-cell campaign cannot grow it without limit; generous
-#: enough that any realistic grid's working set fits.
-_WORKLOAD_CACHE_LIMIT = 32
-_WORKLOAD_CACHE = OrderedDict()
-_WORKLOAD_CACHE_COUNTERS = {"hits": 0, "misses": 0, "evictions": 0}
+class LRUCache:
+    """A per-process LRU memo with hit/miss/eviction counters.
+
+    ``get`` refreshes a hit; ``put`` evicts the least recently used
+    entries past ``limit``.
+    """
+
+    def __init__(self, limit):
+        self.limit = limit
+        self._entries = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def get(self, key, fresh=None):
+        """The entry under ``key``, or ``None`` (a miss).  An entry
+        that ``fresh(entry)`` rejects is stale: also a miss."""
+        entry = self._entries.get(key)
+        if entry is None or fresh is not None and not fresh(entry):
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return entry
+
+    def put(self, key, entry):
+        self._entries[key] = entry
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.limit:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+
+    def clear(self):
+        """Drop every entry and reset the counters."""
+        self._entries.clear()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def values(self):
+        """The entries, least recently used first."""
+        return list(self._entries.values())
+
+    def stats(self):
+        """Size, limit and hit/miss/eviction counters."""
+        return {"hits": self.hits, "misses": self.misses,
+                "evictions": self.evictions,
+                "size": len(self._entries), "limit": self.limit}
+
+
+#: Generated workload programs, bounded so a long multi-cell campaign
+#: cannot grow it without limit; generous enough that any realistic
+#: grid's working set fits.
+_WORKLOAD_CACHE = LRUCache(limit=32)
 
 
 def cached_workload(name, seed=1_000_003):
@@ -128,33 +179,22 @@ def cached_workload(name, seed=1_000_003):
     """
     key = (name, seed)
     program = _WORKLOAD_CACHE.get(key)
-    if program is not None:
-        _WORKLOAD_CACHE.move_to_end(key)
-        _WORKLOAD_CACHE_COUNTERS["hits"] += 1
-        return program
-    _WORKLOAD_CACHE_COUNTERS["misses"] += 1
-    # Imported lazily: repro.workloads itself builds Programs, so a
-    # module-level import would be circular.
-    from ..workloads.generator import build_workload
-    program = build_workload(name, seed=seed)
-    _WORKLOAD_CACHE[key] = program
-    while len(_WORKLOAD_CACHE) > _WORKLOAD_CACHE_LIMIT:
-        _WORKLOAD_CACHE.popitem(last=False)
-        _WORKLOAD_CACHE_COUNTERS["evictions"] += 1
+    if program is None:
+        # Imported lazily: repro.workloads itself builds Programs, so a
+        # module-level import would be circular.
+        from ..workloads.generator import build_workload
+        program = build_workload(name, seed=seed)
+        _WORKLOAD_CACHE.put(key, program)
     return program
 
 
 def workload_cache_stats():
     """Size, limit and hit/miss/eviction counters of the workload
     cache."""
-    stats = dict(_WORKLOAD_CACHE_COUNTERS)
-    stats["size"] = len(_WORKLOAD_CACHE)
-    stats["limit"] = _WORKLOAD_CACHE_LIMIT
-    return stats
+    return _WORKLOAD_CACHE.stats()
 
 
 def clear_caches():
-    """Drop all cached workloads and decode tables (for tests)."""
+    """Drop all cached workloads, with their decode tables, and reset
+    the counters (for tests)."""
     _WORKLOAD_CACHE.clear()
-    for name in _WORKLOAD_CACHE_COUNTERS:
-        _WORKLOAD_CACHE_COUNTERS[name] = 0

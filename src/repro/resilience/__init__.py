@@ -7,7 +7,7 @@ inject into the simulated machine:
 
 * :mod:`~repro.resilience.retry` — exponential backoff with
   *deterministic* jitter (seeded, replayable — same reason trial
-  seeds derive from trial keys) and a token-bucket retry budget;
+  seeds derive from trial keys);
 * :mod:`~repro.resilience.circuit` — a CLOSED/OPEN/HALF_OPEN circuit
   breaker used by the service to shed adaptive extra replicates
   before failing a job outright;
@@ -24,11 +24,11 @@ package) — reach it as ``repro.resilience.chaos``.
 """
 
 from .circuit import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from .retry import RetryBudget, RetryPolicy
+from .retry import RetryPolicy
 from .watchdog import PoolSupervisor
 
 __all__ = [
     "CLOSED", "HALF_OPEN", "OPEN", "CircuitBreaker",
-    "RetryBudget", "RetryPolicy",
+    "RetryPolicy",
     "PoolSupervisor",
 ]

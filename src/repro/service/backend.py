@@ -45,9 +45,8 @@ from ..campaign import (CampaignSession, CampaignSpec, ExecutionOptions,
                         merged_adaptive_summary)
 from ..campaign.adaptive import CAPPED
 from ..campaign.aggregate import trial_cell
-from ..errors import ReproError, ServiceError
+from ..errors import JobGoneError, ReproError, ServiceError
 from ..resilience.circuit import CircuitBreaker
-from ..resilience.retry import RetryPolicy
 from .events import (EventLog, JOB_CANCELLED, JOB_DEGRADED, JOB_FAILED,
                      JOB_FINISHED, JOB_INTERRUPTED, JOB_QUEUED,
                      JOB_RESUMED, JOB_STARTED, job_event)
@@ -238,11 +237,9 @@ class JobRunner(threading.Thread):
     def run(self):
         job = self.job
         backend = self.backend
-        store = job.store(backend.data_dir)
-        if backend.store_retry is not None:
-            # Job stores are the durable truth of the service; retry
-            # transient write errors instead of failing the job.
-            store = RetryingStore(store, policy=backend.store_retry)
+        # Job stores are the durable truth of the service; retry
+        # transient write errors instead of failing the job.
+        store = RetryingStore(job.store(backend.data_dir))
         resumed = store.exists and bool(store.completed_keys())
         job.started_at = time.time()
         job.save(backend.data_dir)
@@ -297,19 +294,13 @@ class ServiceBackend:
     """The multi-tenant campaign execution service (no HTTP here —
     :mod:`repro.service.server` adds the wire)."""
 
-    #: Default retry policy for job-store writes: a transient write
-    #: error must not discard a finished simulation.
-    DEFAULT_STORE_RETRY = RetryPolicy(attempts=3, base_delay=0.05,
-                                      max_delay=1.0)
-
     def __init__(self, data_dir: str, slots: int = 2,
                  tenants=(), replicate_budget: Optional[int] = None,
                  replicate_epoch: float = 1.0,
                  poll_interval: float = SERVICE_POLL_INTERVAL,
                  trial_timeout: Optional[float] = None,
                  breaker_threshold: int = 3,
-                 breaker_recovery: float = 10.0,
-                 store_retry: Optional[RetryPolicy] = None):
+                 breaker_recovery: float = 10.0):
         if poll_interval <= 0:
             raise ServiceError("poll_interval must be > 0")
         if trial_timeout is not None and trial_timeout <= 0:
@@ -323,8 +314,6 @@ class ServiceBackend:
         self.trial_timeout = trial_timeout
         self.breaker_threshold = breaker_threshold
         self.breaker_recovery = breaker_recovery
-        self.store_retry = store_retry if store_retry is not None \
-            else self.DEFAULT_STORE_RETRY
         self.scheduler = FairScheduler(
             slots, [config if isinstance(config, TenantConfig)
                     else TenantConfig.from_dict(config)
@@ -338,6 +327,8 @@ class ServiceBackend:
         self._pool_lock = threading.Lock()
         #: Job id -> why its ``job.json`` could not be loaded, from the
         #: last :meth:`recover`; those jobs were skipped, files kept.
+        #: Looking one up raises :class:`~repro.errors.JobGoneError`,
+        #: and a submit may not reuse its id.
         self.skipped_jobs: Dict[str, str] = {}
         self._runners: Dict[str, JobRunner] = {}
         self._runners_lock = threading.Lock()
@@ -451,6 +442,11 @@ class ServiceBackend:
         job = Job(id=job_id or new_job_id(), tenant=tenant, spec=spec,
                   options=options, priority=priority, shards=shards,
                   total=spec.grid_size)
+        if job.id in self.skipped_jobs:
+            # Its kept job.json and store.jsonl must not be overwritten
+            # or resumed by a stranger.
+            raise ServiceError("duplicate job id %r (held by a job file "
+                               "skipped at start-up)" % job.id)
         if job.shards > self.slots:
             raise ServiceError(
                 "shards=%d exceeds the service's %d worker slots"
@@ -465,7 +461,7 @@ class ServiceBackend:
     def cancel(self, job_id: str) -> Job:
         """Cancel a queued or running job (terminal jobs are no-ops);
         completed trial records are kept."""
-        job = self.queue.get(job_id)
+        job = self.job(job_id)
         if job.terminal:
             return job
         if job.state == RUNNING:
@@ -481,6 +477,10 @@ class ServiceBackend:
         return job
 
     def job(self, job_id: str) -> Job:
+        reason = self.skipped_jobs.get(job_id)
+        if reason is not None:
+            raise JobGoneError("job %r is gone: its job file was skipped "
+                               "at start-up (%s)" % (job_id, reason))
         return self.queue.get(job_id)
 
     def jobs(self, tenant: Optional[str] = None) -> List[Job]:
@@ -491,7 +491,7 @@ class ServiceBackend:
         """Merged results of a job, straight from its store: per-cell
         aggregate (plus structures / adaptive blocks when the spec
         asks for them), optionally the raw records."""
-        job = self.queue.get(job_id)
+        job = self.job(job_id)
         session = CampaignSession(job.spec,
                                   store=job.store(self.data_dir))
         records = session.records()
@@ -514,7 +514,7 @@ class ServiceBackend:
 
     def read_events(self, job_id: str, after_seq: int = 0):
         """Intact events of a job past ``after_seq`` (SSE tailing)."""
-        self.queue.get(job_id)          # raises on unknown jobs
+        self.job(job_id)                # raises on unknown jobs
         return self.event_log(job_id).read(after_seq)
 
     def fairness_report(self) -> dict:

@@ -26,13 +26,12 @@ older versions wrote (with ``shard_*`` events) still read.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from typing import List, Optional, Tuple
 
 from ..campaign import CampaignEvent
+from ..campaign.store import append_json_line, read_json_objects
 
 #: Lifecycle event kinds the service adds to the campaign protocol.
 JOB_QUEUED = "job_queued"
@@ -92,48 +91,15 @@ class EventLog:
             seq = self._next_seq_locked()
             payload["seq"] = seq
             payload["ts"] = round(time.time(), 3)
-            os.makedirs(os.path.dirname(os.path.abspath(self.path)),
-                        exist_ok=True)
-            line = json.dumps(payload, sort_keys=True)
-            if self._tail_is_torn():
-                line = "\n" + line
-            with open(self.path, "a") as handle:
-                handle.write(line + "\n")
-                handle.flush()
+            append_json_line(self.path, payload)
         return seq
-
-    def _tail_is_torn(self) -> bool:
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return False
-        if size == 0:
-            return False
-        with open(self.path, "rb") as handle:
-            handle.seek(-1, os.SEEK_END)
-            return handle.read(1) != b"\n"
 
     # -- reading -----------------------------------------------------------
 
     def _read(self, after_seq: int):
-        try:
-            handle = open(self.path)
-        except OSError:
-            return
-        with handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    continue        # torn tail of a killed writer
-                if not isinstance(event, dict):
-                    continue
-                seq = event.get("seq")
-                if not isinstance(seq, int) or seq <= after_seq:
-                    continue
+        for event in read_json_objects(self.path):
+            seq = event.get("seq")
+            if isinstance(seq, int) and seq > after_seq:
                 yield seq, event
 
     def read(self, after_seq: int = 0) -> List[Tuple[int, dict]]:

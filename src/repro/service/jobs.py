@@ -60,11 +60,15 @@ EVENTS_FILE = "events.jsonl"
 
 #: Execution options that older job files persisted: the simulator
 #: selector, the golden-trace, fault-free-reuse and checkpointing
-#: switches, and the shard-store poll interval that sharded jobs read
-#: before they ran on the shared pool.  Every value they could hold
-#: gave byte-identical records, so :meth:`Job.from_dict` drops them.
+#: switches, the shard-store poll interval that sharded jobs read
+#: before they ran on the shared pool, the ``persistent_workers``
+#: warm-up (the service's shared pool never ran it) and the
+#: ``store_retry`` policy (the service retries every job-store write
+#: under its own).  Every value they could hold gave byte-identical
+#: records, so :meth:`Job.from_dict` drops them.
 RETIRED_OPTIONS = ("simulator", "golden_cache", "reuse_faultfree",
-                   "checkpointing", "poll_interval")
+                   "checkpointing", "poll_interval", "persistent_workers",
+                   "store_retry")
 
 
 #: What a job id may look like: it names the job's directory, so a

@@ -32,7 +32,8 @@ wire form.  Frames replay from ``?after=<seq>`` (the log survives
 restarts), then tail live until the job reaches a terminal state; a
 final ``stream_end`` event closes the stream.
 
-Error mapping: bad input 400, unknown job 404, quota exceeded 429,
+Error mapping: bad input 400, unknown job 404, a job whose file the
+service skipped at start-up 410 (with the reason), quota exceeded 429,
 draining 503.
 
 On start the server writes ``service.json`` (URL, pid) into the data
@@ -54,7 +55,8 @@ import time
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from ..errors import ConfigError, QuotaError, ReproError, ServiceError
+from ..errors import (ConfigError, JobGoneError, QuotaError, ReproError,
+                      ServiceError)
 from .backend import SERVICE_POLL_INTERVAL, ServiceBackend
 from .scheduler import TenantConfig
 
@@ -93,6 +95,7 @@ class _HttpError(Exception):
 
 _STATUS_TEXT = {200: "OK", 201: "Created", 400: "Bad Request",
                 404: "Not Found", 405: "Method Not Allowed",
+                410: "Gone",
                 413: "Payload Too Large", 429: "Too Many Requests",
                 500: "Internal Server Error",
                 503: "Service Unavailable"}
@@ -273,6 +276,8 @@ class CampaignServer:
                     return "stream"
         except QuotaError as exc:
             raise _HttpError(429, str(exc))
+        except JobGoneError as exc:
+            raise _HttpError(410, str(exc))
         except ServiceError as exc:
             message = str(exc)
             if message.startswith("unknown job"):

@@ -1,12 +1,12 @@
 """Per-process trial caches are bounded and observable.
 
-Every per-process cache on the spec -> trial -> record path sits
-behind an LRU bound with hit/miss/eviction counters: the workload
-program cache, the golden-trace cache, and the fault-free twin memo,
-which also reports the rungs its twins hold.  These tests pin the
-eviction behaviour, the counter arithmetic, and the reporting
-contract — counters reach ``stats.extras`` for observability but never
-a persisted record.
+Every per-process cache on the spec -> trial -> record path is one
+:class:`~repro.program.cache.LRUCache` with hit/miss/eviction
+counters: the workload program cache, the golden-trace cache, and the
+fault-free twin memo, which also reports the rungs its twins hold.
+These tests pin the eviction behaviour, the counter arithmetic, and
+the reporting contract — ``cache_stats()`` reads the counters from
+outside the trial path, and no persisted record carries them.
 """
 
 import pytest
@@ -14,14 +14,13 @@ import pytest
 import json
 
 import repro.program.cache as program_cache
-from repro.campaign.checkpoint import CheckpointStore
 from repro.campaign.golden import (cached_trace, clear_trace_cache,
                                    trace_cache_stats)
 from repro.campaign.outcome import (cache_stats, clear_result_caches,
                                     run_trial)
 from repro.campaign.spec import CampaignSpec
-from repro.program.cache import (cached_workload, clear_caches,
-                                 workload_cache_stats)
+from repro.program.cache import (LRUCache, cached_workload,
+                                 clear_caches, workload_cache_stats)
 from repro.uarch.snapshot import ProcessorSnapshot
 from repro.workloads.generator import build_workload
 
@@ -48,7 +47,7 @@ class TestWorkloadCache:
         assert stats["evictions"] == 0
 
     def test_lru_eviction_over_limit(self, monkeypatch):
-        monkeypatch.setattr(program_cache, "_WORKLOAD_CACHE_LIMIT", 2)
+        monkeypatch.setattr(program_cache._WORKLOAD_CACHE, "limit", 2)
         cached_workload("gcc", seed=1)
         cached_workload("gcc", seed=2)
         cached_workload("gcc", seed=1)      # refresh 1: 2 is now LRU
@@ -83,10 +82,20 @@ class TestTraceCache:
         cached_trace(("bound-probe", limit + 1), program)
         assert trace_cache_stats()["hits"] == 1
 
+    def test_stale_trace_counts_as_a_miss(self):
+        first = build_workload("gcc")
+        cached_trace(("stale-probe",), first)
+        rebuilt = build_workload("gcc")
+        trace = cached_trace(("stale-probe",), rebuilt)
+        assert trace.program is rebuilt
+        stats = trace_cache_stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) \
+            == (0, 2, 1)
+
 
 class TestCheckpointStore:
     def test_lru_eviction_and_counters(self):
-        store = CheckpointStore(limit=2)
+        store = LRUCache(limit=2)
         store.put("a", "cell-a")
         store.put("b", "cell-b")
         assert store.get("a") == "cell-a"   # refresh: b is now LRU
@@ -142,6 +151,16 @@ class TestCheckpointStore:
 
 
 class TestReporting:
+    def test_one_lru_class_backs_every_cache(self):
+        import repro.campaign.golden as golden
+        import repro.campaign.outcome as outcome
+        for cache in (program_cache._WORKLOAD_CACHE, golden._TRACE_CACHE,
+                      outcome._FAULTFREE_CACHE):
+            assert type(cache) is LRUCache
+        stats = cache_stats()
+        assert (stats["workload"]["limit"], stats["golden_trace"]["limit"],
+                stats["fault_free"]["limit"]) == (32, 8, 16)
+
     def test_cache_stats_sections_and_keys(self):
         stats = cache_stats()
         assert set(stats) == {"golden_trace", "workload", "fault_free"}

@@ -25,7 +25,6 @@ from repro.campaign import (CAMPAIGN_FINISHED, CELL_FINISHED,
                             cells_to_json, merge_stores)
 from repro.campaign.adaptive import SamplingPlan
 from repro.errors import ConfigError
-from repro.resilience.retry import RetryPolicy
 
 #: The acceptance-criteria grid: 1 workload x 2 models x 2 rates x 16
 #: replicates = 64 trials, half of them fault-free (cheap via result
@@ -82,22 +81,26 @@ def json_objects_over(fields):
 
 
 class TestExecutionOptions:
-    def test_has_seven_fields(self):
+    def test_has_five_fields(self):
         assert list(ExecutionOptions.__dataclass_fields__) == [
             "workers", "max_cycles", "sampling", "trial_timeout",
-            "trial_retries", "store_retry", "persistent_workers"]
+            "trial_retries"]
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(["sampling", "store_retry"]), st.data())
-    def test_nested_option_fuzz_raises_only_config_errors(self, name,
-                                                          data):
-        fields = (SamplingPlan if name == "sampling"
-                  else RetryPolicy).__dataclass_fields__
+    @given(st.data())
+    def test_nested_option_fuzz_raises_only_config_errors(self, data):
+        fields = SamplingPlan.__dataclass_fields__
         value = data.draw(json_objects_over(fields) | JSON_VALUES)
         try:
-            ExecutionOptions.from_dict({name: value})
+            ExecutionOptions.from_dict({"sampling": value})
         except ConfigError:
             pass
+
+    @pytest.mark.parametrize("name", ["persistent_workers",
+                                      "store_retry"])
+    def test_retired_options_are_unknown_fields(self, name):
+        with pytest.raises(ConfigError, match=name):
+            ExecutionOptions.from_dict({"workers": 2, name: True})
 
     def test_defaults(self):
         options = ExecutionOptions()
@@ -121,8 +124,7 @@ class TestExecutionOptions:
         trial = next(small_spec().trials())
         assert ExecutionOptions().trial_payload(trial) \
             == {"trial": trial.to_dict()}
-        assert ExecutionOptions(
-            workers=2, persistent_workers=True).trial_payload(trial) \
+        assert ExecutionOptions(workers=2).trial_payload(trial) \
             == {"trial": trial.to_dict()}
 
 

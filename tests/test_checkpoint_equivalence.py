@@ -296,10 +296,11 @@ class TestExecutionModes:
     """Pool and resume paths reproduce the serial records."""
 
     def test_persistent_worker_pool(self):
+        """Pool workers fill their per-process caches as trials land,
+        and the records match the serial run's."""
         spec = bench_spec()
         serial = record_lines(spec, ExecutionOptions())
-        pooled = record_lines(
-            spec, ExecutionOptions(workers=2, persistent_workers=True))
+        pooled = record_lines(spec, ExecutionOptions(workers=2))
         assert serial == pooled
 
     def test_resume_from_partial_store(self, tmp_path):

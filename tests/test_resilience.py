@@ -18,7 +18,7 @@ import pytest
 from repro.campaign.store import JSONLStore, RetryingStore
 from repro.errors import ConfigError, ResilienceError, TrialHangError
 from repro.resilience import (CLOSED, HALF_OPEN, OPEN, CircuitBreaker,
-                              RetryBudget, RetryPolicy)
+                              RetryPolicy)
 from repro.resilience.watchdog import PoolSupervisor
 
 
@@ -89,27 +89,6 @@ class TestRetryPolicy:
             policy.call(boom, sleep=lambda _d: None)
         assert len(calls) == 1
 
-    def test_call_respects_refused_budget(self):
-        budget = RetryBudget(capacity=1, refill_per_second=0.0,
-                             clock=FakeClock())
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            raise OSError("transient")
-
-        policy = RetryPolicy(attempts=5, base_delay=0.01, jitter=0.0)
-        with pytest.raises(OSError):
-            policy.call(flaky, sleep=lambda _d: None, budget=budget)
-        # One initial call, one budgeted retry, then the budget is dry.
-        assert len(calls) == 2
-        assert budget.refused == 1
-
-    def test_round_trip(self):
-        policy = RetryPolicy(attempts=4, base_delay=0.3, max_delay=9.0,
-                             multiplier=3.0, jitter=0.2, seed=11)
-        assert RetryPolicy.from_dict(policy.to_dict()) == policy
-
     @pytest.mark.parametrize("kwargs", [
         {"attempts": 0}, {"base_delay": -0.1}, {"multiplier": 0.5},
         {"jitter": -0.1}, {"jitter": 1.5}, {"max_delay": -1.0},
@@ -117,29 +96,6 @@ class TestRetryPolicy:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             RetryPolicy(**kwargs)
-
-
-class TestRetryBudget:
-    def test_spends_down_then_refuses(self):
-        clock = FakeClock()
-        budget = RetryBudget(capacity=2, refill_per_second=1.0,
-                             clock=clock)
-        assert budget.try_spend()
-        assert budget.try_spend()
-        assert not budget.try_spend()
-        assert (budget.spent, budget.refused) == (2, 1)
-
-    def test_refills_over_time_up_to_capacity(self):
-        clock = FakeClock()
-        budget = RetryBudget(capacity=2, refill_per_second=0.5,
-                             clock=clock)
-        budget.try_spend()
-        budget.try_spend()
-        clock.advance(2.0)              # +1 token
-        assert budget.try_spend()
-        assert not budget.try_spend()
-        clock.advance(100.0)            # clamped at capacity
-        assert budget.tokens == 2.0
 
 
 # -- CircuitBreaker ----------------------------------------------------------
@@ -405,17 +361,11 @@ class TestExecutionOptionsResilience:
         wire = ExecutionOptions().to_dict()
         assert "trial_timeout" not in wire
         assert "trial_retries" not in wire
-        assert "store_retry" not in wire
         assert ExecutionOptions.from_dict(wire) == ExecutionOptions()
 
     def test_resilience_fields_round_trip(self):
         from repro.campaign import ExecutionOptions
-        options = ExecutionOptions(
-            trial_timeout=4.0, trial_retries=5,
-            store_retry=RetryPolicy(attempts=2, base_delay=0.5))
+        options = ExecutionOptions(trial_timeout=4.0, trial_retries=5)
         wire = json.loads(json.dumps(options.to_dict(),
                                      sort_keys=True))
-        clone = ExecutionOptions.from_dict(wire)
-        assert clone == options
-        assert clone.store_retry == RetryPolicy(attempts=2,
-                                                base_delay=0.5)
+        assert ExecutionOptions.from_dict(wire) == options

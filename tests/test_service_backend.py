@@ -17,7 +17,7 @@ import pytest
 from repro.campaign import (CampaignSession, CampaignSpec,
                             ExecutionOptions, SamplingPlan, aggregate)
 from repro.campaign.aggregate import trial_cell
-from repro.errors import QuotaError, ServiceError
+from repro.errors import JobGoneError, QuotaError, ServiceError
 from repro.resilience.circuit import CircuitBreaker
 from repro.service import (CANCELLED, DONE, INTERRUPTED, QUEUED,
                            RUNNING, ServiceBackend, TenantConfig)
@@ -435,11 +435,13 @@ class TestDrainAndRecovery:
         self.assert_recovers_to_plain_records(data_dir, "job-parent")
 
     def test_checkpointing_job_file_resumes_to_done(self, tmp_path):
-        """Job files written while checkpointing was a switch carry
-        it; a restarted service drops it like the other retired keys."""
+        """Job files written while checkpointing, the persistent-worker
+        warm-up and the store retry policy were options carry them; a
+        restarted service drops them like the other retired keys."""
         data_dir = tmp_path / "svc"
         self.write_job_file(data_dir, "job-ckpt", {
             "checkpointing": True, "persistent_workers": True,
+            "store_retry": {"attempts": 2, "base_delay": 0.5},
             "workers": 2})
         self.assert_recovers_to_plain_records(data_dir, "job-ckpt")
 
@@ -505,6 +507,34 @@ class TestDrainAndRecovery:
             assert torn.exists()
         finally:
             revived.close(drain_timeout=5.0)
+
+    def test_skipped_job_id_cannot_be_resubmitted(self, tmp_path):
+        """A skipped job keeps its files: a submit reusing its id is
+        refused like a duplicate, and neither its job.json nor its
+        store changes."""
+        data_dir = tmp_path / "svc"
+        self.write_job_file(data_dir, "job-x", {"workers": 1,
+                                                 "turbo": True})
+        job_dir = data_dir / "jobs" / "job-x"
+        records = CampaignSession(spec(name="job-x")).run().records[:2]
+        (job_dir / "store.jsonl").write_text("".join(
+            json.dumps(record, sort_keys=True) + "\n"
+            for record in records))
+        kept = {name: (job_dir / name).read_bytes()
+                for name in ("job.json", "store.jsonl")}
+        revived = ServiceBackend(str(data_dir), slots=2)
+        try:
+            assert revived.recover() == []
+            with pytest.raises(ServiceError, match="duplicate job id"):
+                revived.submit("alice", spec(name="job-x"),
+                               job_id="job-x")
+            with pytest.raises(JobGoneError, match="turbo"):
+                revived.job("job-x")
+            assert revived.jobs() == []
+        finally:
+            revived.close(drain_timeout=10.0)
+        assert {name: (job_dir / name).read_bytes()
+                for name in kept} == kept
 
     def test_recover_preserves_terminal_jobs_without_requeue(
             self, tmp_path):

@@ -231,6 +231,17 @@ def test_hostile_submit_body_is_a_400(server, name):
     assert server.client.health()["status"] == "ok"
 
 
+@pytest.mark.parametrize("name,value", [
+    ("persistent_workers", True),
+    ("store_retry", {"attempts": 2, "base_delay": 0.5})])
+def test_retired_option_submit_is_a_400_naming_it(server, name, value):
+    body = {"tenant": "alice", "spec": spec_dict(),
+            "options": {"workers": 1, name: value}}
+    status, payload = server.client._request("POST", "/api/jobs", body)
+    assert status == 400, payload
+    assert name in payload["error"], payload
+
+
 class TestKillRecovery:
     def test_sigkill_mid_job_then_restart_resumes_identically(
             self, tmp_path):
@@ -293,8 +304,16 @@ def test_startup_names_unreadable_job_files(tmp_path):
     torn.write_text(torn.read_text()[:40])
     serve = ServeProcess(data_dir)
     try:
-        with pytest.raises(ServiceError):
-            serve.client.job("job-unknown")
+        for method, path in (("GET", "/api/jobs/job-unknown"),
+                             ("GET", "/api/jobs/job-unknown/result"),
+                             ("GET", "/api/jobs/job-unknown/events"),
+                             ("POST", "/api/jobs/job-unknown/cancel")):
+            status, payload = serve.client._request(method, path)
+            assert status == 410, (path, payload)
+            assert "turbo" in payload["error"], (path, payload)
+        status, payload = serve.client._request(
+            "GET", "/api/jobs/job-never-submitted")
+        assert status == 404, payload
     finally:
         serve.process.send_signal(signal.SIGTERM)
         output = serve.process.communicate(timeout=60)[0].decode()
