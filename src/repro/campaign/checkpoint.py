@@ -1,8 +1,9 @@
-"""Checkpointed fast-forward and exact early exit for struck trials.
+"""Checkpointed fast-forward, re-entry and exact early exit for struck
+trials.
 
-A struck trial differs from its cell's fault-free run only between its
-first strike and the point where the fault has washed out; this
-module simulates just that stretch, without changing a single record
+A struck trial differs from its cell's fault-free run only from each
+strike to the point where its fault has washed out; this module
+simulates just those stretches, without changing a single record
 byte.  Everything it needs comes from :class:`FaultFreeTwin`, the
 cell's fault-free run as struck runs see it: every ``DIGEST_INTERVAL``
 committed instructions (a digest mark), the run's normalized state
@@ -19,6 +20,11 @@ mark's; a short run keeps one at every mark.
   once its policy has nothing left to strike, stops there: its final
   sums are its sums at the match plus the twin's remaining delta, and
   its verdict is the twin's.
+* A struck run that re-converges with a strike still ahead re-enters
+  the twin instead: it restores the twin's latest rung before that
+  strike, shifted by the run's cycle and group offsets and keeping the
+  run's own running totals, and its sums gain the twin's delta between
+  the two marks.  So it simulates only the stretches its faults touch.
 * :func:`run_checkpointed` is the one windowed runner.  It finishes
   the warmup-then-measure protocol of
   :func:`repro.harness.experiment.run_windowed` in chunks toward the
@@ -38,15 +44,23 @@ exactly.
 Why the suffix is: two machines whose digests match at the same
 committed count are in the same state up to a shift in cycles and ages
 and up to their running totals, so from there they run the same
-trajectory, shifted.  Both runs stop at the same final committed
-count (the warmup stamps are still ahead of both, or both crossed the
-boundary with the same commit overshoot), the struck run's policy
-strikes no group below ``D`` plus the twin's remaining groups, and the
-twin's final cycle plus the shift stays within the cycle budget, so no
-budget check or strike tells the two apart.  The twin's verdict was
-clean and the two final states are equal, so it holds for the struck
-run too; only masked versus detected_recovered depends on the spliced
-counters.
+trajectory, shifted, until a strike or a stop condition tells them
+apart.  Both runs stop at the same final committed count (the warmup
+stamps are still ahead of both, or both crossed the boundary with the
+same commit overshoot), the struck run's policy strikes no group below
+``D`` plus the twin's remaining groups, and the twin's final cycle plus
+the shift stays within the cycle budget, so no budget check or strike
+tells the two apart.  The twin's verdict was clean and the two final
+states are equal, so it holds for the struck run too; only masked
+versus detected_recovered depends on the spliced counters.
+
+Why a re-entry is: the same argument over a stretch.  The rung lies
+before the struck run's next strike, below its final committed count
+and, shifted, inside its cycle budget, so the run would reach the
+rung's state, shifted, with no strike or stop in between.  A warmup
+crossing inside the stretch lands where the twin's did, shifted, as
+at an early exit.  Running totals never steer a machine (the digest
+leaves them out for that reason), so the run's own carry on.
 
 Early exits depend on the marks alone, not on where a run restored,
 so they come out the same whichever rung a run starts from.  Twins are
@@ -64,7 +78,7 @@ from ..uarch.snapshot import (STATS_SUMS, ProcessorSnapshot, digest_parts,
                               state_digest)
 
 #: Committed instructions between the fault-free twin's digest marks.
-DIGEST_INTERVAL = 100
+DIGEST_INTERVAL = 50
 
 #: Most rungs one twin keeps.  A run with more digest marks keeps a
 #: rung at every k-th mark only, for the smallest k that fits.
@@ -73,7 +87,9 @@ RUNGS_PER_CELL = 32
 
 class _Mark:
     """A run's position, ``PipelineStats`` sums and (at a digest mark)
-    normalized state digest."""
+    normalized state digest.  A rung
+    (:class:`~repro.uarch.snapshot.ProcessorSnapshot`) has the same
+    fields and serves as its mark."""
 
     __slots__ = ("instructions", "cycle", "dispatched_groups", "sums",
                  "digest")
@@ -88,14 +104,14 @@ class _Mark:
 
 
 class FaultFreeTwin:
-    """A cell's fault-free run, as its struck runs restore and compare
-    against it.
+    """A cell's fault-free run, as its struck runs restore, compare
+    against and skip along it.
 
     :func:`run_checkpointed` fills :attr:`marks` (digest mark ->
-    :class:`_Mark`), :attr:`rungs`, :attr:`final` and the warmup stamps
-    while running the fault-free trial; the caller then sets
-    :attr:`result`, :attr:`groups` and :attr:`exits` from that trial's
-    outcome.
+    :class:`_Mark` or rung), :attr:`rungs`, :attr:`final` and the
+    warmup stamps while running the fault-free trial; the caller then
+    sets :attr:`result`, :attr:`groups` and :attr:`exits` from that
+    trial's outcome.
     """
 
     def __init__(self):
@@ -119,10 +135,9 @@ class FaultFreeTwin:
         if rung:
             snapshot = ProcessorSnapshot(processor)
             self.rungs.append(snapshot)
-            digest = snapshot.digest
+            self.marks[mark] = snapshot
         else:
-            digest = state_digest(processor)
-        self.marks[mark] = _Mark(processor, digest)
+            self.marks[mark] = _Mark(processor, state_digest(processor))
 
     def rung_before(self, group_index):
         """The latest rung safe for a first strike at ``group_index``.
@@ -139,49 +154,80 @@ class FaultFreeTwin:
             best = rung
         return best
 
-    def converged(self, mark, processor, max_cycles, warm_instructions):
-        """Has the struck run ``processor``, stopped at digest ``mark``,
-        re-converged with this run for good?
+    def rejoin(self, mark, processor, max_cycles, warm_instructions,
+               final_count):
+        """Where the struck run ``processor``, stopped at digest
+        ``mark``, can skip to along this run, or ``None``.
 
-        ``warm_instructions`` is the committed count at which the run
-        crossed its warmup boundary, or ``None`` while it has not.
-        Cheapest tests first: the same committed count, the same final
-        target, a shifted end that fits ``max_cycles``, nothing left
-        for the policy to strike in the groups the rest of the run
-        dispatches, then the digest, part by part.
+        :attr:`final` when the run has re-converged for good: nothing
+        is left to strike in the groups the rest of the run dispatches,
+        both runs end at the same committed count (``warm_instructions``
+        is the count at which the run crossed its warmup boundary,
+        ``None`` while it has not) and the shifted end fits
+        ``max_cycles``.  Failing that, the latest rung past this mark
+        that the run reaches with no strike, inside ``max_cycles`` and
+        below its ``final_count`` committed instructions (``math.inf``
+        while unknown).  Either way the two states must match: the digest
+        is built, and compared part by part, only once a target
+        exists, since only then can its answer change the run.
         """
         at = self.marks.get(mark)
         if at is None:
-            return False
+            return None
         stats = processor.stats
         if stats.instructions != at.instructions:
-            return False
-        if warm_instructions is not None \
-                and warm_instructions != self.warm_instructions:
-            # The run crossed the warmup boundary with another commit
-            # overshoot than this run, so its measurement window ends
-            # at another committed count, possibly in another cycle.
-            return False
-        if self.final.cycle + processor.cycle - at.cycle > max_cycles:
+            return None
+        cycle_limit = max_cycles - (processor.cycle - at.cycle)
+        group_shift = stats.dispatched_groups - at.dispatched_groups
+        end = self.final.dispatched_groups + group_shift
+        strike = processor.policy.look_ahead(end)
+        if strike >= end and self.final.cycle <= cycle_limit and (
+                warm_instructions is None
+                or warm_instructions == self.warm_instructions):
             # Processor.run tests the budget before every step and caps
             # idle skips at it, so a shifted end inside the budget never
-            # meets it; past it the run must simulate on to its timeout.
-            return False
-        end = stats.dispatched_groups + self.final.dispatched_groups \
-            - at.dispatched_groups
-        if processor.policy.look_ahead(end) < end:
-            return False
-        return all(mine == theirs for mine, theirs
-                   in zip(digest_parts(processor), at.digest))
+            # meets it.  A run that crossed the warmup boundary with
+            # another commit overshoot ends at another committed count.
+            target = self.final
+        else:
+            for target in reversed(self.rungs):
+                if target.instructions <= at.instructions:
+                    return None
+                if target.dispatched_groups + group_shift <= strike \
+                        and target.cycle <= cycle_limit \
+                        and target.instructions < final_count:
+                    break
+            else:
+                return None
+        if all(mine == theirs for mine, theirs
+               in zip(digest_parts(processor), at.digest)):
+            return target
+        return None
 
     def splice(self, mark, processor):
         """Finish ``processor``'s totals by arithmetic from the match at
         ``mark``: each sum gains the twin's remaining delta."""
+        return _advance(processor, self.marks[mark], self.final)
+
+    def reenter(self, mark, processor, rung):
+        """Skip ``processor`` from the match at ``mark`` to ``rung``:
+        each sum gains the twin's delta between the two, and the rung's
+        state is restored, shifted."""
         at = self.marks[mark]
-        stats = processor.stats
-        for name, start, end in zip(STATS_SUMS, at.sums, self.final.sums):
-            setattr(stats, name, getattr(stats, name) + end - start)
-        return processor.cycle - at.cycle
+        groups = processor.stats.dispatched_groups - at.dispatched_groups
+        shift = _advance(processor, at, rung)
+        rung.restore_into(processor, shift=(shift, groups))
+        return shift
+
+
+def _advance(processor, start, end):
+    """Add the twin's ``PipelineStats`` deltas from mark ``start`` to
+    mark ``end`` to ``processor``'s, which matched at ``start``;
+    returns the run's cycle shift against the twin."""
+    stats = processor.stats
+    for name, before, after in zip(STATS_SUMS, start.sums, end.sums):
+        setattr(stats, name, getattr(stats, name) + after - before)
+    return processor.cycle - start.cycle
 
 
 def run_checkpointed(processor, twin, first_strike, max_instructions,
@@ -201,10 +247,12 @@ def run_checkpointed(processor, twin, first_strike, max_instructions,
 
     A fault-free run records ``twin``: its digest marks, a rung at each
     kept mark (after any warmup stamping due at the same boundary) and
-    its final totals.  A struck run stops at the first digest mark
-    where it has re-converged with the twin
-    (:meth:`FaultFreeTwin.converged`) and finishes its totals and
-    warmup stamps by arithmetic, outside ``Processor.run``.
+    its final totals.  A struck run asks the twin at each digest mark
+    where it can rejoin it (:meth:`FaultFreeTwin.rejoin`).  Re-converged
+    for good, it stops there and finishes its totals and warmup stamps
+    by arithmetic, outside ``Processor.run``; matching with a strike
+    still ahead, it re-enters the twin's latest rung before that
+    strike, skipping the clean stretch between.
 
     Returns ``(stats, warm_cycles, warm_instructions, converged)`` like
     :func:`repro.harness.experiment.run_windowed`, plus the twin the
@@ -258,10 +306,18 @@ def run_checkpointed(processor, twin, first_strike, max_instructions,
             if recording:
                 twin.record(digest_mark, processor,
                             digest_mark // DIGEST_INTERVAL % stride == 0)
-            elif twin.converged(digest_mark, processor, max_cycles,
-                                None if warm_pending else warm_instructions):
-                shift = twin.splice(digest_mark, processor)
-                if warm_pending:
+            else:
+                ahead = twin.rejoin(
+                    digest_mark, processor, max_cycles,
+                    None if warm_pending else warm_instructions,
+                    math.inf if final is None else final)
+                converged = ahead is twin.final
+                if converged:
+                    shift = twin.splice(digest_mark, processor)
+                elif ahead is not None:
+                    shift = twin.reenter(digest_mark, processor, ahead)
+                if ahead is not None and warm_pending \
+                        and ahead.instructions >= twin.warm_instructions:
                     # The twin crossed the warmup boundary on the
                     # shared trajectory, ``shift`` cycles earlier.
                     warm_cycles = twin.warm_cycles + shift
@@ -269,8 +325,11 @@ def run_checkpointed(processor, twin, first_strike, max_instructions,
                     stats.extras["warmup_cycles"] = warm_cycles
                     stats.extras["warmup_instructions"] = \
                         warm_instructions
-                return stats, warm_cycles, warm_instructions, twin
-            digest_mark = _next_digest_mark(current)
+                    warm_pending = False
+                    final = warm_instructions + max_instructions
+                if converged:
+                    return stats, warm_cycles, warm_instructions, twin
+            digest_mark = _next_digest_mark(stats.instructions)
     stats.cycles = processor.cycle
     if recording:
         twin.final = _Mark(processor)

@@ -120,8 +120,9 @@ def run_trial(trial):
     the trial is the twin and reuses it.  Every other struck trial
     restores the twin's latest rung at or before its first strike (a
     compact snapshot kept at a digest mark, so at most one mark before
-    the strike), simulates from there, and stops early once its state
-    re-converges with the twin's (:mod:`repro.campaign.checkpoint`).
+    the strike), simulates from there, re-enters the twin between
+    strikes and stops early once its state re-converges with the
+    twin's for good (:mod:`repro.campaign.checkpoint`).
     """
     policy = trial.injection_policy()
     twin = _fault_free_twin(trial)

@@ -91,16 +91,22 @@ def read_json_objects(path):
     except FileNotFoundError:
         return
     with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = json.loads(line)
-            except ValueError:
-                continue        # torn tail of a killed writer
-            if isinstance(value, dict):
-                yield value
+        yield from json_objects(handle)
+
+
+def json_objects(lines):
+    """Every intact JSON object among ``lines`` (text or UTF-8 bytes),
+    in order; torn, blank and non-object lines are skipped."""
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = json.loads(line)
+        except ValueError:
+            continue        # torn tail of a killed writer
+        if isinstance(value, dict):
+            yield value
 
 
 class StoreBackend(abc.ABC):

@@ -24,6 +24,12 @@ from ..isa.opcodes import Kind
 from ..isa.registers import ZERO
 from .rob import DONE, READY, WAITING, Group, RobEntry
 
+# Enum members as module constants: every dispatched group compares
+# its kind, and an enum class attribute lookup costs several times a
+# global read.
+_K_NOP = Kind.NOP
+_K_HALT = Kind.HALT
+
 
 class Replicator:
     """Builds R-redundant groups from fetched instructions."""
@@ -62,7 +68,7 @@ class Replicator:
 
         info = meta.info if meta is not None else inst.info
         kind = info.kind
-        inert = kind == Kind.NOP or kind == Kind.HALT
+        inert = kind == _K_NOP or kind == _K_HALT
         reads_rs1 = info.reads_rs1
         reads_rs2 = info.reads_rs2
         rs1 = inst.rs1
@@ -98,7 +104,7 @@ class Replicator:
             if inert:
                 # Nothing to execute: completes at dispatch.
                 entry.state = DONE
-                entry.next_pc = group.pc + (0 if kind == Kind.HALT else 1)
+                entry.next_pc = group.pc + (0 if kind == _K_HALT else 1)
                 group.done_count += 1
                 continue
             if reads_rs1:

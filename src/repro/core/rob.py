@@ -89,8 +89,10 @@ class RobEntry:
         self.squashed = False
 
     def __repr__(self):
+        group = self.group
         return ("<RobEntry seq=%d copy=%d %s state=%d>"
-                % (self.seq, self.copy, self.group.inst, self.state))
+                % (self.seq, self.copy,
+                   "retired" if group is None else group.inst, self.state))
 
 
 class Group:

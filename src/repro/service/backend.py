@@ -512,10 +512,13 @@ class ServiceBackend:
             payload["records"] = records
         return payload
 
-    def read_events(self, job_id: str, after_seq: int = 0):
-        """Intact events of a job past ``after_seq`` (SSE tailing)."""
+    def read_events(self, job_id: str, after_seq: int = 0,
+                    offset: int = 0):
+        """``(events, offset)``: the intact events of a job past
+        ``after_seq`` from byte ``offset`` of its log on, and where the
+        next read starts (SSE tailing; see :meth:`EventLog.follow`)."""
         self.job(job_id)                # raises on unknown jobs
-        return self.event_log(job_id).read(after_seq)
+        return self.event_log(job_id).follow(after_seq, offset)
 
     def fairness_report(self) -> dict:
         """The scheduler's allocation/busy-time report plus per-tenant

@@ -13,7 +13,10 @@ The log is advisory (the result store is the durable truth), so
 appends flush but do not fsync; a SIGKILL can tear the final line,
 which :meth:`EventLog.read` skips exactly like the JSONL result store
 skips its torn tails.  A fresh appender starts after the last intact
-``seq``, so sequence numbers stay monotonic across restarts.
+``seq``, so sequence numbers stay monotonic across restarts.  A
+follower (an SSE stream) reads through :meth:`EventLog.follow`, which
+keeps a byte offset, so each poll parses only the lines appended since
+the last one.
 
 Job lifecycle markers (``job_queued`` / ``job_started`` /
 ``job_resumed`` / ``job_finished`` / ``job_failed`` /
@@ -31,7 +34,8 @@ import time
 from typing import List, Optional, Tuple
 
 from ..campaign import CampaignEvent
-from ..campaign.store import append_json_line, read_json_objects
+from ..campaign.store import (append_json_line, json_objects,
+                              read_json_objects)
 
 #: Lifecycle event kinds the service adds to the campaign protocol.
 JOB_QUEUED = "job_queued"
@@ -97,11 +101,41 @@ class EventLog:
     # -- reading -----------------------------------------------------------
 
     def _read(self, after_seq: int):
-        for event in read_json_objects(self.path):
-            seq = event.get("seq")
-            if isinstance(seq, int) and seq > after_seq:
-                yield seq, event
+        return _sequenced(read_json_objects(self.path), after_seq)
 
     def read(self, after_seq: int = 0) -> List[Tuple[int, dict]]:
         """Every intact event with ``seq > after_seq``, in order."""
         return list(self._read(after_seq))
+
+    def follow(self, after_seq: int = 0, offset: int = 0
+               ) -> Tuple[List[Tuple[int, dict]], int]:
+        """A follower's read: every intact event with ``seq >
+        after_seq`` in the complete lines from byte ``offset`` on, and
+        the offset just past those lines.
+
+        Passing that offset back reads only what was appended since.
+        An unterminated last line (an append in flight, or a killed
+        writer's torn tail) stays unread until a newline completes it;
+        a torn fragment then reads as a skipped line, as in
+        :meth:`read`.
+        """
+        try:
+            handle = open(self.path, "rb")
+        except FileNotFoundError:
+            return [], offset
+        with handle:
+            handle.seek(offset)
+            data = handle.read()
+        end = data.rfind(b"\n") + 1
+        events = list(_sequenced(json_objects(data[:end].splitlines()),
+                                 after_seq))
+        return events, offset + end
+
+
+def _sequenced(objects, after_seq):
+    """``(seq, event)`` for each event of ``objects`` with an integer
+    ``seq > after_seq``."""
+    for event in objects:
+        seq = event.get("seq")
+        if isinstance(seq, int) and seq > after_seq:
+            yield seq, event

@@ -326,12 +326,16 @@ class CampaignServer:
                      b"Connection: close\r\n\r\n")
         await writer.drain()
         last = after
+        # Where the next read starts: each poll parses only the lines
+        # appended since the last one.
+        offset = 0
         while True:
             # State first, then the log: the runner writes state before
             # the final event, so observing terminal + an empty read
             # means one trailing poll below catches the tail.
             terminal = self.backend.job(job_id).terminal
-            events = self.backend.read_events(job_id, last)
+            events, offset = self.backend.read_events(job_id, last,
+                                                      offset)
             for seq, event in events:
                 last = seq
                 self._write_frame(writer, seq, event)
@@ -342,7 +346,8 @@ class CampaignServer:
             if terminal and not events:
                 break
             await asyncio.sleep(self.poll_interval)
-        for seq, event in self.backend.read_events(job_id, last):
+        events, offset = self.backend.read_events(job_id, last, offset)
+        for seq, event in events:
             self._write_frame(writer, seq, event)
         writer.write(b"event: stream_end\ndata: {}\n\n")
         await writer.drain()

@@ -23,9 +23,19 @@ from ..branch.btb import BranchTargetBuffer
 from ..branch.combined import CombinedPredictor
 from ..branch.ras import ReturnAddressStack
 from ..branch.twolevel import TwoLevelPredictor
-from ..isa.opcodes import Op
+from ..isa.opcodes import OP_INFO, Kind, Op
 from ..isa.registers import RA
 from ..program.cache import decode_program
+
+# Opcodes as module constants and sets, for the per-control-instruction
+# paths: an enum class attribute lookup or ``Instruction.is_branch``
+# costs several times a global read.
+_OP_J = Op.J
+_OP_JAL = Op.JAL
+_OP_JR = Op.JR
+_BRANCH_OPS = frozenset(op for op, info in OP_INFO.items()
+                        if info.kind == Kind.BRANCH)
+_INDIRECT_OPS = frozenset((Op.JR, Op.JALR))
 
 
 class FetchRecord:
@@ -121,7 +131,7 @@ class FetchUnit:
                 break
             if is_control:
                 snapshot = self.ras.snapshot()
-                pred_npc, pred_taken = self._predict_control(meta.inst)
+                pred_npc, pred_taken = self._predict_control(meta)
                 control_seen += 1
             else:
                 pred_npc = pc + 1
@@ -133,21 +143,22 @@ class FetchUnit:
                 break  # stop after a predicted-taken control instruction
         return records
 
-    def _predict_control(self, inst):
-        """Predict next PC for a control instruction at ``self.pc``."""
+    def _predict_control(self, meta):
+        """Predict next PC for the control instruction ``meta`` (its
+        :class:`~repro.program.cache.DecodedInst`) at ``self.pc``."""
         pc = self.pc
-        op = inst.op
-        if inst.is_branch:
+        op = meta.op
+        if meta.is_branch:
             taken = self.predictor.predict(pc)
-            target = pc + 1 + inst.imm if taken else pc + 1
+            target = pc + 1 + meta.imm if taken else pc + 1
             return target, taken
-        if op == Op.J:
-            return inst.imm, True
-        if op == Op.JAL:
+        if op == _OP_J:
+            return meta.imm, True
+        if op == _OP_JAL:
             self.ras.push(pc + 1)
-            return inst.imm, True
-        if op == Op.JR:
-            if inst.rs1 == RA:
+            return meta.imm, True
+        if op == _OP_JR:
+            if meta.rs1 == RA:
                 predicted = self.ras.pop()
             else:
                 predicted = self.btb.lookup(pc)
@@ -159,8 +170,8 @@ class FetchUnit:
 
     def train_commit(self, group, actual_next_pc, taken):
         """Non-speculative predictor/BTB training at commit."""
-        inst = group.inst
-        if inst.is_branch:
+        op = group.inst.op
+        if op in _BRANCH_OPS:
             self.predictor.update(group.pc, taken)
-        elif inst.op in (Op.JR, Op.JALR):
+        elif op in _INDIRECT_OPS:
             self.btb.update(group.pc, actual_next_pc)

@@ -411,11 +411,17 @@ class Processor:
                 stats.indirect_mispredicts += 1
         self.committed_next_pc = representative.next_pc
         self.groups.popleft()
-        self.rob_entries -= len(group.copies)
+        copies = group.copies
+        for entry in copies:
+            # Break the group <-> copy cycle so refcounting frees a
+            # retired group; nothing reads a retired copy's group.  A
+            # squashed group keeps it: stale events still read it.
+            entry.group = None
+        self.rob_entries -= len(copies)
         if group.is_mem:
             self.lsq.remove_committed(group)
         stats.instructions += 1
-        stats.entries_committed += len(group.copies)
+        stats.entries_committed += len(copies)
         self.recovery.on_commit(cycle)
         stats.recovery_cycles = self.recovery.recovery_cycles
         self._last_commit_cycle = cycle

@@ -23,7 +23,9 @@ below, serves both comparing and restoring.
 :meth:`ProcessorSnapshot.restore_into` decodes fresh objects on every
 call.  Normalized fields are shifted back by the snapshot's bases, and
 a passed FU busy time or fetch stall comes back as the snapshot's
-cycle: both are only ever tested ``release <= now``.  Static
+cycle: both are only ever tested ``release <= now``.  Restoring with a
+shift offsets those bases and keeps the target's running totals, which
+is how a struck run re-enters its cell's fault-free run.  Static
 instructions come from the target processor's own decode table, so
 the target needs an equal program, not the identical object.
 Restoring into a freshly built processor and running on is
@@ -404,7 +406,7 @@ class ProcessorSnapshot:
     restorable any number of times."""
 
     __slots__ = ("program", "instructions", "dispatched_groups", "cycle",
-                 "digest", "blob")
+                 "sums", "digest", "blob")
 
     def __init__(self, processor):
         parts = list(_encoded(processor, _DIGEST_PARTS + (_totals_part,)))
@@ -413,6 +415,8 @@ class ProcessorSnapshot:
         self.instructions = stats.instructions
         self.dispatched_groups = stats.dispatched_groups
         self.cycle = processor.cycle
+        #: The source's :data:`STATS_SUMS`, in order.
+        self.sums = [getattr(stats, name) for name in STATS_SUMS]
         #: :func:`state_digest` of the source: the hash of each part
         #: the blob keeps, bar the totals.
         self.digest = tuple(_hash(encoded) for encoded in parts[:-1])
@@ -425,12 +429,22 @@ class ProcessorSnapshot:
             fields.update(marshal.loads(encoded))
         return fields
 
-    def restore_into(self, processor):
+    def restore_into(self, processor, shift=None):
         """Overwrite ``processor``'s mutable state with this snapshot.
 
         ``processor`` must be freshly constructed from an equal program
         and an equivalent machine configuration; its policy (absent
         from the snapshot) is kept as built.
+
+        With ``shift=(cycles, groups)``, ``processor`` is instead a run
+        whose state digested equal to the source's at an earlier point
+        of the source's run, offset from it by ``cycles`` cycles and
+        ``groups`` dispatched groups.  The state lands with the same
+        offset, and the run keeps its own running totals: statistics,
+        extras and the memory, cache, predictor, FU, checker and
+        recovery counters.  The equal digest makes the run's written
+        memory cells a subset of the snapshot's, so they are
+        overwritten like a fresh image.
         """
         program = processor.program
         if program is not self.program and program != self.program:
@@ -438,7 +452,8 @@ class ProcessorSnapshot:
                 "snapshot restore requires an equal program (snapshot "
                 "of %r, processor of %r)" % (self.program.name,
                                              program.name))
-        if processor.cycle != 0 or processor.arch.memory.written:
+        if shift is None and (processor.cycle != 0
+                              or processor.arch.memory.written):
             # The memory diff is applied over the target's own image,
             # so cells a stepped processor stored would silently stay.
             raise ValueError(
@@ -446,16 +461,23 @@ class ProcessorSnapshot:
                 "processor (this one is at cycle %d with %d written "
                 "memory cells)" % (processor.cycle,
                                    len(processor.arch.memory.written)))
-        _restore(processor, self.decode())
+        _restore(processor, self.decode(), shift)
         return processor
 
 
-def _restore(processor, fields):
+def _restore(processor, fields, shift=None):
     """Set every piece of ``processor``'s mutable state from the
-    decoded ``fields`` of a snapshot."""
+    decoded ``fields`` of a snapshot: its running totals too, unless
+    ``shift`` (see :meth:`ProcessorSnapshot.restore_into`) offsets the
+    state and the processor keeps its own."""
     cycle = fields["cycle"]
     gseq = fields["gseq"]
     seq = fields["seq"]
+    if shift is not None:
+        cycles, groups = shift
+        cycle += cycles
+        gseq += groups
+        seq += groups * processor.redundancy
     vidx = gseq * processor.redundancy
     bases = (cycle, gseq, seq, vidx)
     decode = _Decoder(processor.decoded)
@@ -519,12 +541,9 @@ def _restore(processor, fields):
         _RECORD_PLAN.fill(record, row, bases, decode)
         ifq.append(record)
     processor.ifq = ifq
-    for pool, busy, (issued, busy_cycles) in zip(
-            processor.fus.pools.values(), fields["fu_state"],
-            fields["fu_counts"]):
+    pools = processor.fus.pools.values()
+    for pool, busy in zip(pools, fields["fu_state"]):
         pool._busy_until = [release + cycle for release in busy]
-        pool.issued_ops = issued
-        pool.busy_cycles = busy_cycles
 
     arch = processor.arch
     arch.regs = fields["regs"]
@@ -538,14 +557,9 @@ def _restore(processor, fields):
         written.add(index)
     memory.written = written
     hierarchy = processor.hierarchy
-    memory.reads, memory.writes, hierarchy.memory_timing.accesses = \
-        fields["memory_counts"]
-    for cache, sets, counts in zip(
-            (hierarchy.il1, hierarchy.dl1, hierarchy.l2),
-            fields["cache_state"], fields["cache_counts"]):
+    caches = (hierarchy.il1, hierarchy.dl1, hierarchy.l2)
+    for cache, sets in zip(caches, fields["cache_state"]):
         cache._sets = {index: dict(ways) for index, ways in sets}
-        cache.hits, cache.misses, cache.evictions, cache.writebacks = \
-            counts
 
     fetch = processor.fetch_unit
     fetch.pc = fields["fetch_pc"]
@@ -562,25 +576,13 @@ def _restore(processor, fields):
     ras._stack = fields["ras_stack"]
     ras._top = fields["ras_top"]
     ras._occupancy = fields["ras_occupancy"]
-    (predictor.bimodal.lookups, predictor.twolevel.lookups,
-     predictor.lookups, btb.lookups, btb.hits, ras.pushes,
-     ras.pops) = fields["branch_counts"]
 
-    stats = processor.stats
-    for name, value in zip(_STATS_FIELDS, fields["stats"]):
-        setattr(stats, name, value)
-    stats.extras = fields["stats_extras"]
     processor.replicator._gseq = gseq
     processor.replicator._seq = seq
-    checker = processor.checker
     recovery = processor.recovery
-    (checker.checks, checker.mismatches, recovery.rewinds,
-     recovery.majority_commits, recovery.recovery_cycles) = \
-        fields["commit_counts"]
     open_rewind = fields["recovery_open_cycle"]
     recovery._open_rewind_cycle = None if open_rewind is None \
         else open_rewind + cycle
-
     processor.committed_next_pc = fields["committed_next_pc"]
     processor._outstanding_misses = fields["outstanding_misses"]
     processor.cycle = cycle
@@ -588,3 +590,26 @@ def _restore(processor, fields):
     processor.rob_entries = fields["rob_entries"]
     processor._ports_used = fields["ports_used"]
     processor._last_commit_cycle = fields["last_commit_cycle"] + cycle
+    if shift is not None:
+        return
+
+    # The running totals.
+    for pool, (issued, busy_cycles) in zip(pools, fields["fu_counts"]):
+        pool.issued_ops = issued
+        pool.busy_cycles = busy_cycles
+    memory.reads, memory.writes, hierarchy.memory_timing.accesses = \
+        fields["memory_counts"]
+    for cache, counts in zip(caches, fields["cache_counts"]):
+        cache.hits, cache.misses, cache.evictions, cache.writebacks = \
+            counts
+    (predictor.bimodal.lookups, predictor.twolevel.lookups,
+     predictor.lookups, btb.lookups, btb.hits, ras.pushes,
+     ras.pops) = fields["branch_counts"]
+    stats = processor.stats
+    for name, value in zip(_STATS_FIELDS, fields["stats"]):
+        setattr(stats, name, value)
+    stats.extras = fields["stats_extras"]
+    checker = processor.checker
+    (checker.checks, checker.mismatches, recovery.rewinds,
+     recovery.majority_commits, recovery.recovery_cycles) = \
+        fields["commit_counts"]

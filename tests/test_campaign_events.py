@@ -156,6 +156,81 @@ class TestEventLog:
 
     def test_read_missing_file_is_empty(self, tmp_path):
         assert self.log(tmp_path).read() == []
+        assert self.log(tmp_path).follow() == ([], 0)
+
+
+class TestFollower:
+    """A follower's byte cursor: each read parses only what was
+    appended since the last one."""
+
+    def log(self, tmp_path):
+        return EventLog(str(tmp_path / "events.jsonl"))
+
+    def test_cursor_parses_only_the_appended_lines(self, tmp_path,
+                                                   monkeypatch):
+        log = self.log(tmp_path)
+        payload = EXAMPLES[1].to_dict()
+        with open(log.path, "w") as handle:
+            for seq in range(1, 19_991):
+                handle.write(json.dumps(dict(payload, seq=seq, ts=0.0),
+                                        sort_keys=True) + "\n")
+        events, offset = log.follow()
+        assert [seq for seq, _ in events] == list(range(1, 19_991))
+        for _ in range(10):
+            log.append(EXAMPLES[1])
+        loads = []
+        real = json.loads
+
+        def counting(*args, **kwargs):
+            loads.append(args[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(json, "loads", counting)
+        events, offset = log.follow(19_990, offset)
+        assert [seq for seq, _ in events] == list(range(19_991, 20_001))
+        assert len(loads) <= 10
+        assert offset == os.path.getsize(log.path)
+        loads.clear()
+        assert log.follow(20_000, offset) == ([], offset)
+        assert loads == []
+
+    def test_after_seq_filters_like_read(self, tmp_path):
+        log = self.log(tmp_path)
+        for event in EXAMPLES[:3]:
+            log.append(event)
+        events, offset = log.follow(2)
+        assert events == log.read(after_seq=2)
+        assert offset == os.path.getsize(log.path)
+
+    def test_unterminated_line_stays_unread_until_complete(self,
+                                                           tmp_path):
+        log = self.log(tmp_path)
+        log.append(EXAMPLES[0])
+        line = json.dumps(dict(EXAMPLES[1].to_dict(), seq=2, ts=0.0),
+                          sort_keys=True)
+        with open(log.path, "a") as handle:
+            handle.write(line)              # an append in flight
+        events, offset = log.follow()
+        assert [seq for seq, _ in events] == [1]
+        assert log.follow(1, offset) == ([], offset)
+        with open(log.path, "a") as handle:
+            handle.write("\n")
+        events, offset = log.follow(1, offset)
+        assert [seq for seq, _ in events] == [2]
+        assert events[0][1]["kind"] == EXAMPLES[1].kind
+
+    def test_torn_tail_is_skipped_once_quarantined(self, tmp_path):
+        log = self.log(tmp_path)
+        log.append(EXAMPLES[0])
+        with open(log.path, "a") as handle:
+            handle.write('{"kind": "trial_fin')   # SIGKILL mid-write
+        events, offset = log.follow()
+        assert [seq for seq, _ in events] == [1]
+        # A fresh appender quarantines the fragment on its own line and
+        # continues the sequence; the follower skips the fragment.
+        assert EventLog(log.path).append(EXAMPLES[1]) == 2
+        events, offset = log.follow(1, offset)
+        assert [seq for seq, _ in events] == [2]
+        assert offset == os.path.getsize(log.path)
 
 
 class TestJobEvents:

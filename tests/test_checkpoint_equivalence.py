@@ -200,12 +200,14 @@ class TestSnapshotRestore:
         stats = run_checkpointed(segmented, twin, math.inf, 400,
                                  max_cycles=100_000)[0]
         assert stats.as_dict() == straight.stats.as_dict()
-        # A rung at every digest mark: 100, 200 and 300 of 400
-        # committed instructions, each digesting as its mark.
-        assert [rung.instructions // 100 for rung in twin.rungs] \
-            == [1, 2, 3]
+        # A rung at every digest mark below 400 committed
+        # instructions, each digesting as its mark.
+        marks = range(DIGEST_INTERVAL, 400, DIGEST_INTERVAL)
+        assert [rung.instructions // DIGEST_INTERVAL
+                for rung in twin.rungs] \
+            == [mark // DIGEST_INTERVAL for mark in marks]
         assert [rung.digest for rung in twin.rungs] \
-            == [twin.marks[mark].digest for mark in (100, 200, 300)]
+            == [twin.marks[mark].digest for mark in marks]
 
 
 class TestRecordEquivalence:
@@ -281,9 +283,9 @@ class TestRateCellWithoutBaseline:
         restores = []
         real = ProcessorSnapshot.restore_into
 
-        def counting(snapshot, processor):
+        def counting(snapshot, processor, shift=None):
             restores.append(snapshot.dispatched_groups)
-            return real(snapshot, processor)
+            return real(snapshot, processor, shift)
         monkeypatch.setattr(ProcessorSnapshot, "restore_into", counting)
         lines = record_lines(spec)
         assert restores
@@ -350,9 +352,9 @@ class TestRungs:
         restored = []
         real = ProcessorSnapshot.restore_into
 
-        def spying(rung, processor):
+        def spying(rung, processor, shift=None):
             restored.append(rung)
-            return real(rung, processor)
+            return real(rung, processor, shift)
         monkeypatch.setattr(ProcessorSnapshot, "restore_into", spying)
         spec = site_sweep_spec(models=("SS-2",), instructions=1_500)
         struck = 0
@@ -388,7 +390,7 @@ class TestRungs:
         twin = FaultFreeTwin()
         run_checkpointed(Processor(program, config=machine.config,
                                    ft=machine.ft), twin, math.inf, 1_500)
-        assert len(twin.rungs) == 14
+        assert len(twin.rungs) == 1_500 // DIGEST_INTERVAL - 1
         assert max(len(rung.blob) for rung in twin.rungs) <= 16 * 1024
 
     def test_a_long_cell_thins_its_rungs(self):
@@ -403,7 +405,7 @@ class TestRungs:
                                            ft=machine.ft),
                                  twin, math.inf, 20_000)[0]
         assert stats.as_dict() == straight.stats.as_dict()
-        assert len(twin.marks) == 199
+        assert len(twin.marks) == 20_000 // DIGEST_INTERVAL - 1
         assert RUNGS_PER_CELL // 2 < len(twin.rungs) <= RUNGS_PER_CELL
 
 
@@ -422,9 +424,11 @@ class TestOneTwinPerCell:
         assert twin_runs == [outcome._baseline_key(trial)]
         assert json.dumps(record, sort_keys=True) \
             == json.dumps(straight_record(trial), sort_keys=True)
-        # The twin kept a rung at each of its marks, 100 and 200.
+        # The twin kept a rung at each of its marks below 300.
         twin = outcome._FAULTFREE_CACHE.get(outcome._baseline_key(trial))
-        assert [rung.instructions // 100 for rung in twin.rungs] == [1, 2]
+        assert [rung.instructions // DIGEST_INTERVAL
+                for rung in twin.rungs] \
+            == list(range(1, 300 // DIGEST_INTERVAL))
 
     def test_high_rate_campaign_runs_one_twin_per_cell(self, twin_runs):
         spec = bench_spec(models=("SS-2", "SS-3"),
@@ -469,9 +473,9 @@ class TestOneTwinPerCell:
         restores = []
         real = ProcessorSnapshot.restore_into
 
-        def counting(rung, processor):
+        def counting(rung, processor, shift=None):
             restores.append(rung)
-            return real(rung, processor)
+            return real(rung, processor, shift)
         monkeypatch.setattr(ProcessorSnapshot, "restore_into", counting)
         spec = site_sweep_spec(replicates=1)
         trials = sorted(spec.trials(), key=lambda trial: trial.key)

@@ -11,7 +11,7 @@ crossing, where the struck run's commit overshoot may differ from the
 twin's.
 
 Generated programs commit about 50-150 instructions, so the digest
-marks are placed every few instructions here instead of every 100: the
+marks are placed every few instructions here instead of every 50: the
 property must exercise real splices, and it asserts that at least 5%
 of its examples did.
 """

@@ -119,7 +119,7 @@ class TestExecution:
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline:
             kinds = [event["kind"]
-                     for _seq, event in backend.read_events(job.id)]
+                     for _seq, event in backend.read_events(job.id)[0]]
             if "job_finished" in kinds:
                 break
             time.sleep(0.05)
@@ -204,7 +204,7 @@ class TestAdaptiveGating:
         job = backend.submit("alice", job_spec, options=options)
         assert wait_terminal(backend, job.id).state == DONE
         kinds = [event["kind"]
-                 for _seq, event in backend.read_events(job.id)]
+                 for _seq, event in backend.read_events(job.id)[0]]
         assert "job_degraded" in kinds
         records = records_of(backend, job.id)
         per_cell = Counter(trial_cell(record["trial"])
@@ -299,7 +299,7 @@ class TestCancellation:
         assert completed                      # progress survived
         assert len(completed) < big.grid_size  # but it really stopped
         kinds = [event["kind"]
-                 for _seq, event in backend.read_events(job.id)]
+                 for _seq, event in backend.read_events(job.id)[0]]
         assert "job_cancelled" in kinds
 
     def test_cancel_terminal_job_is_a_noop(self, backend):
@@ -341,7 +341,7 @@ class TestDrainAndRecovery:
                               sort_keys=True) \
                 == json.dumps(plain.records, sort_keys=True)
             kinds = [event["kind"]
-                     for _seq, event in revived.read_events(job.id)]
+                     for _seq, event in revived.read_events(job.id)[0]]
             assert "job_interrupted" in kinds
             assert "job_resumed" in kinds
         finally:
