@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import ConfigError
+from ..wire import Wire, integer, number, optional, text, wire
 from .aggregate import DEFAULT_Z, trial_cell, wilson_interval
 from .outcome import DETECTED_RECOVERED, MASKED, SDC
 
@@ -69,7 +70,7 @@ def wilson_halfwidth(successes, total, z=DEFAULT_Z):
 
 
 @dataclass(frozen=True)
-class SamplingPlan:
+class SamplingPlan(Wire):
     """How many replicates of each cell actually run.
 
     Build one through :meth:`fixed` or :meth:`wilson` — the constructor
@@ -85,46 +86,25 @@ class SamplingPlan:
     budget cut, not a convergence decision).
     """
 
-    mode: str = FIXED
-    target_halfwidth: float = 0.0
-    metric: str = COVERAGE
-    min_replicates: int = 4
-    max_replicates: Optional[int] = None
+    mode: str = wire(text(MODES), FIXED)
+    #: Checked in every mode: a fixed plan ignores the width, but a
+    #: malformed body must fail the same way whatever its mode.
+    target_halfwidth: float = wire(number(0, 0.5), 0.0)
+    metric: str = wire(text(METRICS), COVERAGE)
+    min_replicates: int = wire(integer(1), 4)
+    max_replicates: Optional[int] = wire(optional(integer(1)), None,
+                                         omit=True)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError("unknown sampling mode %r (choose from %s)"
-                              % (self.mode, "/".join(MODES)))
-        if self.metric not in METRICS:
-            raise ConfigError("unknown sampling metric %r (choose from "
-                              "%s)" % (self.metric, "/".join(METRICS)))
-        if not isinstance(self.min_replicates, int) \
-                or isinstance(self.min_replicates, bool) \
-                or self.min_replicates < 1:
-            raise ConfigError("min_replicates must be an integer >= 1, "
-                              "got %r" % (self.min_replicates,))
-        if self.max_replicates is not None:
-            if not isinstance(self.max_replicates, int) \
-                    or isinstance(self.max_replicates, bool) \
-                    or self.max_replicates < 1:
-                raise ConfigError("max_replicates must be an integer "
-                                  ">= 1 or None, got %r"
-                                  % (self.max_replicates,))
-            if self.max_replicates < self.min_replicates:
-                raise ConfigError(
-                    "max_replicates (%d) must be >= min_replicates (%d)"
-                    % (self.max_replicates, self.min_replicates))
-        # Checked in every mode: a fixed plan ignores the width, but a
-        # malformed body must fail the same way whatever its mode.
-        width = self.target_halfwidth
-        if not isinstance(width, (int, float)) \
-                or isinstance(width, bool) \
-                or not 0.0 <= width <= 0.5 \
-                or (self.mode == WILSON and width == 0.0):
+        self.check()
+        if self.max_replicates is not None \
+                and self.max_replicates < self.min_replicates:
             raise ConfigError(
-                "target_halfwidth must be in %s0, 0.5] for a %s plan, "
-                "got %r" % ("(" if self.mode == WILSON else "[",
-                            self.mode, width))
+                "max_replicates (%d) must be >= min_replicates (%d)"
+                % (self.max_replicates, self.min_replicates))
+        if self.mode == WILSON and self.target_halfwidth == 0:
+            raise ConfigError("target_halfwidth must be > 0 for a "
+                              "wilson plan")
 
     @classmethod
     def fixed(cls) -> "SamplingPlan":
@@ -146,23 +126,9 @@ class SamplingPlan:
         return self.mode == WILSON
 
     def to_dict(self) -> dict:
-        data = {"mode": self.mode}
-        if self.mode == WILSON:
-            data["target_halfwidth"] = self.target_halfwidth
-            data["metric"] = self.metric
-            data["min_replicates"] = self.min_replicates
-            if self.max_replicates is not None:
-                data["max_replicates"] = self.max_replicates
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SamplingPlan":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError("unknown sampling plan fields: %s"
-                              % sorted(unknown))
-        return cls(**data)
+        # A fixed plan's wire form is its mode alone; a wilson plan
+        # spells out metric and min_replicates even at their defaults.
+        return super().to_dict() if self.is_adaptive else {"mode": FIXED}
 
 
 class CellTracker:

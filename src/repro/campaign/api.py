@@ -38,6 +38,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
+from ..wire import (Wire, integer, items, mapping, nested, number,
+                    optional, scalar, text, wire)
 from .adaptive import AdaptiveScheduler, AdaptiveSummary, SamplingPlan
 from .aggregate import aggregate, aggregate_structures, trial_cell
 from .outcome import run_trial
@@ -64,7 +66,7 @@ EVENT_KINDS = (TRIAL_STARTED, TRIAL_FINISHED, CELL_FINISHED,
 
 
 @dataclass(frozen=True)
-class CampaignEvent:
+class CampaignEvent(Wire):
     """One typed notification from a running session.
 
     ``done``/``total`` always refer to whole-campaign trial progress
@@ -75,44 +77,19 @@ class CampaignEvent:
     cell.  With ``workers > 1``, ``trial_started`` fires at pool
     submission time and finish order follows the pool's scheduling —
     only the final record set is order-deterministic.
+
+    :meth:`to_dict` is the wire format of the campaign service's SSE
+    progress stream; unset optional fields are left out.
     """
 
-    kind: str
-    done: int
-    total: int
-    trial: Optional[dict] = None
-    record: Optional[dict] = None
-    cell: Optional[tuple] = None
-
-    def to_dict(self) -> dict:
-        """JSON-able form — the wire format of the campaign service's
-        SSE progress stream.  Optional fields are omitted when unset so
-        the wire payload stays minimal; ``cell`` becomes a list (JSON
-        has no tuples) and :meth:`from_dict` restores it."""
-        data = {"kind": self.kind, "done": self.done,
-                "total": self.total}
-        if self.trial is not None:
-            data["trial"] = self.trial
-        if self.record is not None:
-            data["record"] = self.record
-        if self.cell is not None:
-            data["cell"] = list(self.cell)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CampaignEvent":
-        """Rebuild an event from :meth:`to_dict` output (round-trips
-        to an equal frozen dataclass)."""
-        known = {"kind", "done", "total", "trial", "record", "cell"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError("unknown campaign event fields: %s"
-                              % sorted(unknown))
-        cell = data.get("cell")
-        return cls(kind=data["kind"], done=data["done"],
-                   total=data["total"], trial=data.get("trial"),
-                   record=data.get("record"),
-                   cell=tuple(cell) if cell is not None else None)
+    kind: str = wire(text(EVENT_KINDS))
+    done: int = wire(integer(0))
+    total: int = wire(integer(0))
+    trial: Optional[dict] = wire(optional(mapping()), None, omit=True)
+    record: Optional[dict] = wire(optional(mapping()), None, omit=True)
+    #: A list on the wire (JSON has no tuples); from_dict restores it.
+    cell: Optional[tuple] = wire(optional(items(scalar())), None,
+                                 omit=True)
 
 
 #: A session listener: any callable accepting one CampaignEvent.
@@ -122,7 +99,7 @@ CampaignListener = Callable[[CampaignEvent], None]
 # -- options ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExecutionOptions:
+class ExecutionOptions(Wire):
     """How a session executes trials (never *what* it executes).
 
     ``workers`` widens the process pool; ``max_cycles`` stamps a cycle
@@ -154,80 +131,21 @@ class ExecutionOptions:
     its trials land.
     """
 
-    workers: int = 1
-    max_cycles: Optional[int] = None
-    sampling: Optional[SamplingPlan] = None
-    trial_timeout: Optional[float] = None
-    trial_retries: int = 2
+    workers: int = wire(integer(1), 1)
+    max_cycles: Optional[int] = wire(optional(integer(1)), None, omit=True)
+    sampling: Optional[SamplingPlan] = wire(
+        optional(nested(SamplingPlan)), None, omit=True)
+    trial_timeout: Optional[float] = wire(
+        optional(number(0, above=True)), None, omit=True)
+    trial_retries: int = wire(integer(0), 2, omit=True)
 
     def __post_init__(self):
-        if not isinstance(self.workers, int) \
-                or isinstance(self.workers, bool) or self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.max_cycles is not None and (
-                not isinstance(self.max_cycles, int)
-                or isinstance(self.max_cycles, bool)
-                or self.max_cycles < 1):
-            raise ConfigError("max_cycles must be a positive integer "
-                              "or None, got %r" % (self.max_cycles,))
-        if self.sampling is not None \
-                and not isinstance(self.sampling, SamplingPlan):
-            raise ConfigError(
-                "sampling must be a SamplingPlan or None, got %r"
-                % (self.sampling,))
-        if self.trial_timeout is not None and (
-                not isinstance(self.trial_timeout, (int, float))
-                or isinstance(self.trial_timeout, bool)
-                or self.trial_timeout <= 0):
-            raise ConfigError("trial_timeout must be a positive number "
-                              "or None, got %r" % (self.trial_timeout,))
-        if not isinstance(self.trial_retries, int) \
-                or isinstance(self.trial_retries, bool) \
-                or self.trial_retries < 0:
-            raise ConfigError("trial_retries must be an integer >= 0, "
-                              "got %r" % (self.trial_retries,))
+        self.check()
 
     @property
     def adaptive(self) -> bool:
         """Whether this options bundle schedules trials adaptively."""
         return self.sampling is not None and self.sampling.is_adaptive
-
-    def to_dict(self) -> dict:
-        """Plain-dict form (job files, tenant HTTP bodies)."""
-        data = {"workers": self.workers}
-        if self.max_cycles is not None:
-            data["max_cycles"] = self.max_cycles
-        if self.sampling is not None:
-            data["sampling"] = self.sampling.to_dict()
-        # Resilience fields ride along only when set away from their
-        # defaults, keeping persisted job files byte-compatible with
-        # pre-resilience runs.
-        if self.trial_timeout is not None:
-            data["trial_timeout"] = self.trial_timeout
-        if self.trial_retries != 2:
-            data["trial_retries"] = self.trial_retries
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExecutionOptions":
-        """Rebuild options from :meth:`to_dict` output (or a tenant's
-        JSON body); any malformed input raises
-        :class:`~repro.errors.ConfigError`."""
-        if not isinstance(data, dict):
-            raise ConfigError("execution options must be a JSON object, "
-                              "got %r" % (data,))
-        data = dict(data)
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError("unknown execution option fields: %s"
-                              % sorted(unknown))
-        sampling = data.get("sampling")
-        if sampling is not None:
-            if not isinstance(sampling, dict):
-                raise ConfigError("sampling must be a JSON object, got %r"
-                                  % (sampling,))
-            data["sampling"] = SamplingPlan.from_dict(sampling)
-        return cls(**data)
 
     def trial_payload(self, trial: Trial) -> dict:
         """The worker-pool payload for one trial (plain dicts only)."""

@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..core.faults import DEFAULT_KIND_WEIGHTS, FaultConfig, get_kind_mix
 from ..errors import ConfigError
 from ..faults.policy import RatePolicy, build_policy
 from ..models.presets import derive_model, get_model
+from ..wire import (Wire, integer, items, mapping, naming, number,
+                    optional, pair, registered, scalar, text, wire)
 from ..workloads.profiles import get_profile
 from .store import shard_of_key
 
@@ -36,35 +38,41 @@ KEY_LENGTH = 16
 
 
 @dataclass(frozen=True)
-class Trial:
+class Trial(Wire):
     """One fully resolved simulation: a single point of the campaign grid.
 
     ``kind_weights`` (and ``machine_overrides``) are sorted tuples of
     pairs so the trial stays hashable and picklable for process-pool
     workers.  ``machine``/``machine_overrides`` are only populated when
     the spec carries a ``machine_overrides`` axis; the empty defaults
-    keep PR-1/PR-2 trial keys and serialised records byte-identical.
+    keep the keys and records of trials without that axis unchanged.
+
+    Construction does not check the fields (``spec.trials()`` builds
+    one Trial per grid point from a checked spec); :meth:`from_dict`
+    does.
     """
 
-    key: str
-    workload: str
-    model: str
-    rate_per_million: float
-    mix: str
-    kind_weights: Tuple[Tuple[str, float], ...]
-    replicate: int
-    instructions: int
-    warmup: int
-    fault_seed: int
-    workload_seed: int
-    max_cycles: Optional[int] = None
-    machine: str = ""
-    machine_overrides: Tuple[Tuple[str, object], ...] = ()
+    key: str = wire(text())
+    workload: str = wire(text())
+    model: str = wire(text())
+    rate_per_million: float = wire(number(0))
+    mix: str = wire(text())
+    kind_weights: Tuple[Tuple[str, float], ...] = wire(
+        items(pair(text(), number(0))))
+    replicate: int = wire(integer(0))
+    instructions: int = wire(integer(1))
+    warmup: int = wire(integer(0))
+    fault_seed: int = wire(integer())
+    workload_seed: int = wire(integer())
+    max_cycles: Optional[int] = wire(optional(integer(1)), None, omit=True)
+    machine: str = wire(text(), "", omit=True)
+    machine_overrides: Tuple[Tuple[str, object], ...] = wire(
+        items(pair(text(), scalar())), (), omit=True)
     #: ``fault_sites`` axis cell: the cell name and the canonical JSON
     #: of its policy spec.  Empty for rate-only campaigns, keeping all
     #: pre-axis trial keys and records byte-identical.
-    sites: str = ""
-    site_config: str = ""
+    sites: str = wire(text(), "", omit=True)
+    site_config: str = wire(text(), "", omit=True)
 
     def fault_config(self) -> Optional[FaultConfig]:
         """The injector configuration for this trial (None if rate 0)."""
@@ -104,56 +112,30 @@ class Trial:
         return derive_model(self.model, dict(self.machine_overrides))
 
     def to_dict(self) -> dict:
-        data = {
-            "key": self.key,
-            "workload": self.workload,
-            "model": self.model,
-            "rate_per_million": self.rate_per_million,
-            "mix": self.mix,
-            "kind_weights": list(list(pair) for pair in self.kind_weights),
-            "replicate": self.replicate,
-            "instructions": self.instructions,
-            "warmup": self.warmup,
-            "fault_seed": self.fault_seed,
-            "workload_seed": self.workload_seed,
-        }
-        if self.max_cycles is not None:
-            data["max_cycles"] = self.max_cycles
+        data = super().to_dict()
+        # machine_overrides rides with machine even when empty (a
+        # "base": {} cell), and site_config goes out as its dict.
         if self.machine:
-            data["machine"] = self.machine
             data["machine_overrides"] = [
-                list(pair) for pair in self.machine_overrides]
+                list(override) for override in self.machine_overrides]
         if self.sites:
-            data["sites"] = self.sites
             data["site_config"] = json.loads(self.site_config)
         return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "Trial":
-        if data.get("sites") and "site_config" not in data:
-            raise ConfigError(
-                "trial %r names fault-sites cell %r but has no "
-                "site_config" % (data.get("key"), data["sites"]))
-        return cls(
-            key=data["key"], workload=data["workload"],
-            model=data["model"],
-            rate_per_million=data["rate_per_million"],
-            mix=data["mix"],
-            kind_weights=tuple((kind, weight) for kind, weight
-                               in data["kind_weights"]),
-            replicate=data["replicate"],
-            instructions=data["instructions"],
-            warmup=data["warmup"],
-            fault_seed=data["fault_seed"],
-            workload_seed=data["workload_seed"],
-            max_cycles=data.get("max_cycles"),
-            machine=data.get("machine", ""),
-            machine_overrides=tuple(
-                (name, value) for name, value
-                in data.get("machine_overrides", ())),
-            sites=data.get("sites", ""),
-            site_config=_canonical_site_config(data["site_config"])
-            if data.get("sites") else "")
+        if isinstance(data, dict) and "site_config" in data:
+            config = data["site_config"]
+            if not isinstance(config, dict) or not data.get("sites"):
+                raise ConfigError(
+                    "site_config must be a policy object beside a sites "
+                    "cell name, got %r" % (config,))
+            data = dict(data, site_config=_canonical_site_config(config))
+        trial = super().from_dict(data)
+        if trial.sites and not trial.site_config:
+            raise ConfigError("trial sites %r needs a site_config"
+                              % (trial.sites,))
+        return trial
 
 
 def _trial_key_and_seed(material):
@@ -166,9 +148,6 @@ def _trial_key_and_seed(material):
     # the seed is a pure function of the trial identity.
     seed = int.from_bytes(digest[16:24], "big") & 0x7FFFFFFF
     return key, seed
-
-
-_OVERRIDE_SCALARS = (int, float, bool, str)
 
 
 def _canonical_site_config(config):
@@ -194,160 +173,68 @@ def _canonical_override_value(value):
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(Wire):
     """The declarative description of one injection campaign."""
 
-    name: str = "campaign"
-    workloads: Tuple[str, ...] = ("gcc",)
-    models: Tuple[str, ...] = ("SS-2",)
-    rates_per_million: Tuple[float, ...] = (0.0, 1000.0)
+    name: str = wire(text(), "campaign")
+    workloads: Tuple[str, ...] = wire(
+        items(registered(get_profile), unique=True, nonempty=True),
+        ("gcc",))
+    models: Tuple[str, ...] = wire(
+        items(registered(get_model), unique=True, nonempty=True),
+        ("SS-2",))
+    rates_per_million: Tuple[float, ...] = wire(
+        items(number(0), unique=True, nonempty=True), (0.0, 1000.0))
     #: mix name -> kind-weight dict; names become a grid axis.
-    mixes: Dict[str, dict] = field(
+    mixes: Dict[str, dict] = wire(
+        mapping(mapping(number(0)), nonempty=True),
         default_factory=lambda: {"default": dict(DEFAULT_KIND_WEIGHTS)})
     #: override name -> MachineConfig field overrides; when non-empty
     #: the names become a design-space grid axis (every model of the
     #: spec is derived once per override set — FU counts, ROB size,
     #: IFQ depth, any flat MachineConfig field).
-    machine_overrides: Dict[str, dict] = field(default_factory=dict)
+    machine_overrides: Dict[str, dict] = wire(
+        mapping(mapping(scalar())), default_factory=dict, omit=True)
     #: cell name -> fault-site policy spec (see
     #: :func:`repro.faults.policy.build_policy`); when non-empty the
     #: names become an addressable-injection grid axis and the spec's
     #: rates must all be 0 (site strikes replace the rate injector).
-    fault_sites: Dict[str, dict] = field(default_factory=dict)
-    replicates: int = 8
-    instructions: int = 2_000
-    warmup: int = 0
-    base_seed: int = 2001
-    workload_seed: int = 1_000_003
-    max_cycles: Optional[int] = None
+    fault_sites: Dict[str, dict] = wire(
+        mapping(mapping()), default_factory=dict, omit=True)
+    replicates: int = wire(integer(1), 8)
+    instructions: int = wire(integer(1), 2_000)
+    warmup: int = wire(integer(0), 0)
+    base_seed: int = wire(integer(), 2001)
+    workload_seed: int = wire(integer(), 1_000_003)
+    max_cycles: Optional[int] = wire(optional(integer(1)), None)
 
     def __post_init__(self):
-        # Type-check first: spec files arrive as arbitrary JSON, and a
-        # string rate or float replicate count would otherwise surface
-        # as a TypeError traceback deep inside grid expansion.
-        for field_name in ("replicates", "instructions", "warmup",
-                           "base_seed", "workload_seed"):
-            value = getattr(self, field_name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError("%s must be an integer, got %r"
-                                  % (field_name, value))
-        for axis_name in ("workloads", "models", "rates_per_million"):
-            if not isinstance(getattr(self, axis_name), (tuple, list)):
-                raise ConfigError("%s must be a list, got %r"
-                                  % (axis_name, getattr(self, axis_name)))
-        for axis_name in ("workloads", "models"):
-            for name in getattr(self, axis_name):
-                if not isinstance(name, str):
-                    raise ConfigError("%s must be names, got %r"
-                                      % (axis_name, name))
-        if self.max_cycles is not None and (
-                not isinstance(self.max_cycles, int)
-                or isinstance(self.max_cycles, bool)):
-            raise ConfigError("max_cycles must be an integer or null, "
-                              "got %r" % (self.max_cycles,))
-        for rate in self.rates_per_million:
-            if not isinstance(rate, (int, float)) \
-                    or isinstance(rate, bool):
-                raise ConfigError("fault rates must be numbers, got %r"
-                                  % (rate,))
-        if not isinstance(self.mixes, dict):
-            raise ConfigError("mixes must be a dict of name -> "
-                              "kind-weight dict, got %r" % (self.mixes,))
-        for mix_name, weights in self.mixes.items():
-            if not isinstance(weights, dict):
-                raise ConfigError("mix %r must map kinds to weights, "
-                                  "got %r" % (mix_name, weights))
-            for kind, weight in dict(weights).items():
-                if not isinstance(weight, (int, float)) \
-                        or isinstance(weight, bool):
-                    raise ConfigError(
-                        "mix %r weight for %r must be a number, got %r"
-                        % (mix_name, kind, weight))
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
-        if self.instructions < 1:
-            raise ConfigError("instructions must be >= 1")
-        if self.warmup < 0:
-            raise ConfigError("warmup must be >= 0")
-        if not self.workloads or not self.models \
-                or not self.rates_per_million or not self.mixes:
-            raise ConfigError("every campaign axis needs >= 1 value")
-        for axis_name, axis in (("workloads", self.workloads),
-                                ("models", self.models),
-                                ("rates_per_million",
-                                 self.rates_per_million)):
-            # Duplicates would expand to identical trial keys, double-
-            # count results and fake a tighter confidence interval.
-            if len(set(axis)) != len(axis):
-                raise ConfigError("duplicate values in %s: %r"
-                                  % (axis_name, axis))
-        for rate in self.rates_per_million:
-            if rate < 0:
-                raise ConfigError("fault rates must be >= 0")
-        for lookup, names in ((get_profile, self.workloads),
-                              (get_model, self.models)):
-            for name in names:
-                try:
-                    lookup(name)
-                except KeyError as exc:
-                    raise ConfigError(exc.args[0]) from None
-        for mix_name, weights in self.mixes.items():
-            # Borrow FaultConfig's weight validation.
-            FaultConfig(rate_per_million=1.0, kind_weights=dict(weights))
-        self._validate_machine_overrides()
-        self._validate_fault_sites()
-
-    def _validate_machine_overrides(self):
-        if not isinstance(self.machine_overrides, dict):
-            raise ConfigError(
-                "machine_overrides must be a dict of name -> "
-                "MachineConfig override dict, got %r"
-                % (self.machine_overrides,))
+        self.check()
+        for name, weights in self.mixes.items():
+            with naming("mixes[%r]" % name):
+                # Borrow FaultConfig's weight validation.
+                FaultConfig(rate_per_million=1.0, kind_weights=weights)
         for name, overrides in self.machine_overrides.items():
-            if not isinstance(name, str) or not name:
-                raise ConfigError("machine override names must be "
-                                  "non-empty strings, got %r" % (name,))
-            if not isinstance(overrides, dict):
-                raise ConfigError(
-                    "machine override %r must map MachineConfig fields "
-                    "to values, got %r" % (name, overrides))
-            for key, value in overrides.items():
-                if value is not None \
-                        and not isinstance(value, _OVERRIDE_SCALARS):
-                    raise ConfigError(
-                        "machine override %r field %r must be a JSON "
-                        "scalar, got %r" % (name, key, value))
-            for model in self.models:
-                # derive_model validates field names and re-runs the
-                # MachineConfig invariants, so a bad override dies here
-                # with a ConfigError instead of mid-campaign.
-                derive_model(model, overrides)
-
-    def _validate_fault_sites(self):
-        if not isinstance(self.fault_sites, dict):
+            with naming("machine_overrides[%r]" % name):
+                for model in self.models:
+                    # derive_model validates field names and re-runs
+                    # the MachineConfig invariants, so a bad override
+                    # dies here instead of mid-campaign.
+                    derive_model(model, overrides)
+        if self.fault_sites and any(self.rates_per_million):
             raise ConfigError(
-                "fault_sites must be a dict of name -> policy spec "
-                "dict, got %r" % (self.fault_sites,))
-        if not self.fault_sites:
-            return
-        for rate in self.rates_per_million:
-            if rate > 0:
-                raise ConfigError(
-                    "a fault_sites campaign replaces the rate injector "
-                    "with site policies; use rates_per_million=(0,) "
-                    "(got rate %r)" % (rate,))
+                "rates_per_million must all be 0 in a fault_sites "
+                "campaign (site policies replace the rate injector), "
+                "got %r" % (self.rates_per_million,))
         for name, config in self.fault_sites.items():
-            if not isinstance(name, str) or not name:
-                raise ConfigError("fault_sites cell names must be "
-                                  "non-empty strings, got %r" % (name,))
-            # build_policy validates the spec shape, structure names,
-            # site bounds and windows, and binding checks each site's
-            # copy against every model — a bad cell dies here with a
-            # ConfigError instead of mid-campaign.
-            policy = build_policy(config, seed=0,
-                                  horizon=self.instructions + self.warmup)
-            for model in self.models:
-                policy.bind(get_model(model).ft.redundancy)
+            with naming("fault_sites[%r]" % name):
+                # build_policy validates the spec shape, structure
+                # names, site bounds and windows, and binding checks
+                # each site's copy against every model.
+                policy = build_policy(
+                    config, seed=0, horizon=self.instructions + self.warmup)
+                for model in self.models:
+                    policy.bind(get_model(model).ft.redundancy)
 
     @property
     def grid_size(self) -> int:
@@ -468,31 +355,6 @@ class CampaignSpec:
 
     # -- serialisation -----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        data = {
-            "name": self.name,
-            "workloads": list(self.workloads),
-            "models": list(self.models),
-            "rates_per_million": list(self.rates_per_million),
-            "mixes": {name: dict(weights)
-                      for name, weights in self.mixes.items()},
-            "replicates": self.replicates,
-            "instructions": self.instructions,
-            "warmup": self.warmup,
-            "base_seed": self.base_seed,
-            "workload_seed": self.workload_seed,
-            "max_cycles": self.max_cycles,
-        }
-        if self.machine_overrides:
-            data["machine_overrides"] = {
-                name: dict(overrides) for name, overrides
-                in self.machine_overrides.items()}
-        if self.fault_sites:
-            data["fault_sites"] = {
-                name: json.loads(_canonical_site_config(config))
-                for name, config in self.fault_sites.items()}
-        return data
-
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignSpec":
         """Build a spec from a plain dict (e.g. parsed JSON).
@@ -501,28 +363,14 @@ class CampaignSpec:
         preset names from :data:`~repro.core.faults.KIND_MIX_PRESETS`.
         Any malformed input raises :class:`~repro.errors.ConfigError`.
         """
-        if not isinstance(data, dict):
-            raise ConfigError("a campaign spec must be a JSON object, "
-                              "got %r" % (data,))
-        data = dict(data)
-        mixes = data.get("mixes")
+        mixes = data.get("mixes") if isinstance(data, dict) else None
         if isinstance(mixes, str):
             mixes = [mixes]          # single preset name
         if isinstance(mixes, (list, tuple)):
-            data["mixes"] = {name: get_kind_mix(name) for name in mixes}
-        elif mixes is not None and not isinstance(mixes, dict):
-            raise ConfigError(
-                "mixes must be a dict of weight dicts or a list of "
-                "preset names, got %r" % (mixes,))
-        for axis in ("workloads", "models", "rates_per_million"):
-            if isinstance(data.get(axis), list):
-                data[axis] = tuple(data[axis])
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError("unknown campaign spec fields: %s"
-                              % sorted(unknown))
-        return cls(**data)
+            with naming("mixes"):
+                data = dict(data, mixes={name: get_kind_mix(name)
+                                         for name in mixes})
+        return super().from_dict(data)
 
     @classmethod
     def from_json_file(cls, path: str) -> "CampaignSpec":

@@ -39,6 +39,7 @@ from abc import ABC, abstractmethod
 
 from ..core.faults import FaultConfig, FaultInjector
 from ..errors import ConfigError, SkippedStrikeError
+from ..wire import integer, items, nested, text
 from .sites import (FaultSite, OPERAND_STRUCTURES, STRUCTURES,
                     count_strike, structure_applies, structure_width)
 
@@ -324,26 +325,12 @@ class StructureSweepPolicy(SiteListPolicy):
     name = "structure_sweep"
 
     def __init__(self, structure, strikes=1, horizon=1_000, seed=0):
-        if structure not in STRUCTURES:
-            raise ConfigError(
-                "unknown fault structure %r (choose from %s)"
-                % (structure, ", ".join(STRUCTURES)))
-        if not isinstance(strikes, int) or isinstance(strikes, bool) \
-                or not 1 <= strikes <= MAX_SWEEP_STRIKES:
-            raise ConfigError("structure_sweep strikes must be in "
-                              "[1, %d], got %r"
-                              % (MAX_SWEEP_STRIKES, strikes))
-        if not isinstance(horizon, int) or isinstance(horizon, bool) \
-                or horizon < 1:
-            raise ConfigError("structure_sweep horizon must be >= 1, "
-                              "got %r" % (horizon,))
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("structure_sweep seed must be an "
-                              "integer, got %r" % (seed,))
-        self.structure = structure
-        self.strikes = strikes
-        self.horizon = horizon
-        self.seed = seed
+        self.structure = text(STRUCTURES).load(structure,
+                                               "structure_sweep structure")
+        self.strikes = integer(1, MAX_SWEEP_STRIKES).load(
+            strikes, "structure_sweep strikes")
+        self.horizon = integer(1).load(horizon, "structure_sweep horizon")
+        self.seed = integer().load(seed, "structure_sweep seed")
         self._redundancy = 1
         self._sample()
 
@@ -408,26 +395,19 @@ def build_policy(spec, seed=0, horizon=None):
         if unknown:
             raise ConfigError("unknown site_list fields: %s"
                               % sorted(unknown))
-        sites = spec.get("sites")
-        if not isinstance(sites, (list, tuple)) or not sites:
-            raise ConfigError("site_list policy needs a non-empty "
-                              "'sites' list")
-        return SiteListPolicy([FaultSite.from_dict(site)
-                               for site in sites])
+        return SiteListPolicy(items(nested(FaultSite), nonempty=True)
+                              .load(spec.get("sites"), "site_list sites"))
     if kind == StructureSweepPolicy.name:
         unknown = set(spec) - {"policy", "structure", "strikes",
                                "horizon", "seed"}
         if unknown:
             raise ConfigError("unknown structure_sweep fields: %s"
                               % sorted(unknown))
-        if "structure" not in spec:
-            raise ConfigError("structure_sweep policy needs a "
-                              "'structure' field")
         sweep_horizon = spec.get("horizon")
         if sweep_horizon is None:
             sweep_horizon = horizon if horizon is not None else 1_000
         return StructureSweepPolicy(
-            structure=spec["structure"],
+            structure=spec.get("structure"),
             strikes=spec.get("strikes", 1),
             horizon=sweep_horizon,
             seed=spec.get("seed", seed))

@@ -51,6 +51,7 @@ from typing import Optional, Tuple
 
 from ..errors import ConfigError
 from ..isa.opcodes import Kind
+from ..wire import Wire, integer, optional, pair, text, wire
 
 #: Every addressable structure, in taxonomy order.
 STRUCTURES = ("fu_result", "rob_entry", "lsq_address", "branch_outcome",
@@ -125,7 +126,7 @@ def structure_applies(structure, inst, operand=0):
 
 
 @dataclass(frozen=True)
-class FaultSite:
+class FaultSite(Wire):
     """One fully addressed single-event upset.
 
     ``index`` is the dynamic target: the strike arms for the first
@@ -137,45 +138,24 @@ class FaultSite:
     window closes before it lands expires instead of striking.
     """
 
-    structure: str
-    index: int = 0
-    copy: int = 0
-    bit: int = 0
-    operand: int = 0
-    window: Optional[Tuple[int, int]] = None
+    structure: str = wire(text(STRUCTURES))
+    index: int = wire(integer(0), 0)
+    copy: int = wire(integer(0), 0)
+    bit: int = wire(integer(0), 0)
+    operand: int = wire(integer(0, 1), 0, omit=True)
+    window: Optional[Tuple[int, int]] = wire(
+        optional(pair(integer(0), integer(0))), None, omit=True)
 
     def __post_init__(self):
-        width = structure_width(self.structure)   # validates the name
-        for label, value in (("index", self.index), ("copy", self.copy),
-                             ("bit", self.bit),
-                             ("operand", self.operand)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError("fault site %s must be an integer, "
-                                  "got %r" % (label, value))
-        if self.index < 0:
-            raise ConfigError("fault site index must be >= 0")
-        if self.copy < 0:
-            raise ConfigError("fault site copy must be >= 0")
-        if not 0 <= self.bit < width:
+        self.check()
+        width = STRUCTURE_WIDTHS[self.structure]
+        if self.bit >= width:
             raise ConfigError(
                 "fault site bit %d out of range for %s (field width %d)"
                 % (self.bit, self.structure, width))
-        if self.operand not in (0, 1):
-            raise ConfigError("fault site operand must be 0 or 1")
-        if self.window is not None:
-            window = tuple(self.window)
-            if len(window) != 2 or not all(
-                    isinstance(edge, int) and not isinstance(edge, bool)
-                    for edge in window):
-                raise ConfigError(
-                    "fault site window must be (start, end) cycles, "
-                    "got %r" % (self.window,))
-            start, end = window
-            if start < 0 or end <= start:
-                raise ConfigError(
-                    "fault site window must satisfy 0 <= start < end, "
-                    "got %r" % (self.window,))
-            object.__setattr__(self, "window", window)
+        if self.window is not None and self.window[1] <= self.window[0]:
+            raise ConfigError("fault site window must satisfy start < "
+                              "end, got %r" % (self.window,))
 
     @property
     def is_group_scope(self):
@@ -190,41 +170,6 @@ class FaultSite:
     def expired(self, cycle):
         """Has the strike window closed without a strike?"""
         return self.window is not None and cycle >= self.window[1]
-
-    def to_dict(self):
-        data = {"structure": self.structure, "index": self.index,
-                "copy": self.copy, "bit": self.bit}
-        if self.operand:
-            data["operand"] = self.operand
-        if self.window is not None:
-            data["window"] = list(self.window)
-        return data
-
-    @classmethod
-    def from_dict(cls, data):
-        if not isinstance(data, dict):
-            raise ConfigError("fault site must be a dict, got %r"
-                              % (data,))
-        unknown = set(data) - {"structure", "index", "copy", "bit",
-                               "operand", "window"}
-        if unknown:
-            raise ConfigError("unknown fault site fields: %s"
-                              % sorted(unknown))
-        if "structure" not in data:
-            raise ConfigError("fault site needs a 'structure' field")
-        window = data.get("window")
-        if window is not None:
-            if not isinstance(window, (list, tuple)):
-                raise ConfigError(
-                    "fault site window must be [start, end], got %r"
-                    % (window,))
-            window = tuple(window)
-        return cls(structure=data["structure"],
-                   index=data.get("index", 0),
-                   copy=data.get("copy", 0),
-                   bit=data.get("bit", 0),
-                   operand=data.get("operand", 0),
-                   window=window)
 
 
 def count_strike(stats, structure):

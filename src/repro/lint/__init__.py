@@ -2,7 +2,7 @@
 
 Stdlib-only static analysis enforcing the project's cross-cutting
 invariants: determinism of the simulator core, the frozen differential
-oracle, wire-protocol parity, lock discipline, and exception policy.
+oracle, the event-kind registry, lock discipline, and exception policy.
 Run it as ``repro-ft lint``; it also runs inside the tier-1 suite.
 """
 

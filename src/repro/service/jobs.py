@@ -25,17 +25,17 @@ quota; ``max_queued`` bounds the backlog a tenant may pile up
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..campaign import CampaignSpec, ExecutionOptions, JSONLStore
 from ..errors import ConfigError, QuotaError, ServiceError
+from ..wire import Wire, integer, nested, number, optional, text, wire
 from .scheduler import FairScheduler
 
 # -- job states ------------------------------------------------------------
@@ -82,66 +82,38 @@ def new_job_id() -> str:
 
 
 @dataclass
-class Job:
+class Job(Wire):
     """One tenant's campaign submission and its lifecycle state."""
 
-    id: str
-    tenant: str
-    spec: CampaignSpec
-    options: ExecutionOptions = field(default_factory=ExecutionOptions)
-    priority: int = 0
+    id: str = wire(text())
+    tenant: str = wire(text(empty=False))
+    spec: CampaignSpec = wire(nested(CampaignSpec))
+    options: ExecutionOptions = wire(nested(ExecutionOptions),
+                                     default_factory=ExecutionOptions)
+    priority: int = wire(integer(), 0)
     #: Most of this job's trials in flight at once (0 = no cap beyond
     #: the tenant's fair share of the slot pool).
-    shards: int = 0
-    state: str = QUEUED
-    error: str = ""
+    shards: int = wire(integer(0), 0)
+    state: str = wire(text(JOB_STATES), QUEUED)
+    error: str = wire(text(), "", omit=True)
     #: Monotonic admission order within one service process.
-    seq: int = 0
-    submitted_at: float = 0.0
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
+    seq: int = wire(integer(0), 0)
+    submitted_at: float = wire(number(), 0.0)
+    started_at: Optional[float] = wire(optional(number()), None, omit=True)
+    finished_at: Optional[float] = wire(optional(number()), None,
+                                        omit=True)
     #: Trial progress mirrors (updated by the runner's event stream).
-    done: int = 0
-    total: int = 0
+    done: int = wire(integer(0), 0)
+    total: int = wire(integer(0), 0)
 
     def __post_init__(self):
-        if not isinstance(self.id, str) or not _JOB_ID.match(self.id):
+        # Recovery sorts jobs by submitted_at and re-queues the rest of
+        # a job file as it is, so every field must hold its type here.
+        self.check()
+        if not _JOB_ID.match(self.id):
             raise ConfigError("job id must be 1-128 letters, digits, "
                               "'.', '_' or '-' (not leading), got %r"
                               % (self.id,))
-        if not isinstance(self.priority, int) \
-                or isinstance(self.priority, bool):
-            raise ConfigError("priority must be an integer, got %r"
-                              % (self.priority,))
-        if not isinstance(self.shards, int) \
-                or isinstance(self.shards, bool) or self.shards < 0:
-            raise ConfigError("shards must be an integer >= 0, got %r"
-                              % (self.shards,))
-        if self.state not in JOB_STATES:
-            raise ConfigError("unknown job state %r" % (self.state,))
-        # Recovery sorts jobs by submitted_at and re-queues the rest of
-        # a job file as it is, so every field must hold its type here.
-        if not isinstance(self.tenant, str) or not self.tenant:
-            raise ConfigError("tenant must be a non-empty string, got %r"
-                              % (self.tenant,))
-        for name in ("seq", "done", "total"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 0:
-                raise ConfigError("%s must be an integer >= 0, got %r"
-                                  % (name, value))
-        for name in ("submitted_at", "started_at", "finished_at"):
-            value = getattr(self, name)
-            if value is None and name != "submitted_at":
-                continue
-            if not isinstance(value, (int, float)) \
-                    or isinstance(value, bool) \
-                    or isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError("%s must be a finite number, got %r"
-                                  % (name, value))
-        if not isinstance(self.error, str):
-            raise ConfigError("error must be a string, got %r"
-                              % (self.error,))
 
     @property
     def terminal(self) -> bool:
@@ -161,44 +133,16 @@ class Job:
     def store(self, data_dir: str) -> JSONLStore:
         return JSONLStore(self.store_path(data_dir))
 
-    def to_dict(self) -> dict:
-        data = {
-            "id": self.id,
-            "tenant": self.tenant,
-            "spec": self.spec.to_dict(),
-            "options": self.options.to_dict(),
-            "priority": self.priority,
-            "shards": self.shards,
-            "state": self.state,
-            "seq": self.seq,
-            "submitted_at": self.submitted_at,
-            "done": self.done,
-            "total": self.total,
-        }
-        if self.error:
-            data["error"] = self.error
-        if self.started_at is not None:
-            data["started_at"] = self.started_at
-        if self.finished_at is not None:
-            data["finished_at"] = self.finished_at
-        return data
-
     @classmethod
     def from_dict(cls, data: dict) -> "Job":
-        """Rebuild a job from a persisted ``job.json`` (see
-        :data:`RETIRED_OPTIONS` for the options it drops)."""
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError("unknown job fields: %s" % sorted(unknown))
-        data = dict(data)
-        data["spec"] = CampaignSpec.from_dict(data["spec"])
-        options = data.get("options", {})
+        """Rebuild a job from a persisted ``job.json``, dropping the
+        :data:`RETIRED_OPTIONS` it may carry."""
+        options = data.get("options") if isinstance(data, dict) else None
         if isinstance(options, dict):
-            options = {name: value for name, value in options.items()
-                       if name not in RETIRED_OPTIONS}
-        data["options"] = ExecutionOptions.from_dict(options)
-        return cls(**data)
+            data = dict(data, options={
+                name: value for name, value in options.items()
+                if name not in RETIRED_OPTIONS})
+        return super().from_dict(data)
 
     def save(self, data_dir: str):
         """Atomically persist ``job.json`` (tmp file + rename).
@@ -225,7 +169,7 @@ class Job:
                 return cls.from_dict(json.load(handle))
         except OSError as exc:
             raise ServiceError("unknown job %r (%s)" % (job_id, exc))
-        except (ValueError, ConfigError, KeyError, TypeError) as exc:
+        except (ValueError, ConfigError) as exc:
             # Torn JSON, a field that fails validation, or a missing
             # one: recover() skips the job and keeps its files.
             raise ServiceError("corrupt job file %s: %s" % (path, exc))

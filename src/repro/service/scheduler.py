@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
+from ..wire import Wire, integer, number, optional, text, wire
 
 #: Numerical slack for the water-filling comparisons; demands and
 #: capacities are small integers in practice, so this is generous.
@@ -125,7 +126,7 @@ def integral_allocation(capacity: int, demands: Sequence[int],
 
 
 @dataclass
-class TenantConfig:
+class TenantConfig(Wire):
     """Declared scheduling identity of one tenant.
 
     ``weight`` scales the tenant's fair share; ``max_queued`` and
@@ -133,43 +134,14 @@ class TenantConfig:
     unlimited).
     """
 
-    name: str
-    weight: float = 1.0
-    max_queued: Optional[int] = None
-    max_running: Optional[int] = None
+    name: str = wire(text(empty=False))
+    weight: float = wire(number(0, above=True), 1.0)
+    max_queued: Optional[int] = wire(optional(integer(1)), None, omit=True)
+    max_running: Optional[int] = wire(optional(integer(1)), None,
+                                      omit=True)
 
     def __post_init__(self):
-        if not self.name:
-            raise ConfigError("tenant name must be non-empty")
-        if not isinstance(self.weight, (int, float)) \
-                or isinstance(self.weight, bool) or self.weight <= 0:
-            raise ConfigError("tenant %r weight must be > 0, got %r"
-                              % (self.name, self.weight))
-        for label in ("max_queued", "max_running"):
-            value = getattr(self, label)
-            if value is not None and (
-                    not isinstance(value, int)
-                    or isinstance(value, bool) or value < 1):
-                raise ConfigError("tenant %r %s must be an integer >= 1 "
-                                  "or None, got %r"
-                                  % (self.name, label, value))
-
-    def to_dict(self) -> dict:
-        data = {"name": self.name, "weight": self.weight}
-        if self.max_queued is not None:
-            data["max_queued"] = self.max_queued
-        if self.max_running is not None:
-            data["max_running"] = self.max_running
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TenantConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError("unknown tenant config fields: %s"
-                              % sorted(unknown))
-        return cls(**data)
+        self.check()
 
 
 class _TenantState:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.campaign import CampaignSession
 from repro.campaign.spec import CampaignSpec, Trial
 from repro.core.faults import KIND_MIX_PRESETS
 from repro.errors import ConfigError
@@ -143,6 +144,17 @@ class TestMachineOverrides:
         assert len(trials) == spec.grid_size
         assert len({t.key for t in trials}) == len(trials)
         assert {t.machine for t in trials} == {"base", "rob64", "alu8"}
+
+    def test_empty_override_cell_record_keeps_its_overrides(self):
+        # A "base": {} cell (sensitivity_campaign_spec has one) keeps
+        # "machine_overrides": [] beside its machine name in records.
+        spec = small_spec(workloads=("gcc",), models=("SS-2",),
+                          rates_per_million=(0.0,), replicates=1,
+                          instructions=200,
+                          machine_overrides={"base": {}})
+        record = CampaignSession(spec).run().records[0]
+        assert record["trial"]["machine"] == "base"
+        assert record["trial"]["machine_overrides"] == []
 
     def test_absent_axis_keeps_trials_bare(self):
         # No machine_overrides: trial keys, dicts and spec dicts stay

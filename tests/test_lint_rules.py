@@ -143,50 +143,6 @@ class TestFrozenOracleRule:
 # -- wire-parity -----------------------------------------------------------
 
 class TestWireParityRule:
-    def test_missing_from_dict_fires(self, tmp_path):
-        report = lint(tmp_path, {"repro/campaign/record.py": """\
-            class Record:
-                def to_dict(self):
-                    return {"key": self.key}
-            """}, rules=["wire-parity"])
-        assert len(report.findings) == 1
-        assert "no from_dict" in report.findings[0].message
-
-    def test_unparsed_key_fires(self, tmp_path):
-        report = lint(tmp_path, {"repro/campaign/record.py": """\
-            class Record:
-                def to_dict(self):
-                    data = {"key": self.key}
-                    data["extra"] = self.extra
-                    return data
-
-                @classmethod
-                def from_dict(cls, data):
-                    return cls(key=data["key"])
-            """}, rules=["wire-parity"])
-        assert len(report.findings) == 1
-        assert "'extra'" in report.findings[0].message
-
-    def test_dataclass_field_expansion_passes(self, tmp_path):
-        report = lint(tmp_path, {"repro/campaign/record.py": """\
-            from dataclasses import dataclass
-
-            @dataclass
-            class Record:
-                key: str = ""
-                extra: int = 0
-
-                def to_dict(self):
-                    return {"key": self.key, "extra": self.extra}
-
-                @classmethod
-                def from_dict(cls, data):
-                    fields = set(cls.__dataclass_fields__)
-                    return cls(**{k: v for k, v in data.items()
-                                  if k in fields})
-            """}, rules=["wire-parity"])
-        assert report.findings == []
-
     def test_unregistered_event_kind_fires(self, tmp_path):
         report = lint(tmp_path, {
             "repro/service/events.py": """\

@@ -9,6 +9,7 @@ leave stores that a resumed run completes to the identical record set.
 """
 
 import json
+import os
 import time
 from collections import Counter
 
@@ -248,6 +249,19 @@ class TestAdmission:
         job = backend.submit("alice", spec().to_dict(),
                              options={"workers": 1})
         assert wait_terminal(backend, job.id).state == DONE
+
+    def test_readme_submit_example_is_accepted(self, backend):
+        # The body of the README's curl example, read from the README
+        # itself so the example cannot drift from the wire schema.
+        with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md")) as handle:
+            readme = handle.read()
+        start = readme.index("/api/jobs -d '") + len("/api/jobs -d '")
+        body = json.loads(readme[start:readme.index("'", start)])
+        job = backend.submit(body.pop("tenant"), body.pop("spec"), **body)
+        assert job.options.sampling == SamplingPlan.wilson(0.1)
+        assert (job.shards, job.priority) == (2, 5)
+        backend.cancel(job.id)
 
     def test_quota_enforced(self, tmp_path):
         backend = ServiceBackend(

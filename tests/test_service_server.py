@@ -220,6 +220,14 @@ HOSTILE_BODIES = {
                                       "bit": 7}]}})},
     "integer-job-id": {"spec": spec_dict(), "job_id": 5},
     "escaping-job-id": {"spec": spec_dict(), "job_id": "../escape"},
+    # json.loads accepts the NaN and Infinity tokens a client can send.
+    "nan-rate": {"spec": dict(spec_dict(),
+                              rates_per_million=[0.0, float("nan")])},
+    "infinity-mix-weight": {"spec": dict(
+        spec_dict(), mixes={"m": {"value": float("inf")}})},
+    "nan-trial-timeout": {"spec": spec_dict(),
+                          "options": {"trial_timeout": float("nan")}},
+    "list-name": {"spec": dict(spec_dict(), name=["served"])},
 }
 
 
