@@ -306,9 +306,8 @@ def merged_adaptive_summary(plan: SamplingPlan, trials, completed
     ``closed`` is the verdict over all of a cell's records:
     ``converged`` (the sample meets the target), ``exhausted`` (every
     replicate ran) or ``capped`` (replicates were left unrun without
-    the target met — ``max_replicates`` or a shed of adaptive extras
-    cut the cell, both of which the live scheduler closes as
-    ``capped``).
+    the target met — ``max_replicates`` cut the cell, which the live
+    scheduler closes as ``capped``).
     """
     trackers = _build_trackers(trials, completed, fresh=True)
     for tracker in trackers.values():

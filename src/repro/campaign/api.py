@@ -38,14 +38,14 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
-from ..wire import (Wire, integer, items, mapping, nested, number,
-                    optional, scalar, text, wire)
+from ..wire import (Wire, integer, items, mapping, nested, optional,
+                    scalar, text, wire)
 from .adaptive import AdaptiveScheduler, AdaptiveSummary, SamplingPlan
 from .aggregate import aggregate, aggregate_structures, trial_cell
 from .outcome import run_trial
 from .spec import CampaignShard, CampaignSpec, Trial
 from .store import StoreBackend, open_store
-from ..resilience.watchdog import PoolSupervisor
+from ..resilience.watchdog import TRIAL_TIMEOUT, PoolSupervisor
 
 # -- events ----------------------------------------------------------------
 
@@ -135,8 +135,7 @@ class ExecutionOptions(Wire):
     max_cycles: Optional[int] = wire(optional(integer(1)), None, omit=True)
     sampling: Optional[SamplingPlan] = wire(
         optional(nested(SamplingPlan)), None, omit=True)
-    trial_timeout: Optional[float] = wire(
-        optional(number(0, above=True)), None, omit=True)
+    trial_timeout: Optional[float] = wire(TRIAL_TIMEOUT, None, omit=True)
     trial_retries: int = wire(integer(0), 2, omit=True)
 
     def __post_init__(self):
@@ -494,7 +493,7 @@ class CampaignSession:
         """The next trial to start now, or None while none may.
 
         A session keeps up to ``workers`` trials in flight; the
-        campaign service gates every trial on its fair slot pool
+        campaign service gates every trial on a fair slot grant
         instead.
         """
         if inflight >= self.options.workers:

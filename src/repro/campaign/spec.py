@@ -36,6 +36,13 @@ from .store import shard_of_key
 #: any campaign size this engine will see.
 KEY_LENGTH = 16
 
+#: Upper bounds on the work one spec (and so one trial) may ask for.
+#: Every campaign this engine runs is far below them; they keep a
+#: submitted spec from holding its tenant's slots for ever.
+MAX_REPLICATES = 100_000
+MAX_INSTRUCTIONS = 10_000_000
+MAX_WARMUP = 10_000_000
+
 
 @dataclass(frozen=True)
 class Trial(Wire):
@@ -59,9 +66,9 @@ class Trial(Wire):
     mix: str = wire(text())
     kind_weights: Tuple[Tuple[str, float], ...] = wire(
         items(pair(text(), number(0))))
-    replicate: int = wire(integer(0))
-    instructions: int = wire(integer(1))
-    warmup: int = wire(integer(0))
+    replicate: int = wire(integer(0, MAX_REPLICATES - 1))
+    instructions: int = wire(integer(1, MAX_INSTRUCTIONS))
+    warmup: int = wire(integer(0, MAX_WARMUP))
     fault_seed: int = wire(integer())
     workload_seed: int = wire(integer())
     max_cycles: Optional[int] = wire(optional(integer(1)), None, omit=True)
@@ -201,9 +208,9 @@ class CampaignSpec(Wire):
     #: rates must all be 0 (site strikes replace the rate injector).
     fault_sites: Dict[str, dict] = wire(
         mapping(mapping()), default_factory=dict, omit=True)
-    replicates: int = wire(integer(1), 8)
-    instructions: int = wire(integer(1), 2_000)
-    warmup: int = wire(integer(0), 0)
+    replicates: int = wire(integer(1, MAX_REPLICATES), 8)
+    instructions: int = wire(integer(1, MAX_INSTRUCTIONS), 2_000)
+    warmup: int = wire(integer(0, MAX_WARMUP), 0)
     base_seed: int = wire(integer(), 2001)
     workload_seed: int = wire(integer(), 1_000_003)
     max_cycles: Optional[int] = wire(optional(integer(1)), None)

@@ -543,11 +543,6 @@ def _add_serve_args(sub):
                      help="pre-register a tenant with a fair-share "
                           "weight and job quotas (repeatable; unknown "
                           "tenants auto-register with weight 1)")
-    sub.add_argument("--replicate-budget", type=int, default=None,
-                     metavar="N",
-                     help="pace adaptive jobs to N extra replicates "
-                          "per second, split by tenant weight "
-                          "(default: unpaced)")
     sub.add_argument("--poll-interval", type=float, default=None,
                      help="store/SSE poll interval in seconds "
                           "(default 0.05)")

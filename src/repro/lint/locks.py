@@ -1,9 +1,9 @@
 """Lock-discipline rule: shared state stays behind its lock.
 
 For every class that builds a :class:`threading.Lock` / ``RLock`` /
-``Condition`` in ``__init__`` (JobQueue, FairScheduler, SlotPool,
-ServiceBackend, EventLog, CircuitBreaker, ...), the rule infers the
-guarded attribute set and then flags accesses that bypass the lock:
+``Condition`` in ``__init__`` (JobQueue, FairScheduler, ServiceBackend,
+EventLog, ...), the rule infers the guarded attribute set and then
+flags accesses that bypass the lock:
 
 * an attribute is **guarded** when it is accessed at least once inside
   a ``with self._lock:`` block *and* written outside ``__init__``

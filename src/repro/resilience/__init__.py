@@ -8,9 +8,6 @@ inject into the simulated machine:
 * :mod:`~repro.resilience.retry` — exponential backoff with
   *deterministic* jitter (seeded, replayable — same reason trial
   seeds derive from trial keys);
-* :mod:`~repro.resilience.circuit` — a CLOSED/OPEN/HALF_OPEN circuit
-  breaker used by the service to shed adaptive extra replicates
-  before failing a job outright;
 * :mod:`~repro.resilience.watchdog` — :class:`PoolSupervisor`, the
   process-pool babysitter: per-trial wall-clock deadlines (the one
   hang detector, so a SIGSTOPped worker is as visible as a dead one),
@@ -23,12 +20,7 @@ The chaos harness that validates all of this lives in
 package) — reach it as ``repro.resilience.chaos``.
 """
 
-from .circuit import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from .retry import RetryPolicy
 from .watchdog import PoolSupervisor
 
-__all__ = [
-    "CLOSED", "HALF_OPEN", "OPEN", "CircuitBreaker",
-    "RetryPolicy",
-    "PoolSupervisor",
-]
+__all__ = ["RetryPolicy", "PoolSupervisor"]

@@ -16,7 +16,9 @@ survive:
   hang into the worker-death path above;
 * **retry exhaustion** — each key carries a bounded resubmit budget
   (``trial_retries``); a trial that keeps taking the pool down raises
-  :class:`~repro.errors.TrialHangError` instead of looping forever.
+  :class:`~repro.errors.TrialHangError` instead of looping forever,
+  and the session — or service job, adaptive or fixed — fails with
+  that diagnosis.
 
 The supervisor does not own pool lifetime policy: callers hand in
 ``get_pool`` / ``reset_pool`` callables, so a session-private pool and
@@ -33,7 +35,15 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from ..errors import ConfigError, TrialHangError
+from ..errors import TrialHangError
+from ..wire import integer, number, optional
+
+#: The one rule for a per-trial deadline in seconds: finite and > 0, or
+#: None for no deadline.  ``ExecutionOptions.trial_timeout`` declares
+#: it, and the supervisor and the service's backend-wide default load
+#: through it, so a NaN or infinite deadline that never expires is
+#: refused everywhere.
+TRIAL_TIMEOUT = optional(number(0, above=True))
 
 
 @dataclass
@@ -76,30 +86,23 @@ class PoolSupervisor:
     recoveries do not kill a freshly built pool.
 
     Callbacks: ``on_resubmit(context, attempt)`` fires per re-submitted
-    trial, ``on_failure()`` / ``on_success()`` feed a circuit breaker.
+    trial, ``on_success()`` per trial that lands with a result.
     """
 
     def __init__(self, get_pool: Callable, reset_pool: Callable,
                  trial_timeout: Optional[float] = None,
                  trial_retries: int = 2,
                  on_resubmit: Optional[Callable] = None,
-                 on_failure: Optional[Callable] = None,
                  on_success: Optional[Callable] = None,
                  kill_workers: Callable = kill_pool_workers,
                  clock: Callable[[], float] = time.monotonic):
-        if trial_timeout is not None and (
-                not isinstance(trial_timeout, (int, float))
-                or isinstance(trial_timeout, bool) or trial_timeout <= 0):
-            raise ConfigError("trial_timeout must be > 0 (or None)")
-        if not isinstance(trial_retries, int) \
-                or isinstance(trial_retries, bool) or trial_retries < 0:
-            raise ConfigError("trial_retries must be an integer >= 0")
         self._get_pool = get_pool
         self._reset_pool = reset_pool
-        self.trial_timeout = trial_timeout
-        self.trial_retries = trial_retries
+        self.trial_timeout = TRIAL_TIMEOUT.load(trial_timeout,
+                                                "trial_timeout")
+        self.trial_retries = integer(0).load(trial_retries,
+                                             "trial_retries")
         self._on_resubmit = on_resubmit
-        self._on_failure = on_failure
         self._on_success = on_success
         self._kill_workers = kill_workers
         self._clock = clock
@@ -172,10 +175,6 @@ class PoolSupervisor:
             except BrokenProcessPool:
                 broken.append(entry)
                 continue
-            except Exception:
-                if self._on_failure is not None:
-                    self._on_failure()
-                raise
             if self._on_success is not None:
                 self._on_success()
             results.append((entry.context, result))
@@ -210,8 +209,6 @@ class PoolSupervisor:
 
     def _recover(self, entries):
         """Rebuild after breakage and resubmit the casualties by key."""
-        if self._on_failure is not None:
-            self._on_failure()
         for pool in {id(entry.pool): entry.pool
                      for entry in entries}.values():
             self._reset_pool(pool)

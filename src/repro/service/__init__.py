@@ -4,10 +4,9 @@ campaign stack.
 Layers, bottom up:
 
 * :mod:`~repro.service.scheduler` — weighted max-min (water-filling)
-  allocation of worker slots and adaptive replicate budget across
-  tenants: :func:`weighted_max_min` / :func:`integral_allocation`,
-  :class:`FairScheduler`, the blocking :class:`SlotPool` and the
-  epoch-paced :class:`ReplicateBudget`;
+  allocation of worker slots across tenants:
+  :func:`weighted_max_min` / :func:`integral_allocation` and
+  :class:`FairScheduler`, which grants one slot per trial;
 * :mod:`~repro.service.jobs` — the :class:`Job` model (one submitted
   campaign, persisted under ``jobs/<id>/``) and the priority+quota
   :class:`JobQueue`;
@@ -16,7 +15,8 @@ Layers, bottom up:
   HTTP server's SSE endpoint;
 * :mod:`~repro.service.backend` — :class:`ServiceBackend`: admission,
   the shared fairness-gated worker pool, per-job runners, cancel /
-  drain / restart-recovery;
+  drain / restart-recovery.  It adds scheduling, never semantics: a
+  job stores the records a plain session of its spec would;
 * :mod:`~repro.service.server` — the stdlib asyncio HTTP front-end
   (``repro-ft serve``): submit specs as JSON, poll status, stream SSE
   progress, fetch merged results;
@@ -37,8 +37,7 @@ from .events import (EventLog, JOB_EVENT_KINDS, job_event)
 from .jobs import (CANCELLED, DONE, FAILED, INTERRUPTED, JOB_STATES,
                    QUEUED, RUNNING, TERMINAL_STATES, Job, JobQueue,
                    new_job_id)
-from .scheduler import (FairScheduler, ReplicateBudget, SlotPool,
-                        TenantConfig, integral_allocation,
+from .scheduler import (FairScheduler, TenantConfig, integral_allocation,
                         weighted_max_min)
 
 __all__ = [
@@ -47,6 +46,6 @@ __all__ = [
     "CANCELLED", "DONE", "FAILED", "INTERRUPTED", "JOB_STATES",
     "QUEUED", "RUNNING", "TERMINAL_STATES", "Job", "JobQueue",
     "new_job_id",
-    "FairScheduler", "ReplicateBudget", "SlotPool", "TenantConfig",
-    "integral_allocation", "weighted_max_min",
+    "FairScheduler", "TenantConfig", "integral_allocation",
+    "weighted_max_min",
 ]

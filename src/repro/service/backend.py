@@ -7,14 +7,14 @@ and the simulator:
   an admission thread that claims runnable jobs;
 * a shared :class:`concurrent.futures.ProcessPoolExecutor` of
   ``slots`` workers, gated by the
-  :class:`~repro.service.scheduler.SlotPool` so concurrent tenants
-  split the slots by weighted max-min over live demand;
+  :class:`~repro.service.scheduler.FairScheduler` so concurrent
+  tenants split the slots by weighted max-min over live demand;
 * one :class:`JobRunner` thread per running job, executing it
   trial-by-trial through a :class:`_GatedSession` — a
   :class:`~repro.campaign.api.CampaignSession` whose one dispatch loop
-  admits every trial through the slot pool, so fairness is enforced
-  at trial granularity.  A job's ``shards=N`` (N >= 1) caps it at N
-  trials in flight and N slots of declared demand;
+  admits every trial through one fair slot grant, so fairness is
+  enforced at trial granularity.  A job's ``shards=N`` (N >= 1) caps
+  it at N trials in flight and N slots of declared demand;
 * per-job cancellation (:meth:`ServiceBackend.cancel`), graceful
   drain (:meth:`ServiceBackend.drain` — stop admitting, let in-flight
   trials land, mark running jobs ``interrupted``) and restart
@@ -43,17 +43,15 @@ from typing import Dict, List, Optional
 from ..campaign import (CampaignSession, CampaignSpec, ExecutionOptions,
                         RetryingStore, aggregate, aggregate_structures,
                         merged_adaptive_summary)
-from ..campaign.adaptive import CAPPED
-from ..campaign.aggregate import trial_cell
 from ..errors import JobGoneError, ReproError, ServiceError
-from ..resilience.circuit import CircuitBreaker
-from .events import (EventLog, JOB_CANCELLED, JOB_DEGRADED, JOB_FAILED,
-                     JOB_FINISHED, JOB_INTERRUPTED, JOB_QUEUED,
-                     JOB_RESUMED, JOB_STARTED, job_event)
+from ..resilience.watchdog import TRIAL_TIMEOUT
+from ..wire import number
+from .events import (EventLog, JOB_CANCELLED, JOB_FAILED, JOB_FINISHED,
+                     JOB_INTERRUPTED, JOB_QUEUED, JOB_RESUMED,
+                     JOB_STARTED, job_event)
 from .jobs import (CANCELLED, DONE, FAILED, INTERRUPTED, Job, JobQueue,
                    QUEUED, RUNNING, new_job_id)
-from .scheduler import (FairScheduler, ReplicateBudget, SlotPool,
-                        TenantConfig)
+from .scheduler import FairScheduler, TenantConfig
 
 #: The service watches futures and event logs at this cadence, tight
 #: because SSE subscribers are watching live.
@@ -66,17 +64,16 @@ class _JobStopped(Exception):
 
 class _GatedSession(CampaignSession):
     """A session whose trials run on the backend's shared process pool,
-    each one admitted through the fair slot pool.
+    each one admitted by a fair slot grant.
 
-    Only admission is the service's own: a trial starts once it wins a
-    fair slot (plus a replicate-budget token when it is an adaptive
-    extra) and the job has fewer than its ``shards`` trials in flight,
-    its slot returns with the tenant's executed-trial credit when it
-    lands, a stop request lands the in-flight trials and then stops,
-    and an open circuit breaker sheds adaptive extras.
-    Dispatch, deadlines, resume semantics, store appends and the event
-    protocol are the parent's, which is precisely what makes service
-    results byte-identical to a plain session run.
+    Only admission is the service's own: a trial starts once
+    :meth:`FairScheduler.grant` hands the tenant a slot and the job
+    has fewer than its ``shards`` trials in flight, its slot returns
+    with the tenant's executed-trial credit when it lands, and a stop
+    request lands the in-flight trials and then stops.  Trial choice,
+    dispatch, deadlines, retries, resume semantics, store appends and
+    the event protocol are the parent's, which is precisely what makes
+    service results byte-identical to a plain session run.
     """
 
     def __init__(self, *args, runner: "JobRunner", **kwargs):
@@ -87,19 +84,12 @@ class _GatedSession(CampaignSession):
         #: job's ``shards``; 0 leaves only the fair share to bound it.
         self._max_inflight = runner.job.shards or math.inf
         self._held = 0              # slots held by in-flight trials
-        self._deferred = None       # adaptive extra awaiting a token
 
     def _open_pool(self, todo, state, total):
-        runner = self._runner
-        backend = runner.backend
-
-        def landed():
-            runner.breaker.record_success()
-            self._release(executed_trials=1)
-
+        backend = self._runner.backend
         supervisor = self._supervise(
             lambda: backend.pool, backend.reset_pool, state, total,
-            on_failure=runner.breaker.record_failure, on_success=landed)
+            on_success=lambda: self._release(executed_trials=1))
 
         def close():
             try:
@@ -123,7 +113,7 @@ class _GatedSession(CampaignSession):
 
     def _admit(self, source, inflight):
         runner = self._runner
-        backend = runner.backend
+        scheduler = runner.backend.scheduler
         while True:
             if runner.stopping:
                 if inflight:
@@ -131,76 +121,31 @@ class _GatedSession(CampaignSession):
                     # the store, so resume re-runs nothing.
                     return None
                 raise _JobStopped()
-            if self.options.adaptive and not runner.breaker.allow():
-                self._shed_extras(source)
-            pending = source.pending() + (self._deferred is not None)
-            self._declare(pending, inflight)
+            pending = source.pending()
+            self._declare(pending + inflight)
             if not pending or inflight >= self._max_inflight:
                 return None
-            if backend.slot_pool.acquire(runner.job.tenant, timeout=0):
-                trial = self._select(source)
+            if scheduler.grant(runner.job.tenant):
+                trial = source.next_trial()
                 if trial is not None:
                     self._held += 1
                     return trial
-                backend.slot_pool.release(runner.job.tenant)
+                scheduler.release(runner.job.tenant)
             if inflight:
                 return None
-            # Blocked on a slot or a replicate token.
-            time.sleep(backend.poll_interval)
+            # Blocked on a slot.
+            time.sleep(runner.backend.poll_interval)
 
-    def _declare(self, pending, inflight=0):
-        """Publish this job's slot demand (and its adaptive extras)."""
-        backend = self._runner.backend
+    def _declare(self, demand):
+        """Publish this job's slot demand, capped at its ``shards``."""
         job = self._runner.job
-        backend.slot_pool.set_demand(
-            job.tenant, job.id, min(pending + inflight,
-                                    self._max_inflight))
-        if self.options.adaptive:
-            backend.replicate_budget.set_demand(job.tenant, pending)
+        self._runner.backend.scheduler.set_demand(
+            job.tenant, job.id, min(demand, self._max_inflight))
 
     def _release(self, executed_trials=0):
         self._held -= 1
-        self._runner.backend.slot_pool.release(
+        self._runner.backend.scheduler.release(
             self._runner.job.tenant, executed_trials=executed_trials)
-
-    def _select(self, source):
-        """The next trial, or None: nothing is left, or an adaptive
-        extra replicate waits for the next epoch's budget token (it is
-        kept, not dropped — a refusal is pacing, not a cap)."""
-        trial = self._deferred if self._deferred is not None \
-            else source.next_trial()
-        self._deferred = None
-        if trial is None or not self.options.adaptive:
-            return trial
-        tracker = source.trackers.get(trial_cell(trial))
-        extra = tracker is not None \
-            and tracker.scheduled > self.options.sampling.min_replicates
-        budget = self._runner.backend.replicate_budget
-        if extra and not budget.try_take(self._runner.job.tenant):
-            self._deferred = trial
-            return None
-        return trial
-
-    def _shed_extras(self, scheduler):
-        """Close every open cell already at its seed replicates.
-
-        The breaker tripping means the infrastructure keeps failing
-        under this job; adaptive *extra* replicates are optional
-        statistical tightening, so they are shed (the cells close as
-        CAPPED — an explicit budget cut, not a convergence decision)
-        and the job finishes on what the seed replicates support.
-        """
-        shed = 0
-        for tracker in scheduler.trackers.values():
-            if tracker.closed is None and tracker.scheduled \
-                    >= self.options.sampling.min_replicates:
-                tracker.closed = CAPPED
-                shed += len(tracker.pending)
-        if shed:
-            self._runner.log.append(job_event(
-                JOB_DEGRADED, self._runner.job,
-                detail="circuit breaker open: shed %d adaptive extra "
-                       "replicate%s" % (shed, "" if shed == 1 else "s")))
 
 
 class JobRunner(threading.Thread):
@@ -215,12 +160,6 @@ class JobRunner(threading.Thread):
         self._stop_event = threading.Event()
         #: CANCELLED or INTERRUPTED once a stop was requested.
         self.stop_reason: Optional[str] = None
-        #: Per-runner circuit breaker over infrastructure failures
-        #: (pool breakage, hung trials).  OPEN => shed adaptive extra
-        #: replicates instead of risking the whole job.
-        self.breaker = CircuitBreaker(
-            failure_threshold=backend.breaker_threshold,
-            recovery_time=backend.breaker_recovery)
 
     def request_stop(self, reason: str):
         """Ask the runner to stop; cancellation wins over drain."""
@@ -294,34 +233,23 @@ class ServiceBackend:
     """The multi-tenant campaign execution service (no HTTP here —
     :mod:`repro.service.server` adds the wire)."""
 
-    def __init__(self, data_dir: str, slots: int = 2,
-                 tenants=(), replicate_budget: Optional[int] = None,
-                 replicate_epoch: float = 1.0,
+    def __init__(self, data_dir: str, slots: int = 2, tenants=(),
                  poll_interval: float = SERVICE_POLL_INTERVAL,
-                 trial_timeout: Optional[float] = None,
-                 breaker_threshold: int = 3,
-                 breaker_recovery: float = 10.0):
-        if poll_interval <= 0:
-            raise ServiceError("poll_interval must be > 0")
-        if trial_timeout is not None and trial_timeout <= 0:
-            raise ServiceError("trial_timeout must be > 0 (or None)")
+                 trial_timeout: Optional[float] = None):
+        #: Backend-wide default per-trial wall-clock deadline for
+        #: pooled jobs; a job's own ``options.trial_timeout`` wins.
+        self.trial_timeout = TRIAL_TIMEOUT.load(trial_timeout,
+                                                "trial_timeout")
+        # Runners and SSE streams sleep this long: finite and > 0.
+        self.poll_interval = number(0, above=True).load(poll_interval,
+                                                        "poll_interval")
         self.data_dir = data_dir
         os.makedirs(os.path.join(data_dir, "jobs"), exist_ok=True)
         self.slots = slots
-        self.poll_interval = poll_interval
-        #: Backend-wide default per-trial wall-clock deadline for
-        #: pooled jobs; a job's own ``options.trial_timeout`` wins.
-        self.trial_timeout = trial_timeout
-        self.breaker_threshold = breaker_threshold
-        self.breaker_recovery = breaker_recovery
         self.scheduler = FairScheduler(
             slots, [config if isinstance(config, TenantConfig)
                     else TenantConfig.from_dict(config)
                     for config in tenants])
-        self.slot_pool = SlotPool(self.scheduler)
-        self.replicate_budget = ReplicateBudget(
-            self.scheduler, budget=replicate_budget,
-            epoch=replicate_epoch)
         self.queue = JobQueue(self.scheduler)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
@@ -522,14 +450,13 @@ class ServiceBackend:
 
     def fairness_report(self) -> dict:
         """The scheduler's allocation/busy-time report plus per-tenant
-        job state counts and the replicate-budget setting."""
+        job state counts and the drain flag."""
         report = self.scheduler.report()
         for name, entry in report["tenants"].items():
             entry["jobs"] = {
                 state: count
                 for state, count in self.queue.counts(name).items()
                 if count}
-        report["replicate_budget"] = self.replicate_budget.budget
         report["draining"] = self._draining.is_set()
         return report
 

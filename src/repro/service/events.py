@@ -24,7 +24,8 @@ Job lifecycle markers (``job_queued`` / ``job_started`` /
 campaign's own ``trial_*`` / ``cell_*`` / ``campaign_finished``
 events; they carry ``job``, ``tenant`` and ``state`` fields instead
 of trial progress.  Logs are read back as plain dicts, so logs that
-older versions wrote (with ``shard_*`` events) still read.
+older versions wrote (with ``shard_*`` or ``job_degraded`` events)
+still read.
 """
 
 from __future__ import annotations
@@ -45,25 +46,18 @@ JOB_FINISHED = "job_finished"
 JOB_FAILED = "job_failed"
 JOB_CANCELLED = "job_cancelled"
 JOB_INTERRUPTED = "job_interrupted"
-#: The runner's circuit breaker shed optional work (adaptive extra
-#: replicates) to finish the job on its seed replicates instead of
-#: failing it — an explicit degradation, not a convergence decision.
-JOB_DEGRADED = "job_degraded"
 
 JOB_EVENT_KINDS = (JOB_QUEUED, JOB_STARTED, JOB_RESUMED, JOB_FINISHED,
-                   JOB_FAILED, JOB_CANCELLED, JOB_INTERRUPTED,
-                   JOB_DEGRADED)
+                   JOB_FAILED, JOB_CANCELLED, JOB_INTERRUPTED)
 
 
-def job_event(kind: str, job, detail: Optional[str] = None) -> dict:
+def job_event(kind: str, job) -> dict:
     """A lifecycle event payload for ``job`` (a :class:`~repro.
     service.jobs.Job`)."""
     data = {"kind": kind, "job": job.id, "tenant": job.tenant,
             "state": job.state, "done": job.done, "total": job.total}
     if job.error:
         data["error"] = job.error
-    if detail:
-        data["detail"] = detail
     return data
 
 

@@ -1,16 +1,11 @@
-"""HARE-style fair allocation of the service's shared resources.
+"""HARE-style fair allocation of the service's worker slots.
 
-The campaign service has two resources every tenant competes for:
-
-* **worker slots** — the backend's execution slots, one process-pool
-  worker per running trial; and
-* **adaptive replicate budget** — the per-epoch number of *extra*
-  replicates (beyond a plan's ``min_replicates`` seed) that adaptive
-  jobs may spend refining their confidence intervals.
-
-Both are apportioned by the same rule, **weighted max-min over
-declared demand** (:func:`weighted_max_min`), the classic water-
-filling allocation.  The guarantee, precisely:
+Every tenant competes for one resource: the backend's execution
+slots, one process-pool worker per running trial.  An adaptive job's
+extra replicates are ordinary trials and take slots like any other.
+Slots are apportioned by **weighted max-min over declared demand**
+(:func:`weighted_max_min`), the classic water-filling allocation.
+The guarantee, precisely:
 
     every tenant ``i`` receives ``a_i = min(d_i, w_i * theta)`` for a
     single water level ``theta``, where ``d_i`` is the tenant's
@@ -25,14 +20,14 @@ filling allocation.  The guarantee, precisely:
 
 :func:`integral_allocation` rounds the water-filling result to whole
 slots by largest remainder (weight, then tenant order break ties), so
-the slot pool can grant indivisible workers while staying within one
+the scheduler can grant indivisible workers while staying within one
 slot of the fractional ideal.
 
 :class:`FairScheduler` wraps the allocator with live tenant state —
 weights, quotas, per-(tenant, consumer) demands, in-flight grants and
 the busy-time integrals the fairness report is built from — and is
-the single decision point the :class:`SlotPool` consults whenever a
-slot frees up.
+the single decision point: a job runner calls :meth:`FairScheduler.
+grant` once per trial it wants to start.
 """
 
 from __future__ import annotations
@@ -175,7 +170,8 @@ class FairScheduler:
     tenant, computes the integral weighted max-min allocation over the
     slot capacity, and :meth:`grant` hands a slot to the caller's
     tenant only while the tenant is under its allocation.  All methods
-    are thread-safe; :class:`SlotPool` adds the blocking layer.
+    are thread-safe and none blocks: a caller refused a slot asks
+    again later.
     """
 
     def __init__(self, slots: int,
@@ -337,110 +333,3 @@ class FairScheduler:
                     "demand_seconds": round(state.demand_seconds, 6),
                 }
             return {"slots": self.slots, "tenants": tenants}
-
-
-class SlotPool:
-    """Blocking facade over :class:`FairScheduler` grants.
-
-    Runners acquire slots (optionally waiting), execute one unit of
-    work per slot and release.  Condition-variable wakeups happen on
-    every release and demand change, so a freed slot is re-granted to
-    whichever waiting tenant the scheduler now favours.
-    """
-
-    def __init__(self, scheduler: FairScheduler):
-        self.scheduler = scheduler
-        self._condition = threading.Condition()
-
-    def set_demand(self, tenant: str, consumer: str, demand: int):
-        self.scheduler.set_demand(tenant, consumer, demand)
-        with self._condition:
-            self._condition.notify_all()
-
-    def acquire(self, tenant: str,
-                timeout: Optional[float] = None) -> bool:
-        """Take a slot for ``tenant``; False on timeout (a timeout of
-        0 is a non-blocking attempt)."""
-        deadline = None if timeout is None \
-            else time.monotonic() + timeout
-        with self._condition:
-            while True:
-                if self.scheduler.grant(tenant):
-                    return True
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                    self._condition.wait(remaining)
-                else:
-                    self._condition.wait()
-
-    def release(self, tenant: str, executed_trials: int = 0):
-        self.scheduler.release(tenant, executed_trials=executed_trials)
-        with self._condition:
-            self._condition.notify_all()
-
-
-class ReplicateBudget:
-    """Per-epoch pacing of adaptive *extra* replicates across tenants.
-
-    MEEK's framing: error-detection capacity is a shared resource.
-    Here the capacity is ``budget`` extra replicates per ``epoch``
-    seconds; tenants running adaptive jobs declare how many extras
-    they could spend (:meth:`set_demand`) and :meth:`try_take` lets a
-    trial proceed only while the tenant is within its weighted
-    max-min share of the epoch's budget.  A refusal is pacing, not a
-    cap — the trial waits for the next epoch, so the final record set
-    is unchanged.  ``budget=None`` disables pacing entirely.
-    """
-
-    def __init__(self, scheduler: FairScheduler,
-                 budget: Optional[int] = None, epoch: float = 1.0,
-                 clock=time.monotonic):
-        if budget is not None and (
-                not isinstance(budget, int) or isinstance(budget, bool)
-                or budget < 1):
-            raise ConfigError("replicate budget must be an integer "
-                              ">= 1 or None, got %r" % (budget,))
-        if epoch <= 0:
-            raise ConfigError("epoch must be > 0")
-        self.scheduler = scheduler
-        self.budget = budget
-        self.epoch = epoch
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._epoch_start = clock()
-        self._taken: Dict[str, int] = {}
-        self._demands: Dict[str, int] = {}
-
-    def set_demand(self, tenant: str, demand: int):
-        with self._lock:
-            if demand <= 0:
-                self._demands.pop(tenant, None)
-            else:
-                self._demands[tenant] = demand
-
-    def _roll_epoch_locked(self, now: float):
-        if now - self._epoch_start >= self.epoch:
-            self._epoch_start = now
-            self._taken.clear()
-
-    def try_take(self, tenant: str) -> bool:
-        """Spend one extra-replicate token; always True when unpaced."""
-        if self.budget is None:
-            return True
-        with self._lock:
-            self._roll_epoch_locked(self._clock())
-            names = sorted(set(self._demands) | {tenant})
-            demands = [max(self._demands.get(name, 0),
-                           self._taken.get(name, 0)
-                           + (1 if name == tenant else 0))
-                       for name in names]
-            weights = [self.scheduler.tenant(name).weight
-                       for name in names]
-            allocation = dict(zip(names, integral_allocation(
-                self.budget, demands, weights)))
-            if self._taken.get(tenant, 0) >= allocation.get(tenant, 0):
-                return False
-            self._taken[tenant] = self._taken.get(tenant, 0) + 1
-            return True

@@ -105,13 +105,10 @@ class CampaignServer:
     """One listening socket over one :class:`ServiceBackend`."""
 
     def __init__(self, backend: ServiceBackend,
-                 host: str = "127.0.0.1", port: int = 0,
-                 poll_interval: Optional[float] = None):
+                 host: str = "127.0.0.1", port: int = 0):
         self.backend = backend
         self.host = host
         self.port = port
-        self.poll_interval = poll_interval \
-            if poll_interval is not None else backend.poll_interval
         self._server: Optional[asyncio.AbstractServer] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -294,7 +291,8 @@ class CampaignServer:
     def _submit(self, writer, body):
         try:
             payload = json.loads(body.decode() or "{}")
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
+            # RecursionError: a body nested past the parser's limit.
             raise _HttpError(400, "request body is not JSON: %s" % exc)
         if not isinstance(payload, dict):
             raise _HttpError(400, "request body must be a JSON object")
@@ -345,7 +343,7 @@ class CampaignServer:
                 break
             if terminal and not events:
                 break
-            await asyncio.sleep(self.poll_interval)
+            await asyncio.sleep(self.backend.poll_interval)
         events, offset = self.backend.read_events(job_id, last, offset)
         for seq, event in events:
             self._write_frame(writer, seq, event)
@@ -365,7 +363,6 @@ async def _serve(args) -> int:
     tenants = [parse_tenant_arg(text) for text in args.tenant or ()]
     backend = ServiceBackend(
         args.data_dir, slots=args.slots, tenants=tenants,
-        replicate_budget=args.replicate_budget,
         poll_interval=args.poll_interval
         if args.poll_interval is not None else SERVICE_POLL_INTERVAL,
         trial_timeout=getattr(args, "trial_timeout", None))

@@ -24,8 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.service.scheduler import (FairScheduler, ReplicateBudget,
-                                     SlotPool, TenantConfig,
+from repro.service.scheduler import (FairScheduler, TenantConfig,
                                      integral_allocation,
                                      weighted_max_min)
 
@@ -237,44 +236,36 @@ class TestFairScheduler:
 
 
 class TestSlotPool:
-    def test_nonblocking_acquire_and_release(self):
-        pool = SlotPool(FairScheduler(1))
-        pool.set_demand("alice", "j1", 1)
-        assert pool.acquire("alice", timeout=0) is True
-        assert pool.acquire("alice", timeout=0) is False
-        pool.release("alice")
-        assert pool.acquire("alice", timeout=0) is True
-
-    def test_timeout_expires(self):
-        pool = SlotPool(FairScheduler(1))
-        pool.set_demand("alice", "j1", 2)
-        assert pool.acquire("alice", timeout=0)
-        assert pool.acquire("alice", timeout=0.05) is False
+    """The scheduler's worker slots, taken and returned by threads."""
 
     def test_single_grants_under_contention(self):
-        """More threads than cores acquire and release one slot at a
-        time under mixed demands: the held slots never exceed the
-        pool, and every thread finishes."""
-        pool = SlotPool(FairScheduler(3))
+        """More threads than cores take and return one slot at a time
+        under mixed demands, each spinning on :meth:`FairScheduler.
+        grant` while refused: the held slots never exceed the pool, and
+        every thread finishes."""
+        scheduler = FairScheduler(3)
         held = {"now": 0, "peak": 0}
         lock = threading.Lock()
         failures = []
 
         def worker(index):
             tenant = "t%d" % (index % 3)
-            pool.set_demand(tenant, "c%d" % index, 1 + index % 2)
+            scheduler.set_demand(tenant, "c%d" % index, 1 + index % 2)
             for _ in range(40):
-                if not pool.acquire(tenant, timeout=20.0):
-                    failures.append(index)
-                    return
+                deadline = time.monotonic() + 20.0
+                while not scheduler.grant(tenant):
+                    if time.monotonic() > deadline:
+                        failures.append(index)
+                        return
+                    time.sleep(0)
                 with lock:
                     held["now"] += 1
                     held["peak"] = max(held["peak"], held["now"])
                 time.sleep(0)       # hold the slot across a switch
                 with lock:
                     held["now"] -= 1
-                pool.release(tenant)
-            pool.set_demand(tenant, "c%d" % index, 0)
+                scheduler.release(tenant)
+            scheduler.set_demand(tenant, "c%d" % index, 0)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -291,49 +282,4 @@ class TestSlotPool:
         assert failures == []
         assert held["peak"] <= 3
         assert all(entry["in_flight"] == 0 for entry in
-                   pool.scheduler.report()["tenants"].values())
-
-
-class TestReplicateBudget:
-    def test_unpaced_budget_always_grants(self):
-        budget = ReplicateBudget(FairScheduler(2))
-        assert all(budget.try_take("alice") for _ in range(100))
-
-    def test_epoch_budget_splits_by_weight(self):
-        clock = {"now": 0.0}
-        scheduler = FairScheduler(
-            2, [TenantConfig("alice", weight=2.0),
-                TenantConfig("bob", weight=1.0)])
-        budget = ReplicateBudget(scheduler, budget=3, epoch=1.0,
-                                 clock=lambda: clock["now"])
-        budget.set_demand("alice", 10)
-        budget.set_demand("bob", 10)
-        grants = {"alice": 0, "bob": 0}
-        for _ in range(10):
-            for tenant in grants:
-                if budget.try_take(tenant):
-                    grants[tenant] += 1
-        assert grants == {"alice": 2, "bob": 1}
-        # The next epoch refills the shares.
-        clock["now"] = 1.5
-        assert budget.try_take("alice")
-
-    def test_refusal_is_pacing_not_capping(self):
-        clock = {"now": 0.0}
-        budget = ReplicateBudget(FairScheduler(2), budget=1,
-                                 epoch=1.0,
-                                 clock=lambda: clock["now"])
-        budget.set_demand("alice", 5)
-        taken = 0
-        for epoch in range(5):
-            clock["now"] = float(epoch)
-            if budget.try_take("alice"):
-                taken += 1
-            assert budget.try_take("alice") is False
-        assert taken == 5       # every epoch pays out; nothing is lost
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ReplicateBudget(FairScheduler(1), budget=0)
-        with pytest.raises(ConfigError):
-            ReplicateBudget(FairScheduler(1), epoch=0.0)
+                   scheduler.report()["tenants"].values())

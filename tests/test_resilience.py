@@ -1,13 +1,14 @@
-"""The resilience layer: retry/backoff, circuit breaking, the retrying
-store decorator, and the pool supervisor.
+"""The resilience layer: retry/backoff, the retrying store decorator,
+and the pool supervisor.
 
-The primitives are tested with fake clocks (no wall-clock sleeps); the
+The primitives are tested with fake sleeps (no wall-clock waits); the
 :class:`PoolSupervisor` tests run a real ``ProcessPoolExecutor`` and
 really kill/hang its workers, because the recovery path under test is
 exactly the interaction with a broken pool.
 """
 
 import json
+import math
 import os
 import signal
 import statistics
@@ -17,20 +18,8 @@ import pytest
 
 from repro.campaign.store import JSONLStore, RetryingStore
 from repro.errors import ConfigError, ResilienceError, TrialHangError
-from repro.resilience import (CLOSED, HALF_OPEN, OPEN, CircuitBreaker,
-                              RetryPolicy)
+from repro.resilience import RetryPolicy
 from repro.resilience.watchdog import PoolSupervisor
-
-
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, delta):
-        self.now += delta
 
 
 # -- RetryPolicy -------------------------------------------------------------
@@ -96,53 +85,6 @@ class TestRetryPolicy:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             RetryPolicy(**kwargs)
-
-
-# -- CircuitBreaker ----------------------------------------------------------
-
-class TestCircuitBreaker:
-    def test_trips_open_after_threshold_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=2,
-                                 recovery_time=10.0, clock=clock)
-        assert breaker.state == CLOSED
-        breaker.record_failure()
-        assert breaker.state == CLOSED
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert not breaker.allow()
-
-    def test_half_open_probe_success_closes(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1,
-                                 recovery_time=5.0, clock=clock)
-        breaker.record_failure()
-        clock.advance(5.1)
-        assert breaker.state == HALF_OPEN
-        assert breaker.allow()          # the single probe
-        assert not breaker.allow()      # concurrent calls held back
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        assert breaker.allow()
-
-    def test_half_open_probe_failure_reopens(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1,
-                                 recovery_time=5.0, clock=clock)
-        breaker.record_failure()
-        clock.advance(5.1)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert breaker.trips == 2
-
-    def test_success_resets_the_failure_count(self):
-        breaker = CircuitBreaker(failure_threshold=2,
-                                 recovery_time=1.0, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == CLOSED
 
 
 # -- RetryingStore -----------------------------------------------------------
@@ -316,6 +258,25 @@ class TestPoolSupervisor:
 
     def test_trial_hang_error_is_a_resilience_error(self):
         assert issubclass(TrialHangError, ResilienceError)
+
+
+@pytest.mark.parametrize("timeout", [math.nan, math.inf, -math.inf, 0, -1])
+def test_trial_timeout_is_finite_and_positive_everywhere(tmp_path,
+                                                         timeout):
+    """One rule for the per-trial deadline: the supervisor, the
+    service's backend-wide default and ``ExecutionOptions`` all refuse
+    one that is not finite and > 0.  A NaN deadline never expires, so
+    it would silently turn off the only hang detector."""
+    from repro.campaign import ExecutionOptions
+    from repro.service import ServiceBackend
+    holder = SupervisedPool()
+    for build in (
+            lambda: PoolSupervisor(holder.get, holder.reset,
+                                   trial_timeout=timeout),
+            lambda: ServiceBackend(str(tmp_path), trial_timeout=timeout),
+            lambda: ExecutionOptions(trial_timeout=timeout)):
+        with pytest.raises(ConfigError, match="trial_timeout"):
+            build()
 
 
 class TestSessionTrialDeadline:

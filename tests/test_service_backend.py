@@ -9,17 +9,17 @@ leave stores that a resumed run completes to the identical record set.
 """
 
 import json
+import math
 import os
 import time
-from collections import Counter
 
 import pytest
 
 from repro.campaign import (CampaignSession, CampaignSpec,
                             ExecutionOptions, SamplingPlan, aggregate)
-from repro.campaign.aggregate import trial_cell
-from repro.errors import JobGoneError, QuotaError, ServiceError
-from repro.resilience.circuit import CircuitBreaker
+from repro.errors import (ConfigError, JobGoneError, QuotaError,
+                          ServiceError)
+from repro.resilience.chaos import KILL, ChaosOp, ChaosSchedule, _Injector
 from repro.service import (CANCELLED, DONE, INTERRUPTED, QUEUED,
                            RUNNING, ServiceBackend, TenantConfig)
 from repro.service.backend import JobRunner
@@ -195,50 +195,51 @@ class TestExecution:
                 == json.dumps(plain.records, sort_keys=True)
 
 
-class TestAdaptiveGating:
-    def test_open_breaker_sheds_extras_and_degrades(self, backend,
-                                                     monkeypatch):
-        monkeypatch.setattr(CircuitBreaker, "allow", lambda self: False)
+class TestPoolFailure:
+    def test_adaptive_job_through_a_killed_worker_stores_plain_records(
+            self, tmp_path):
+        """An adaptive job whose pool worker is SIGKILLed while trials
+        are in flight resubmits the casualties and stores a plain
+        session's records.  No cell can reach the target, so every
+        replicate runs, kill or no kill."""
+        backend = ServiceBackend(str(tmp_path), slots=2,
+                                 trial_timeout=30.0)
+        # Fires as soon as a trial holds a slot on a live pool worker.
+        schedule = ChaosSchedule([ChaosOp(at=0.0, kind=KILL)])
+        injector = _Injector(backend, schedule, seed=0)
+        job_spec = spec(name="killed", replicates=6, instructions=3000)
         options = ExecutionOptions(sampling=SamplingPlan.wilson(
             0.01, min_replicates=2))
-        job_spec = spec(name="shed", replicates=6)
-        job = backend.submit("alice", job_spec, options=options)
-        assert wait_terminal(backend, job.id).state == DONE
-        kinds = [event["kind"]
-                 for _seq, event in backend.read_events(job.id)[0]]
-        assert "job_degraded" in kinds
-        records = records_of(backend, job.id)
-        per_cell = Counter(trial_cell(record["trial"])
-                           for record in records)
-        assert len(per_cell) == 2
-        assert min(per_cell.values()) >= 2
-        assert len(records) < job_spec.grid_size
-
-    def test_replicate_budget_defers_extras_without_dropping_them(
-            self, tmp_path):
-        """One extra replicate per epoch paces the job; an unreachable
-        target runs every replicate, so the records are the fixed
-        plan's whatever the pacing."""
-        backend = ServiceBackend(str(tmp_path / "paced"), slots=2,
-                                 replicate_budget=1,
-                                 replicate_epoch=0.2)
         try:
-            options = ExecutionOptions(sampling=SamplingPlan.wilson(
-                0.01, min_replicates=2))
-            job = backend.submit("alice", spec(name="paced",
-                                               replicates=5),
-                                 options=options)
+            job = backend.submit("alice", job_spec, options=options)
+            injector.start()
             assert wait_terminal(backend, job.id).state == DONE
-            plain = CampaignSession(spec(name="paced",
-                                         replicates=5)).run()
+            injector.finish()
+            assert schedule.all_applied()
+            kinds = [event["kind"]
+                     for _seq, event in backend.read_events(job.id)[0]]
+            # The kill cost resubmissions, each one more trial_started.
+            assert kinds.count("trial_started") > job_spec.grid_size
+            assert "job_degraded" not in kinds
+            plain = CampaignSession(job_spec).run()
             assert json.dumps(records_of(backend, job.id),
                               sort_keys=True) \
                 == json.dumps(plain.records, sort_keys=True)
         finally:
+            injector.finish()
             backend.close(drain_timeout=10.0)
 
 
 class TestAdmission:
+    @pytest.mark.parametrize("interval", [math.nan, math.inf, 0, -1])
+    def test_poll_interval_is_finite_and_positive(self, tmp_path,
+                                                  interval):
+        """Runners sleep ``poll_interval`` while refused a slot, and
+        ``time.sleep`` raises on NaN and infinity, which failed every
+        job that had to wait."""
+        with pytest.raises(ConfigError, match="poll_interval"):
+            ServiceBackend(str(tmp_path), poll_interval=interval)
+
     def test_submit_validates_tenant_and_spec(self, backend):
         with pytest.raises(ServiceError, match="tenant"):
             backend.submit("", spec())

@@ -11,6 +11,7 @@ identical to an uninterrupted in-process run — the restart-resume
 promise, proven under the least graceful failure there is.
 """
 
+import http.client
 import json
 import os
 import signal
@@ -228,6 +229,10 @@ HOSTILE_BODIES = {
     "nan-trial-timeout": {"spec": spec_dict(),
                           "options": {"trial_timeout": float("nan")}},
     "list-name": {"spec": dict(spec_dict(), name=["served"])},
+    # Work bounds: either would hold its tenant's slots for ever.
+    "huge-replicates": {"spec": dict(spec_dict(), replicates=2 ** 70)},
+    "huge-instructions": {"spec": dict(spec_dict(),
+                                       instructions=10 ** 12)},
 }
 
 
@@ -237,6 +242,23 @@ def test_hostile_submit_body_is_a_400(server, name):
     status, payload = server.client._request("POST", "/api/jobs", body)
     assert status == 400, payload
     assert server.client.health()["status"] == "ok"
+
+
+def test_deeply_nested_submit_body_is_a_400(server):
+    """Nested past the JSON parser's recursion limit.  Sent as raw
+    bytes: the client would encode a dict first."""
+    client = server.client
+    connection = http.client.HTTPConnection(client.host, client.port,
+                                            timeout=30.0)
+    try:
+        connection.request("POST", "/api/jobs", body=b"[" * 100_000,
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        payload = json.loads(response.read())
+    finally:
+        connection.close()
+    assert response.status == 400, payload
+    assert client.health()["status"] == "ok"
 
 
 @pytest.mark.parametrize("name,value", [
