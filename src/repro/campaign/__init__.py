@@ -5,21 +5,18 @@ statistically aggregated injection campaigns:
 
 * :mod:`~repro.campaign.spec` — declarative grid of (workload x model x
   machine-override x fault rate x kind mix x replicate), expanded into
-  content-keyed trials; ``spec.shard(i, n)`` partitions the keyspace
-  deterministically for multi-host runs;
+  content-keyed trials;
 * :mod:`~repro.campaign.api` — the :class:`CampaignSession` facade:
-  spec + :class:`ExecutionOptions` + store backend + typed
+  spec + :class:`ExecutionOptions` + result store + typed
   :class:`CampaignEvent` stream, with ``run`` / ``resume`` /
   ``progress`` / ``aggregate``;
 * :mod:`~repro.campaign.outcome` — per-trial golden-reference
   classification (masked / detected_recovered / sdc / timeout);
 * :mod:`~repro.campaign.golden` — memoized, seekable golden traces and
   store-footprint state comparison shared by all trials of a cell;
-* :mod:`~repro.campaign.store` — pluggable result stores behind
-  :class:`StoreBackend`: single-file JSONL, indexed SQLite and sharded
-  JSONL, selected by URL-style path (``out.jsonl`` /
-  ``sqlite:campaign.db`` / ``shard:dir/``), mergeable via
-  :func:`merge_stores`, compactable via ``StoreBackend.compact``;
+* :mod:`~repro.campaign.store` — the result store,
+  :class:`JSONLStore`: one fsynced line per trial record, torn tails
+  skipped, compactable via ``JSONLStore.compact``;
 * :mod:`~repro.campaign.aggregate` — per-cell coverage / SDC-rate / IPC
   statistics with Wilson confidence intervals;
 * :mod:`~repro.campaign.adaptive` — :class:`SamplingPlan` adaptive
@@ -27,10 +24,10 @@ statistically aggregated injection campaigns:
   spend the freed replicate budget on the widest open interval
   (``ExecutionOptions(sampling=SamplingPlan.wilson(0.05))``).
 
-A multi-host campaign runs ``repro-ft campaign --shard i/N --store …``
-on each host, merges the shard stores with :func:`merge_stores`, and
-aggregates the merged store through ``CampaignSession(spec,
-store=merged).aggregate()``.
+A trial's key depends only on the trial (and the spec's name and
+seed), so a grid split by an axis (one ``--workloads`` value per host,
+same ``--name`` and ``--seed``) runs the full grid's trials, and each
+host's store aggregates to final cells.
 
 Quickstart::
 
@@ -41,7 +38,7 @@ Quickstart::
                         instructions=2_000)
     session = CampaignSession(spec,
                               options=ExecutionOptions(workers=4),
-                              store="sqlite:campaign.db")
+                              store="campaign.jsonl")
     session.run()                        # or .resume() after a kill
     for cell in session.aggregate():
         print(cell.workload, cell.model, cell.rate_per_million,
@@ -64,10 +61,8 @@ from .golden import (GoldenTrace, cached_trace, clear_trace_cache,
 from .outcome import (DETECTED_RECOVERED, MASKED, OUTCOMES, SDC,
                       TIMEOUT, TrialResult, clear_result_caches,
                       run_trial)
-from .spec import CampaignShard, CampaignSpec, Trial
-from .store import (JSONLStore, RetryingStore, ShardedJSONLStore,
-                    SQLiteStore, StoreBackend, merge_stores, open_store,
-                    shard_of_key)
+from .spec import CampaignSpec, Trial
+from .store import JSONLStore, RetryingStore, open_store
 
 __all__ = [
     "AdaptiveScheduler", "AdaptiveSummary", "SamplingPlan",
@@ -82,7 +77,6 @@ __all__ = [
     "compare_with_golden",
     "DETECTED_RECOVERED", "MASKED", "OUTCOMES", "SDC", "TIMEOUT",
     "TrialResult", "clear_result_caches", "run_trial",
-    "CampaignShard", "CampaignSpec", "Trial",
-    "JSONLStore", "RetryingStore", "ShardedJSONLStore", "SQLiteStore",
-    "StoreBackend", "merge_stores", "open_store", "shard_of_key",
+    "CampaignSpec", "Trial",
+    "JSONLStore", "RetryingStore", "open_store",
 ]

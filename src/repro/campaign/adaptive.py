@@ -25,10 +25,7 @@ content-hash keys and content-derived seeds, so
   the fixed plan's (an unreachable target degenerates to the fixed
   plan exactly);
 * ``--resume`` works mid-adaptation — records already in the store
-  count toward their cell's interval and are never re-run;
-* shard views adapt per shard (each shard judges convergence on its
-  own slice of a cell's replicates — a conservative split, since every
-  shard must individually reach the target).
+  count toward their cell's interval and are never re-run.
 
 Metrics mirror :mod:`~repro.campaign.aggregate` exactly:
 ``sdc_rate`` is SDC outcomes over all finished trials of the cell;

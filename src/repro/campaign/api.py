@@ -1,15 +1,14 @@
 """Campaign API v2: the :class:`CampaignSession` facade.
 
-A session owns everything one campaign run needs — the spec (or a
-:meth:`~repro.campaign.spec.CampaignSpec.shard` of one), an
+A session owns everything one campaign run needs — the spec, an
 :class:`ExecutionOptions` bundle (how trials run: pool width, cycle
 budget, sampling plan and per-trial deadline and retries), a
-:class:`~repro.campaign.store.StoreBackend`, and a typed
+:class:`~repro.campaign.store.JSONLStore`, and a typed
 :class:`CampaignEvent` stream — and exposes the four verbs of the
 campaign lifecycle::
 
     session = CampaignSession(spec, options=ExecutionOptions(workers=4),
-                              store="sqlite:campaign.db")
+                              store="campaign.jsonl")
     session.subscribe(lambda e: print(e.kind, e.done, e.total))
     result = session.run()          # or session.resume()
     print(session.progress())
@@ -26,8 +25,8 @@ receiving the frozen event object.
 The engine guarantees of PR 1 are unchanged: parallelism is purely a
 wall-clock optimisation (per-trial seeds derive from trial keys, never
 from scheduling order), records are re-ordered into spec-expansion
-order before aggregation, and any store backend makes a killed
-campaign resumable from its completed keys.
+order before aggregation, and the store makes a killed campaign
+resumable from its completed keys.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ from ..wire import (Wire, integer, items, mapping, nested, optional,
 from .adaptive import AdaptiveScheduler, AdaptiveSummary, SamplingPlan
 from .aggregate import aggregate, aggregate_structures, trial_cell
 from .outcome import run_trial
-from .spec import CampaignShard, CampaignSpec, Trial
-from .store import StoreBackend, open_store
+from .spec import CampaignSpec, Trial
+from .store import open_store
 from ..resilience.watchdog import TRIAL_TIMEOUT, PoolSupervisor
 
 # -- events ----------------------------------------------------------------
@@ -218,19 +217,17 @@ _cell_of = trial_cell
 class CampaignSession:
     """Stateful facade over one campaign: spec + options + store + events.
 
-    ``spec`` may be a :class:`~repro.campaign.spec.CampaignSpec` or a
-    :class:`~repro.campaign.spec.CampaignShard`; ``store`` a
-    :class:`~repro.campaign.store.StoreBackend` instance or a URL-style
-    path (``out.jsonl`` / ``sqlite:campaign.db`` / ``shard:dir/`` —
-    see :func:`~repro.campaign.store.open_store`).
+    ``spec`` is a :class:`~repro.campaign.spec.CampaignSpec`;
+    ``store`` a :class:`~repro.campaign.store.JSONLStore` (or a
+    :class:`~repro.campaign.store.RetryingStore` around one) or a path
+    to one (see :func:`~repro.campaign.store.open_store`).
 
     :meth:`run` executes every trial into an empty (or absent) store;
     :meth:`resume` skips trials whose keys the store already holds.
     Either way :attr:`result` ends up with one record per trial in
     spec-expansion order, and :meth:`aggregate` reduces them to
     per-cell statistics.  A session whose store was filled by previous
-    runs (or by :func:`~repro.campaign.store.merge_stores` over shard
-    stores) can call :meth:`aggregate` without running at all.
+    runs can call :meth:`aggregate` without running at all.
     """
 
     def __init__(self, spec, options: Optional[ExecutionOptions] = None,
@@ -239,7 +236,7 @@ class CampaignSession:
         self.options = options if options is not None \
             else ExecutionOptions()
         self.spec = self._stamp_max_cycles(spec, self.options.max_cycles)
-        self.store: Optional[StoreBackend] = open_store(store)
+        self.store = open_store(store)
         self._listeners: List[CampaignListener] = list(listeners)
         self.result: Optional[CampaignResult] = None
 
@@ -255,13 +252,6 @@ class CampaignSession:
                 "options.max_cycles=%d contradicts the spec's "
                 "max_cycles=%d (max_cycles is part of every trial key; "
                 "change the spec instead)" % (max_cycles, current))
-        # isinstance, not duck typing: a CampaignShard delegates every
-        # spec attribute (including `shard`), so only the concrete type
-        # says which replace() is legal.
-        if isinstance(spec, CampaignShard):
-            # Re-stamp the underlying spec, keep the shard view.
-            return replace(spec.spec, max_cycles=max_cycles).shard(
-                spec.index, spec.total)
         if isinstance(spec, CampaignSpec):
             return replace(spec, max_cycles=max_cycles)
         raise ConfigError(
@@ -313,10 +303,9 @@ class CampaignSession:
         """This campaign's records, in spec-expansion order.
 
         From :attr:`result` after a run; otherwise loaded from the
-        store (e.g. an earlier run's file, or shard stores merged via
-        :func:`~repro.campaign.store.merge_stores`) and re-ordered —
-        which is what makes merged-shard aggregation byte-identical to
-        a single-host run.
+        store (e.g. an earlier run's file) and re-ordered, so the
+        aggregate of a stored campaign is byte-identical to that of
+        the run that wrote it.
         """
         if self.result is not None:
             return self.result.records

@@ -11,9 +11,10 @@ content hash of everything that defines the trial, so
   position it happens to run at (workers=1 and workers=N agree);
 * a persisted result can be matched back to its trial after a crash,
   which is what makes campaigns resumable;
-* :meth:`CampaignSpec.shard` can partition the keyspace across hosts
-  (shard membership is a pure function of the key), and the merged
-  shard stores aggregate identically to a single-host run.
+* a trial's key depends only on the trial, never on the rest of the
+  grid: a spec narrowed to one value of an axis (one workload, say,
+  with the same name and seed) expands to exactly the full grid's
+  trials at that value, so hosts can split a grid by axis.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from ..models.presets import derive_model, get_model
 from ..wire import (Wire, integer, items, mapping, naming, number,
                     optional, pair, registered, scalar, text, wire)
 from ..workloads.profiles import get_profile
-from .store import shard_of_key
 
 #: Spec-hash prefix length; 16 hex chars = 64 bits, collision-safe for
 #: any campaign size this engine will see.
@@ -337,29 +337,6 @@ class CampaignSpec(Wire):
                      machine_overrides=machine_pairs,
                      sites=sites_name, site_config=site_config)
 
-    # -- sharding ----------------------------------------------------------
-
-    def shard(self, index: int, total: int) -> "CampaignShard":
-        """Deterministic partition ``index`` of ``total`` over the grid.
-
-        Shard membership is ``int(trial.key, 16) % total == index`` — a
-        pure function of the trial's content hash — so N hosts each
-        running one shard cover the grid exactly once, and the merged
-        result stores aggregate byte-identically to a single-host run.
-        Bounds are validated eagerly: a bad index must fail loudly, not
-        expand to a silently empty grid.
-        """
-        for label, value in (("index", index), ("total", total)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError("shard %s must be an integer, got %r"
-                                  % (label, value))
-        if total < 1:
-            raise ConfigError("shard total must be >= 1, got %d" % total)
-        if not 0 <= index < total:
-            raise ConfigError(
-                "shard index must be in [0, %d), got %d" % (total, index))
-        return CampaignShard(spec=self, index=index, total=total)
-
     # -- serialisation -----------------------------------------------------
 
     @classmethod
@@ -383,43 +360,3 @@ class CampaignSpec(Wire):
     def from_json_file(cls, path: str) -> "CampaignSpec":
         with open(path) as handle:
             return cls.from_dict(json.load(handle))
-
-
-@dataclass(frozen=True)
-class CampaignShard:
-    """One deterministic partition of a spec's trial keyspace.
-
-    Quacks like its spec everywhere the engine and reports need it
-    (``trials``, ``grid_size``, ``name``, attribute passthrough), so a
-    :class:`~repro.campaign.api.CampaignSession` can run a shard
-    exactly as it runs a full spec.
-    """
-
-    spec: CampaignSpec
-    index: int
-    total: int
-
-    def trials(self) -> Iterator[Trial]:
-        for trial in self.spec.trials():
-            # Same partition function the sharded store uses to fan out
-            # records — the two must never drift apart.
-            if shard_of_key(trial.key, self.total) == self.index:
-                yield trial
-
-    @property
-    def grid_size(self) -> int:
-        return sum(1 for _ in self.trials())
-
-    @property
-    def name(self) -> str:
-        return "%s[shard %d/%d]" % (self.spec.name, self.index,
-                                    self.total)
-
-    def __getattr__(self, attr):
-        # Delegate spec attributes (workloads, replicates, ...) so shard
-        # views drop into every spec-shaped API.  Dunder lookups (and
-        # 'spec' itself, absent mid-unpickle) must fail normally or
-        # copy/pickle protocols break.
-        if attr.startswith("__") or attr == "spec":
-            raise AttributeError(attr)
-        return getattr(self.spec, attr)

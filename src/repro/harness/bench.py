@@ -53,6 +53,7 @@ from ..perf.history import (SCHEMA_VERSION, BenchHistory,
 from ..program.cache import cached_workload
 from ..uarch.processor import Processor
 from ..uarch.reference import ReferenceProcessor
+from .experiment import FIGURE6_RATES, STORM_RATE
 
 #: v2 made the written file an append-per-PR history (top level = the
 #: latest entry, prior entries under ``history``); v3 adds per-repeat
@@ -71,10 +72,10 @@ ENGINE_WORKLOADS = ("gcc", "go", "fpppp", "ammp")
 ENGINE_MODELS = ("SS-1", "SS-2")
 ENGINE_INSTRUCTIONS = 1_500
 
-#: The Figure-6 fault-frequency ladder (faults per million
-#: instructions) — the campaign bench sweeps it end to end.
-FIGURE6_BENCH_RATES = (0.0, 10.0, 100.0, 300.0, 1000.0, 3000.0,
-                       10_000.0, 30_000.0)
+#: The Figure-6 fault-frequency ladder below the rewind storm (faults
+#: per million instructions) — the campaign bench sweeps it end to end.
+FIGURE6_BENCH_RATES = tuple(rate for rate in FIGURE6_RATES
+                            if rate < STORM_RATE)
 
 #: Where the optimized repeats time each phase: ``(phase, owner,
 #: attribute)`` of trial-path functions, none of which calls another,

@@ -15,8 +15,7 @@ Examples::
         --rates 0,1000,10000 --replicates 8 --workers 4 \\
         --store results.jsonl
     repro-ft campaign --spec campaign.json --workers 4 \\
-        --store sqlite:results.db --resume
-    repro-ft campaign --shard 0/2 --store shard:results/ ...
+        --store results.jsonl --resume
     repro-ft campaign --override rob64:rob_size=64 \\
         --override alu8:int_alu=8 ...
     repro-ft campaign --store results.jsonl --compact
@@ -210,19 +209,6 @@ def _parse_sites(text, strikes):
     return experiment.structure_sweep_cells(names, strikes=strikes)
 
 
-def _parse_shard(text):
-    """``--shard I/N`` to an (index, total) pair."""
-    index, slash, total = text.partition("/")
-    if not slash:
-        raise ValueError("--shard expects INDEX/TOTAL (e.g. 0/4), "
-                         "got %r" % text)
-    try:
-        return int(index), int(total)
-    except ValueError:
-        raise ValueError("--shard expects integers INDEX/TOTAL, got %r"
-                         % text)
-
-
 def _sampling_plan_from_args(args):
     """The ``--adaptive*`` flags as a SamplingPlan (None when absent)."""
     if args.adaptive is None:
@@ -283,9 +269,6 @@ def _campaign_spec_from_args(args):
             instructions=args.instructions,
             warmup=args.warmup,
             base_seed=args.seed)
-    if args.shard:
-        index, total = _parse_shard(args.shard)
-        spec = spec.shard(index, total)
     return spec
 
 
@@ -305,8 +288,9 @@ def _cmd_campaign(args):
         raise SystemExit("repro-ft campaign: --resume requires --store")
     try:
         store = open_store(args.store)
-    except ValueError as exc:
-        raise SystemExit("repro-ft campaign: %s" % exc)
+    except ConfigError as exc:
+        print("repro-ft campaign: %s" % exc, file=sys.stderr)
+        return 2
     if args.compact:
         if store is None:
             raise SystemExit("repro-ft campaign: --compact requires "
@@ -693,11 +677,8 @@ def _add_campaign_args(sub):
                           "replicate count (records then diverge from "
                           "the fixed plan)")
     sub.add_argument("--store", default="",
-                     help="result store URL: PATH.jsonl, sqlite:FILE "
-                          "or shard:[N:]DIR (enables --resume)")
-    sub.add_argument("--shard", default="",
-                     help="run only partition I/N of the trial "
-                          "keyspace (e.g. --shard 0/4)")
+                     help="result store: a JSONL file PATH (enables "
+                          "--resume)")
     sub.add_argument("--compact", action="store_true",
                      help="compact --store (drop torn tails and stale "
                           "duplicate keys) and exit")

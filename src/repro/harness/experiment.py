@@ -27,6 +27,10 @@ DEFAULT_INSTRUCTIONS = 20_000
 #: Figure-6 x-axis: fault frequencies in faults per million instructions.
 FIGURE6_RATES = (0.0, 10.0, 100.0, 300.0, 1000.0, 3000.0, 10_000.0,
                  30_000.0, 100_000.0)
+#: From this fault frequency on the machine lives in a rewind storm;
+#: warming caches first is meaningless (and nearly impossible), so
+#: Figure 6 runs these points without warmup.
+STORM_RATE = 50_000.0
 
 
 @dataclass
@@ -184,9 +188,7 @@ def figure6_points(benchmark="fpppp", rates=FIGURE6_RATES,
     points = []
     for rate in rates:
         point = Figure6Point(rate_per_million=rate)
-        # Beyond ~50k faults/M the machine lives in a rewind storm;
-        # warming caches first is meaningless (and nearly impossible).
-        effective_warmup = warmup if rate < 50_000 else 0
+        effective_warmup = warmup if rate < STORM_RATE else 0
         for design_name, model in designs:
             fault_config = None
             if rate > 0:
@@ -262,7 +264,7 @@ def sensitivity_campaign_spec(benchmarks=("gcc",), model="SS-2",
 
     Expresses the FU / RUU scalings as ``machine_overrides`` cells of a
     :class:`~repro.campaign.spec.CampaignSpec`, so the sensitivity
-    study runs through the campaign engine — resumable, sharded and
+    study runs through the campaign engine — resumable, parallel and
     statistically aggregated — instead of the one-off
     :func:`sensitivity_rows` loop.  Returns the spec; run it with a
     :class:`~repro.campaign.api.CampaignSession`.

@@ -141,7 +141,15 @@ class CampaignServer:
     async def _handle_connection(self, reader, writer):
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _HttpError as exc:
+                    # The stream position is unknown past a bad head:
+                    # answer, then close.
+                    self._send_json(writer, exc.status,
+                                    {"error": str(exc)}, keep_alive=False)
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -199,7 +207,11 @@ class CampaignServer:
                 continue
             name, _sep, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        text = headers.get("content-length", "") or "0"
+        if not text.isdecimal():        # no sign, space or underscore
+            raise _HttpError(400, "malformed Content-Length %r"
+                             % text[:80])
+        length = int(text)
         if length > _MAX_BODY:
             raise _HttpError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""

@@ -1,11 +1,9 @@
 """Campaign API v2: CampaignSession facade, ExecutionOptions, typed
-events, store-backend equivalence and shard-aware partitioning.
+events and the result store.
 
-The heart of this file is the acceptance matrix: one 64-trial spec run
-through the JSONL, SQLite and sharded backends — directly, and as
-``shard(0,2)`` + ``shard(1,2)`` halves merged back together — must
-produce byte-identical records and identical aggregate tables in every
-combination.
+The heart of this file is the acceptance check: one 64-trial spec run
+through a JSONL store, and reloaded from it, must produce the records
+and aggregate table of a storeless run byte for byte.
 """
 
 import json
@@ -21,8 +19,7 @@ from repro.campaign import (CAMPAIGN_FINISHED, CELL_FINISHED,
                             TRIAL_FINISHED, TRIAL_STARTED,
                             CampaignSession, CampaignSpec,
                             ExecutionOptions, JSONLStore,
-                            ShardedJSONLStore, SQLiteStore,
-                            cells_to_json, merge_stores)
+                            cells_to_json)
 from repro.campaign.adaptive import SamplingPlan
 from repro.errors import ConfigError
 
@@ -45,14 +42,12 @@ def canonical(records):
 
 @pytest.fixture(scope="module")
 def baseline():
-    """The unsharded single-store run every equivalence test compares
-    against (module-scoped: the suite re-runs the grid per backend, not
-    per test)."""
+    """The storeless run the store equivalence test compares
+    against."""
     session = CampaignSession(SPEC64)
     result = session.run()
     assert len(result.records) == 64
-    return {"records": result.records,
-            "records_json": canonical(result.records),
+    return {"records_json": canonical(result.records),
             "cells_json": cells_to_json(session.aggregate())}
 
 
@@ -198,17 +193,6 @@ class TestSessionLifecycle:
         assert all(t.max_cycles == 9_000
                    for t in session.spec.trials())
 
-    def test_options_max_cycles_stamps_shard_views(self):
-        # A CampaignShard delegates spec attributes, so the stamping
-        # must go by concrete type, not duck typing.
-        shard = small_spec().shard(0, 2)
-        session = CampaignSession(
-            shard, options=ExecutionOptions(max_cycles=9_000))
-        assert session.spec.index == 0
-        assert session.spec.total == 2
-        assert all(t.max_cycles == 9_000
-                   for t in session.spec.trials())
-
     def test_options_max_cycles_conflict_rejected(self):
         spec = small_spec(max_cycles=5_000)
         with pytest.raises(ConfigError, match="contradicts"):
@@ -299,21 +283,12 @@ class TestEvents:
         assert events[-1].done == spec.grid_size
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite", "sharded"])
 class TestBackendEquivalence:
-    """The acceptance criteria: all three backends, direct and via
-    2-shard partitions merged back, agree byte-for-byte."""
+    """The acceptance criteria: a JSONL store run and its reload agree
+    with the storeless run byte for byte."""
 
-    def make_store(self, backend, tmp_path, label):
-        if backend == "jsonl":
-            return JSONLStore(str(tmp_path / ("%s.jsonl" % label)))
-        if backend == "sqlite":
-            return SQLiteStore(str(tmp_path / ("%s.db" % label)))
-        return ShardedJSONLStore(str(tmp_path / label), shards=4)
-
-    def test_direct_run_matches_baseline(self, backend, tmp_path,
-                                         baseline):
-        store = self.make_store(backend, tmp_path, "direct")
+    def test_direct_run_matches_baseline(self, tmp_path, baseline):
+        store = JSONLStore(str(tmp_path / "direct.jsonl"))
         session = CampaignSession(SPEC64, store=store)
         result = session.run()
         assert canonical(result.records) == baseline["records_json"]
@@ -324,41 +299,6 @@ class TestBackendEquivalence:
         assert canonical(reloaded.records()) == baseline["records_json"]
         assert cells_to_json(reloaded.aggregate()) \
             == baseline["cells_json"]
-
-    def test_two_shard_merge_matches_baseline(self, backend, tmp_path,
-                                              baseline):
-        shard_stores = []
-        for index in (0, 1):
-            store = self.make_store(backend, tmp_path,
-                                    "half%d" % index)
-            shard = SPEC64.shard(index, 2)
-            result = CampaignSession(shard, store=store).run()
-            assert 0 < len(result.records) < 64
-            shard_stores.append(store)
-        merged = self.make_store(backend, tmp_path, "merged")
-        count = merge_stores(shard_stores, merged)
-        assert count == 64
-        view = CampaignSession(SPEC64, store=merged)
-        assert canonical(view.records()) == baseline["records_json"]
-        assert cells_to_json(view.aggregate()) == baseline["cells_json"]
-
-
-class TestSQLiteResume:
-    def test_killed_campaign_resumes_without_rerunning(self, tmp_path,
-                                                       baseline):
-        # The PR-1 kill/resume protocol, repeated against SQLiteStore:
-        # a store holding only the first 3 records resumes into the
-        # exact baseline record set.
-        store = SQLiteStore(str(tmp_path / "killed.db"))
-        for record in baseline["records"][:3]:
-            store.append(record)
-        session = CampaignSession(SPEC64, store=store)
-        result = session.resume()
-        assert result.skipped == 3
-        assert result.executed == 61
-        assert canonical(result.records) == baseline["records_json"]
-        assert store.completed_keys() \
-            == {r["key"] for r in baseline["records"]}
 
 
 class TestMachineOverrides:

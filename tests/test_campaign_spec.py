@@ -75,58 +75,15 @@ class TestExpansion:
         for trial in narrow.trials():
             assert by_key[trial.key] == trial.fault_seed
 
-
-class TestSharding:
-    def test_shards_partition_the_keyspace(self):
-        spec = small_spec()
-        full = [t.key for t in spec.trials()]
-        for total in (1, 2, 3):
-            shards = [spec.shard(index, total) for index in range(total)]
-            keys = [set(t.key for t in shard.trials())
-                    for shard in shards]
-            # Disjoint and exhaustive: every trial lands in exactly
-            # one shard, and shard order preserves expansion order.
-            union = set()
-            for shard_keys in keys:
-                assert union.isdisjoint(shard_keys)
-                union.update(shard_keys)
-            assert union == set(full)
-            assert sum(shard.grid_size for shard in shards) == len(full)
-
-    def test_shard_of_one_is_the_full_grid(self):
-        spec = small_spec()
-        assert [t.key for t in spec.shard(0, 1).trials()] \
-            == [t.key for t in spec.trials()]
-
-    def test_shard_membership_is_deterministic(self):
-        spec = small_spec()
-        first = [t.key for t in spec.shard(1, 3).trials()]
-        second = [t.key for t in spec.shard(1, 3).trials()]
-        assert first == second
-
-    def test_shard_delegates_spec_attributes(self):
-        spec = small_spec()
-        shard = spec.shard(0, 2)
-        assert shard.workloads == spec.workloads
-        assert shard.replicates == spec.replicates
-        assert "shard 0/2" in shard.name
-
-    def test_shard_bounds_validated(self):
-        # A bad index must fail loudly, never expand to a silently
-        # empty grid.
-        spec = small_spec()
-        with pytest.raises(ConfigError):
-            spec.shard(2, 2)
-        with pytest.raises(ConfigError):
-            spec.shard(-1, 2)
-        with pytest.raises(ConfigError):
-            spec.shard(0, 0)
-        with pytest.raises(ConfigError):
-            spec.shard(0.0, 2)
-        with pytest.raises(ConfigError):
-            spec.shard(0, "4")
-        with pytest.raises(ConfigError):
-            spec.shard(True, 2)
+    def test_split_by_axis_covers_the_grid_once(self):
+        # The multi-host recipe: one workload per host, same name and
+        # seed, runs exactly the full grid's trials between them.
+        full = [t.to_dict() for t in small_spec().trials()]
+        hosts = [[t.to_dict() for t in
+                  small_spec(workloads=(workload,)).trials()]
+                 for workload in ("gcc", "go")]
+        assert sorted(hosts[0] + hosts[1], key=lambda t: t["key"]) \
+            == sorted(full, key=lambda t: t["key"])
 
 
 class TestMachineOverrides:

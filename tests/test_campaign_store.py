@@ -1,15 +1,13 @@
-"""Result-store backends: persistence, resume keys, torn-line
-tolerance, URL selection, sharded fan-out, merging and compaction."""
+"""The campaign result store: persistence, resume keys, torn-line
+tolerance, compaction, path selection and the refusal of removed
+store URLs."""
 
 import json
-import os
 
 import pytest
 
-from repro.campaign.store import (DEFAULT_SHARDS, JSONLStore,
-                                  ShardedJSONLStore, SQLiteStore,
-                                  StoreBackend, merge_stores,
-                                  open_store, shard_of_key)
+from repro.campaign.store import JSONLStore, open_store
+from repro.errors import ConfigError
 
 
 def record(key, **extra):
@@ -18,55 +16,55 @@ def record(key, **extra):
     return data
 
 
-def make_store(backend, tmp_path, label="store"):
-    if backend == "jsonl":
-        return JSONLStore(str(tmp_path / ("%s.jsonl" % label)))
-    if backend == "sqlite":
-        return SQLiteStore(str(tmp_path / ("%s.db" % label)))
-    return ShardedJSONLStore(str(tmp_path / label), shards=3)
+def make_store(tmp_path, label="store"):
+    return JSONLStore(str(tmp_path / ("%s.jsonl" % label)))
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite", "sharded"])
 class TestBackendContract:
-    """Behaviour every StoreBackend implementation must share."""
+    """What the engine, resume and the service rely on."""
 
-    def test_missing_storage_loads_empty(self, backend, tmp_path):
-        store = make_store(backend, tmp_path, "none")
+    def test_missing_storage_loads_empty(self, tmp_path):
+        store = make_store(tmp_path, "none")
         assert not store.exists
         assert store.load() == []
         assert store.completed_keys() == set()
 
-    def test_append_load_round_trip(self, backend, tmp_path):
-        store = make_store(backend, tmp_path)
+    def test_append_load_round_trip(self, tmp_path):
+        store = make_store(tmp_path)
         store.append(record("aaaa", ipc=1.5))
         store.append(record("bbbb", ipc=0.5))
         loaded = store.load()
-        assert {r["key"] for r in loaded} == {"aaaa", "bbbb"}
-        by_key = {r["key"]: r for r in loaded}
-        assert by_key["aaaa"]["ipc"] == 1.5
+        assert [r["key"] for r in loaded] == ["aaaa", "bbbb"]
+        assert loaded[0]["ipc"] == 1.5
         assert store.completed_keys() == {"aaaa", "bbbb"}
+        # Records round-trip exactly, and a reopened store sees them.
+        full = record("cccc", ipc=1.25, trial={"key": "cccc",
+                                               "workload": "gcc"},
+                      counts=[1, 2, 3])
+        store.append(full)
+        assert JSONLStore(store.path).load()[-1] == full
 
-    def test_append_requires_key(self, backend, tmp_path):
-        store = make_store(backend, tmp_path)
+    def test_append_requires_key(self, tmp_path):
+        store = make_store(tmp_path)
         with pytest.raises(ValueError):
             store.append({"outcome": "masked"})
 
-    def test_truncate(self, backend, tmp_path):
-        store = make_store(backend, tmp_path)
+    def test_truncate(self, tmp_path):
+        store = make_store(tmp_path)
         store.append(record("aaaa"))
         store.truncate()
         assert store.exists
         assert store.load() == []
 
-    def test_creates_parent_directories(self, backend, tmp_path):
-        store = make_store(backend, tmp_path / "deep" / "dir")
+    def test_creates_parent_directories(self, tmp_path):
+        store = make_store(tmp_path / "deep" / "dir")
         store.append(record("aaaa"))
         assert store.completed_keys() == {"aaaa"}
 
-    def test_duplicate_keys_kept_until_compact(self, backend, tmp_path):
+    def test_duplicate_keys_kept_until_compact(self, tmp_path):
         # Appends never reject: resume's dict collapse and compact()
         # both apply last-write-wins.
-        store = make_store(backend, tmp_path)
+        store = make_store(tmp_path)
         store.append(record("aaaa", ipc=1.0))
         store.append(record("bbbb"))
         store.append(record("aaaa", ipc=2.0))
@@ -79,13 +77,14 @@ class TestBackendContract:
         # Compacting a compacted store drops nothing further.
         assert store.compact() == (2, 0)
 
-    def test_compact_missing_storage_is_a_noop(self, backend, tmp_path):
-        store = make_store(backend, tmp_path, "never")
+    def test_compact_missing_storage_is_a_noop(self, tmp_path):
+        store = make_store(tmp_path, "never")
         assert store.compact() == (0, 0)
+        assert not store.exists
 
-    def test_repr_names_backend_and_path(self, backend, tmp_path):
-        store = make_store(backend, tmp_path)
-        assert type(store).__name__ in repr(store)
+    def test_repr_names_backend_and_path(self, tmp_path):
+        store = make_store(tmp_path)
+        assert "JSONLStore" in repr(store)
         assert store.path in repr(store)
 
 
@@ -129,70 +128,6 @@ class TestJSONLStore:
         assert json.loads(lines[1]) == record("bbbb")
 
 
-class TestSQLiteStore:
-    def test_load_preserves_append_order(self, tmp_path):
-        store = make_store("sqlite", tmp_path)
-        for key in ("cccc", "aaaa", "bbbb"):
-            store.append(record(key))
-        assert [r["key"] for r in store.load()] \
-            == ["cccc", "aaaa", "bbbb"]
-
-    def test_reopen_sees_records(self, tmp_path):
-        path = str(tmp_path / "r.db")
-        SQLiteStore(path).append(record("aaaa"))
-        reopened = SQLiteStore(path)
-        assert reopened.completed_keys() == {"aaaa"}
-
-    def test_records_round_trip_exactly(self, tmp_path):
-        store = make_store("sqlite", tmp_path)
-        full = record("aaaa", ipc=1.25, trial={"key": "aaaa",
-                                               "workload": "gcc"},
-                      counts=[1, 2, 3])
-        store.append(full)
-        assert store.load() == [full]
-
-
-class TestShardedStore:
-    def test_fans_records_across_shard_files(self, tmp_path):
-        store = ShardedJSONLStore(str(tmp_path / "dir"), shards=3)
-        keys = ["%04x" % value for value in range(16)]
-        for key in keys:
-            store.append(record(key))
-        files = sorted(os.listdir(str(tmp_path / "dir")))
-        assert files == ["shard-000.jsonl", "shard-001.jsonl",
-                         "shard-002.jsonl"]
-        per_file = [len(JSONLStore(str(tmp_path / "dir" / name)).load())
-                    for name in files]
-        assert sum(per_file) == 16
-        assert all(count > 0 for count in per_file)
-        # Routing is the documented pure function of the key.
-        for key in keys:
-            shard = shard_of_key(key, 3)
-            shard_store = JSONLStore(
-                str(tmp_path / "dir" / ("shard-%03d.jsonl" % shard)))
-            assert key in shard_store.completed_keys()
-
-    def test_reopen_infers_shard_count(self, tmp_path):
-        path = str(tmp_path / "dir")
-        ShardedJSONLStore(path, shards=3).append(record("aaaa"))
-        reopened = ShardedJSONLStore(path)        # no count given
-        assert reopened.shards == 3
-        assert reopened.completed_keys() == {"aaaa"}
-
-    def test_default_shard_count(self, tmp_path):
-        store = ShardedJSONLStore(str(tmp_path / "dir"))
-        assert store.shards == DEFAULT_SHARDS
-
-    def test_bad_shard_count_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ShardedJSONLStore(str(tmp_path / "dir"), shards=0)
-
-    def test_non_hex_keys_still_route(self, tmp_path):
-        store = ShardedJSONLStore(str(tmp_path / "dir"), shards=2)
-        store.append(record("not-hex-key"))
-        assert store.completed_keys() == {"not-hex-key"}
-
-
 class TestOpenStore:
     def test_none_and_empty_pass_through(self):
         assert open_store(None) is None
@@ -201,77 +136,21 @@ class TestOpenStore:
     def test_plain_path_is_jsonl(self, tmp_path):
         store = open_store(str(tmp_path / "r.jsonl"))
         assert isinstance(store, JSONLStore)
-
-    def test_sqlite_url(self, tmp_path):
-        store = open_store("sqlite:" + str(tmp_path / "r.db"))
-        assert isinstance(store, SQLiteStore)
-        assert store.path == str(tmp_path / "r.db")
-
-    def test_shard_url(self, tmp_path):
-        store = open_store("shard:" + str(tmp_path / "dir"))
-        assert isinstance(store, ShardedJSONLStore)
-        assert store.shards == DEFAULT_SHARDS
-
-    def test_shard_url_with_count(self, tmp_path):
-        store = open_store("shard:4:" + str(tmp_path / "dir"))
-        assert isinstance(store, ShardedJSONLStore)
-        assert store.shards == 4
+        assert store.path == str(tmp_path / "r.jsonl")
 
     def test_backend_instance_passes_through(self, tmp_path):
         store = JSONLStore(str(tmp_path / "r.jsonl"))
         assert open_store(store) is store
-        assert isinstance(store, StoreBackend)
 
-
-class TestMergeStores:
-    @pytest.mark.parametrize("dest_backend",
-                             ["jsonl", "sqlite", "sharded"])
-    def test_merge_across_backends(self, dest_backend, tmp_path):
-        jsonl = make_store("jsonl", tmp_path, "a")
-        sqlite = make_store("sqlite", tmp_path, "b")
-        jsonl.append(record("aaaa", ipc=1.0))
-        jsonl.append(record("bbbb"))
-        sqlite.append(record("cccc"))
-        sqlite.append(record("aaaa", ipc=9.0))     # later source wins
-        dest = make_store(dest_backend, tmp_path, "merged")
-        count = merge_stores([jsonl, sqlite], dest)
-        assert count == 3
-        by_key = {r["key"]: r for r in dest.load()}
-        assert set(by_key) == {"aaaa", "bbbb", "cccc"}
-        assert by_key["aaaa"]["ipc"] == 9.0
-
-    def test_merge_into_nonempty_dest_appends(self, tmp_path):
-        source = make_store("jsonl", tmp_path, "src")
-        source.append(record("aaaa"))
-        dest = make_store("jsonl", tmp_path, "dst")
-        dest.append(record("zzzz"))
-        merge_stores([source], dest)
-        assert dest.completed_keys() == {"aaaa", "zzzz"}
-
-    def test_concurrent_writers_same_key_last_write_wins(self,
-                                                         tmp_path):
-        """Two shard stores both hold the same trial key with
-        different payloads (the concurrent-writer case: a shard
-        restarted on another host, or an operator re-running a shard
-        by hand).  The documented tie-break: sources are read in
-        argument order, newest-seen record per key wins — so the
-        later *source* beats the earlier one, and within one source a
-        re-appended record beats its own stale predecessor.
-        """
-        first = make_store("jsonl", tmp_path, "shard0")
-        second = make_store("jsonl", tmp_path, "shard1")
-        first.append(record("f00d", outcome="sdc", ipc=0.25))
-        first.append(record("f00d", outcome="masked", ipc=0.5))
-        second.append(record("f00d", outcome="detected_recovered",
-                             ipc=0.75))
-        dest = make_store("jsonl", tmp_path, "winner")
-        assert merge_stores([first, second], dest) == 1
-        (merged,) = dest.load()
-        assert merged["outcome"] == "detected_recovered"
-        assert merged["ipc"] == 0.75
-        # Flip the source order: the other writer's newest now wins.
-        dest_flipped = make_store("jsonl", tmp_path, "flipped")
-        assert merge_stores([second, first], dest_flipped) == 1
-        (merged,) = dest_flipped.load()
-        assert merged["outcome"] == "masked"
-        assert merged["ipc"] == 0.5
+    @pytest.mark.parametrize("prefix,backend", [
+        ("sqlite:", "SQLite"), ("shard:", "sharded JSONL"),
+        ("shard:4:", "sharded JSONL")])
+    def test_removed_backend_urls_are_refused(self, prefix, backend,
+                                              tmp_path, monkeypatch):
+        # Read as a plain path, the URL would become a relative JSONL
+        # file under a directory named after the scheme.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError) as excinfo:
+            open_store(prefix + "results/r.db")
+        assert backend in str(excinfo.value)
+        assert list(tmp_path.iterdir()) == []

@@ -1,9 +1,8 @@
 """Smoke tests: every `repro-ft` subcommand runs and prints something."""
 
-import os
-
 import pytest
 
+from repro.campaign import JSONLStore
 from repro.harness.cli import _COMMANDS, build_parser, main
 
 #: Per-command argument lists sized for a fast smoke run.
@@ -143,43 +142,34 @@ class TestCampaignCliV2:
             "--rates", "0,3000", "--replicates", "2",
             "--instructions", "300", "--quiet"]
 
-    def test_sqlite_store_and_resume(self, tmp_path, capsys):
-        url = "sqlite:" + str(tmp_path / "r.db")
-        main(self.BASE + ["--store", url])
-        assert "executed 4, resumed (skipped) 0" \
-            in capsys.readouterr().out
-        main(self.BASE + ["--store", url, "--resume"])
-        assert "executed 0, resumed (skipped) 4" \
-            in capsys.readouterr().out
-
-    def test_sharded_store(self, tmp_path, capsys):
-        url = "shard:2:" + str(tmp_path / "results")
-        main(self.BASE + ["--store", url])
-        assert "executed 4" in capsys.readouterr().out
-        files = sorted(os.listdir(str(tmp_path / "results")))
-        assert files == ["shard-000.jsonl", "shard-001.jsonl"]
-
-    def test_shard_runs_cover_grid_once(self, tmp_path, capsys):
+    def test_killed_store_resumes_the_rest(self, tmp_path, capsys):
         import json
-        outs = []
-        for index in (0, 1):
-            out = str(tmp_path / ("half%d.jsonl" % index))
-            main(self.BASE + ["--shard", "%d/2" % index,
-                              "--store", out])
-            capsys.readouterr()
-            outs.append(out)
-        keys = []
-        for out in outs:
-            with open(out) as handle:
-                keys += [json.loads(line)["key"] for line in handle]
-        assert len(keys) == 4               # full grid, split once
-        assert len(set(keys)) == 4
+        path = tmp_path / "r.jsonl"
+        main(self.BASE + ["--store", str(path)])
+        capsys.readouterr()
+        # As a kill leaves it: two intact records and a torn line.
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2]) + lines[2][:20])
+        main(self.BASE + ["--store", str(path), "--resume"])
+        assert "executed 2, resumed (skipped) 2" \
+            in capsys.readouterr().out
+        keys = [json.loads(line)["key"] for line in lines]
+        assert JSONLStore(str(path)).completed_keys() == set(keys)
 
-    def test_bad_shard_exits_with_message(self, capsys):
-        for flag in ("2/2", "x/2", "0-2"):
-            with pytest.raises(SystemExit) as excinfo:
-                main(self.BASE + ["--shard", flag])
-            assert "repro-ft campaign:" in str(excinfo.value)
+    @pytest.mark.parametrize("url,backend", [
+        ("sqlite:x.db", "SQLite"), ("shard:d/", "sharded JSONL")])
+    def test_removed_store_urls_exit_2(self, url, backend, tmp_path,
+                                       monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.BASE + ["--store", url]) == 2
+        assert backend in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_shard_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.BASE + ["--shard", "0/2"])
+        assert excinfo.value.code == 2
+        assert "--shard" in capsys.readouterr().err
 
     def test_override_axis(self, capsys):
         import json
@@ -220,7 +210,6 @@ class TestCampaignCliV2:
 
     def test_compact(self, tmp_path, capsys):
         import json
-        from repro.campaign import JSONLStore
         path = str(tmp_path / "r.jsonl")
         store = JSONLStore(path)
         store.append({"key": "aaaa", "outcome": "masked", "ipc": 1.0})

@@ -165,6 +165,22 @@ class TestCli:
             build_parser().parse_args([])
 
 
+class TestFigure6Ladder:
+    def test_bench_sweeps_the_ladder_below_the_storm(self):
+        """The bench grid is the Figure-6 ladder minus its rewind-storm
+        points; its trials must not move, so bench history entries stay
+        comparable."""
+        from repro.harness.bench import campaign_bench_spec
+        spec = campaign_bench_spec()
+        assert spec.rates_per_million == tuple(
+            rate for rate in experiment.FIGURE6_RATES
+            if rate < experiment.STORM_RATE)
+        assert spec.rates_per_million == (0.0, 10.0, 100.0, 300.0,
+                                          1000.0, 3000.0, 10_000.0,
+                                          30_000.0)
+        assert spec.grid_size == 64
+
+
 class TestBenchPhaseWraps:
     """The bench times phases by wrapping trial-path functions from
     outside; whatever happens, it hands them back as it found them."""

@@ -3,7 +3,7 @@
 ``tests/data/golden_spec64.json`` holds the 64-trial acceptance grid —
 records and aggregate JSON — exactly as the pre-refactor campaign
 path produced them.  Every rate-based execution route through the
-policy subsystem (serial session, ``workers=2`` pool, SQLite-store
+policy subsystem (serial session, ``workers=2`` pool, JSONL-store
 resume) must reproduce that fixture byte-for-byte: the ``RatePolicy``
 indirection may cost nothing in trial keys, records or aggregates.
 """
@@ -14,8 +14,8 @@ import os
 import pytest
 
 from repro.campaign import (CampaignSession, CampaignSpec,
-                            ExecutionOptions, cells_to_json,
-                            clear_result_caches, open_store)
+                            ExecutionOptions, JSONLStore,
+                            cells_to_json, clear_result_caches)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                        "golden_spec64.json")
@@ -61,19 +61,23 @@ def test_worker_pool_records_byte_identical(golden, spec):
     assert cells_to_json(session.aggregate()) == golden["cells_json"]
 
 
-def test_sqlite_resume_byte_identical(golden, spec, tmp_path):
-    """A killed-and-resumed campaign against a SQLite store must also
-    land on the fixture: the store holds a prefix of the records, the
+def test_resume_byte_identical(golden, spec, tmp_path):
+    """A killed-and-resumed campaign must also land on the fixture:
+    the store holds a prefix of the records and a torn line, and the
     resumed session completes the rest."""
-    store = open_store("sqlite:%s" % (tmp_path / "resume.db"))
+    store = JSONLStore(str(tmp_path / "resume.jsonl"))
     for record in golden["records"][:23]:
         store.append(record)
+    with open(store.path, "a") as handle:      # killed mid-append
+        handle.write(json.dumps(golden["records"][23])[:40])
     session = CampaignSession(spec, store=store)
     result = session.resume()
     assert result.skipped == 23
     assert result.executed == 41
     assert canonical(result.records) == golden["records_json"]
     assert cells_to_json(session.aggregate()) == golden["cells_json"]
+    assert store.completed_keys() \
+        == {record["key"] for record in golden["records"]}
 
 
 def test_fresh_caches_do_not_change_records(golden, spec):

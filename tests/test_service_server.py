@@ -15,6 +15,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -24,6 +25,7 @@ import pytest
 from repro.campaign import CampaignSession, CampaignSpec
 from repro.errors import ServiceError
 from repro.service.loadgen import ServiceClient
+from repro.service.server import _MAX_BODY
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -259,6 +261,32 @@ def test_deeply_nested_submit_body_is_a_400(server):
         connection.close()
     assert response.status == 400, payload
     assert client.health()["status"] == "ok"
+
+
+#: Request heads the server must answer with a status, not a dropped
+#: connection.
+MALFORMED_HEADS = {
+    "content-length-not-a-number": (
+        b"POST /api/jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+    "content-length-negative": (
+        b"POST /api/jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+    "body-over-the-limit": (
+        b"POST /api/jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+        % (_MAX_BODY + 1), 413),
+    "request-line-without-three-parts": (b"GET\r\n\r\n", 400),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_HEADS))
+def test_malformed_request_head_gets_its_status(server, name):
+    head, status = MALFORMED_HEADS[name]
+    client = server.client
+    with socket.create_connection((client.host, client.port),
+                                  timeout=30.0) as sock:
+        sock.sendall(head)
+        reply = sock.makefile("rb").read()   # the server closes
+    assert reply.startswith(b"HTTP/1.1 %d " % status), reply[:80]
+    assert client._request("GET", "/healthz")[0] == 200
 
 
 @pytest.mark.parametrize("name,value", [

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.campaign import (CampaignSession, CampaignSpec,
-                            ExecutionOptions, aggregate_structures,
-                            structures_to_json)
+                            ExecutionOptions, JSONLStore,
+                            aggregate_structures, structures_to_json)
 from repro.errors import ConfigError
 from repro.faults.policy import RatePolicy
 from repro.harness.experiment import site_sensitivity_spec
@@ -88,13 +88,6 @@ class TestSpecAxis:
         assert [t.key for t in clone.trials()] \
             == [t.key for t in spec.trials()]
 
-    def test_shard_partitions_site_trials(self):
-        spec = sweep_spec()
-        keys = {trial.key for trial in spec.trials()}
-        sharded = {trial.key for index in (0, 1)
-                   for trial in spec.shard(index, 2).trials()}
-        assert sharded == keys
-
 
 class TestSiteCampaignExecution:
     @pytest.fixture(scope="class")
@@ -146,9 +139,7 @@ class TestSiteCampaignExecution:
         pooled = CampaignSession(
             spec, options=ExecutionOptions(workers=2)).run()
         assert json.dumps(pooled.records, sort_keys=True) == serial
-        store = __import__("repro.campaign",
-                           fromlist=["open_store"]).open_store(
-            "sqlite:%s" % (tmp_path / "sites.db"))
+        store = JSONLStore(str(tmp_path / "sites.jsonl"))
         for record in result.records[:5]:
             store.append(record)
         resumed = CampaignSession(spec, store=store).resume()

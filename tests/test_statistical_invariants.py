@@ -1,12 +1,11 @@
 """Property-based statistical invariants of the campaign layer.
 
-The adaptive scheduler and multi-host shard merges both lean on two
+The adaptive scheduler and resumed campaigns both lean on two
 promises that are easy to break silently: the Wilson interval
 behaves like a confidence interval (bounded, contains the sample
 proportion, narrows with evidence), and aggregation is a pure function
-of the record *set* — the order records arrive in, and whether they
-travelled through one store or N shard stores and a merge, must never
-change a single aggregated byte.  Hypothesis hunts the corners a
+of the record *set* — the order records arrive in must never change a
+single aggregated byte.  Hypothesis hunts the corners a
 hand-picked example table would miss.
 
 Float caveat made explicit: ``aggregate`` sums IPC and recovery
@@ -35,7 +34,6 @@ from repro.campaign.aggregate import (aggregate, aggregate_structures,
                                       cells_to_json, structures_to_json,
                                       wilson_interval)
 from repro.campaign.adaptive import wilson_halfwidth
-from repro.campaign.store import StoreBackend, merge_stores, shard_of_key
 
 # -- strategies -------------------------------------------------------------
 
@@ -75,8 +73,6 @@ def trial_records(draw):
             strikes = {structure: draw(st.integers(min_value=0,
                                                    max_value=2))}
         records.append({
-            # Content-hash-shaped keys so shard_of_key's int(key, 16)
-            # path is the one exercised.
             "key": "%016x" % (0xA5A5A5A5 + index),
             "trial": trial,
             "outcome": draw(st.sampled_from(OUTCOME_NAMES)),
@@ -160,90 +156,6 @@ def test_aggregate_structures_invariant_under_record_order(records,
     seed.shuffle(shuffled)
     assert structures_to_json(aggregate_structures(shuffled)) \
         == baseline
-
-
-# -- shard-split / merge invariance -----------------------------------------
-
-class ListStore(StoreBackend):
-    """Minimal in-memory StoreBackend for merge properties (no disk,
-    so Hypothesis can run hundreds of examples)."""
-
-    def __init__(self, records=()):
-        self.path = "<memory>"
-        self._records = list(records)
-
-    @property
-    def exists(self):
-        return True
-
-    def truncate(self):
-        self._records = []
-
-    def append(self, record):
-        self._check_key(record)
-        self._records.append(record)
-
-    def load(self):
-        return list(self._records)
-
-    def compact(self):
-        merged = {}
-        for record in self._records:
-            merged[record["key"]] = record
-        dropped = len(self._records) - len(merged)
-        self._records = list(merged.values())
-        return (len(merged), dropped)
-
-
-@given(records=trial_records(),
-       shards=st.integers(min_value=1, max_value=5))
-@settings(max_examples=60)
-def test_aggregate_invariant_under_shard_split_merge(records, shards):
-    """Splitting a record set by key hash across N shard stores and
-    merging back must aggregate byte-identically to the single-store
-    run — the correctness claim of a multi-host ``--shard i/N`` run."""
-    baseline = cells_to_json(aggregate(records))
-    stores = [ListStore() for _ in range(shards)]
-    for record in records:
-        stores[shard_of_key(record["key"], shards)].append(record)
-    merged = ListStore()
-    count = merge_stores(stores, merged)
-    assert count == len(records)        # keys are unique by strategy
-    # The engine's contract: records are re-keyed into original
-    # (spec-expansion) order before aggregation.
-    by_key = {record["key"]: record for record in merged.load()}
-    assert set(by_key) == {record["key"] for record in records}
-    reordered = [by_key[record["key"]] for record in records]
-    assert cells_to_json(aggregate(reordered)) == baseline
-    assert structures_to_json(aggregate_structures(reordered)) \
-        == structures_to_json(aggregate_structures(records))
-
-
-@given(records=trial_records(),
-       shards=st.integers(min_value=2, max_value=4))
-@settings(max_examples=30)
-def test_shard_split_covers_exactly_once(records, shards):
-    """shard_of_key partitions: every key lands in exactly one shard."""
-    assignments = [shard_of_key(record["key"], shards)
-                   for record in records]
-    assert all(0 <= index < shards for index in assignments)
-    total = sum(
-        sum(1 for a in assignments if a == index)
-        for index in range(shards))
-    assert total == len(records)
-
-
-@given(payload_a=dyadic, payload_b=dyadic)
-def test_merge_stores_last_write_wins_across_sources(payload_a,
-                                                     payload_b):
-    """Two sources disagreeing on one key: the later source wins, in
-    argument order — the documented tie-break."""
-    first = ListStore([{"key": "00000000000000aa", "ipc": payload_a}])
-    second = ListStore([{"key": "00000000000000aa", "ipc": payload_b}])
-    merged = ListStore()
-    assert merge_stores([first, second], merged) == 1
-    assert merged.load() == [{"key": "00000000000000aa",
-                              "ipc": payload_b}]
 
 
 @given(records=trial_records())
