@@ -32,7 +32,6 @@ resumable from its completed keys.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -502,6 +501,9 @@ class CampaignSession:
         workers = self.options.workers
         if workers == 1 or len(todo) <= 1:
             return None
+        # Imported here, so a serial session never loads the pool
+        # machinery (concurrent.futures.process pulls multiprocessing).
+        from concurrent.futures import ProcessPoolExecutor
         holder = {"pool": None}
 
         def get_pool():

@@ -230,12 +230,15 @@ class RetryingStore:
 
 
 def open_store(path):
-    """A :class:`JSONLStore` for a path; ``None``/empty gives ``None``
-    and a store object passes through unchanged.
+    """A :class:`JSONLStore` for a path (a ``str`` or any
+    ``os.PathLike``); ``None``/empty gives ``None`` and a store object
+    passes through unchanged.
 
     A path that starts with a removed backend's prefix (``sqlite:``,
     ``shard:``) raises :class:`~repro.errors.ConfigError` naming it.
     """
+    if isinstance(path, os.PathLike):
+        path = os.fspath(path)
     if path is None or path == "":
         return None
     if not isinstance(path, str):

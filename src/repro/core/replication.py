@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from ..isa.opcodes import Kind
 from ..isa.registers import ZERO
-from .rob import DONE, READY, WAITING, Group, RobEntry
+from .rob import DONE, NO_TAGS, READY, WAITING, RobEntry
 
 # Enum members as module constants: every dispatched group compares
 # its kind, and an enum class attribute lookup costs several times a
@@ -50,14 +50,15 @@ class Replicator:
         self._gseq = 0
         self._seq = 0
 
-    def build_group(self, record, cycle):
-        """Replicate one fetched instruction into an R-copy group."""
-        inst = record.inst
-        meta = record.meta
+    def build_group(self, group, cycle):
+        """Replicate one fetched group into its R copies.
+
+        Numbers ``group`` and builds each copy, with its state and
+        captured operands, in one constructor call.
+        """
         gseq = self._gseq
-        group = Group(gseq, record.pc, inst, record.pred_npc,
-                      record.pred_taken, record.ras_snap,
-                      record.fetch_cycle, meta)
+        group.gseq = gseq
+        group.dispatch_cycle = cycle
         self._gseq = gseq + 1
         arms = None
         policy = self.policy
@@ -66,83 +67,89 @@ class Replicator:
             # which inert copies read below.
             arms = policy.strike(group, cycle, self.stats)
 
+        inst = group.inst
+        meta = group.meta
         info = meta.info if meta is not None else inst.info
         kind = info.kind
-        inert = kind == _K_NOP or kind == _K_HALT
-        reads_rs1 = info.reads_rs1
-        reads_rs2 = info.reads_rs2
-        rs1 = inst.rs1
-        rs2 = inst.rs2
-        # Producer lookup is per-group work: all copies of a consumer
-        # read from the same producer *group* (copy k reads copy k).
-        producer1 = producer2 = None
-        committed1 = committed2 = 0
-        if not inert:
+        redundancy = self.redundancy
+        seq = self._seq
+        self._seq = seq + redundancy
+        vidx = gseq * redundancy
+        copies = group.copies
+        append = copies.append
+        if kind == _K_NOP or kind == _K_HALT:
+            # Nothing to execute: completes at dispatch.
+            next_pc = group.pc + (0 if kind == _K_HALT else 1)
+            for copy in range(redundancy):
+                entry = RobEntry(seq + copy, vidx + copy, group, copy, DONE)
+                entry.next_pc = next_pc
+                append(entry)
+            group.done_count = redundancy
+        else:
+            # Producer lookup is per-group work: all copies of a
+            # consumer read from the same producer *group* (copy k reads
+            # copy k).
+            producer1 = producer2 = None
+            committed1 = committed2 = 0
             renamer = self.renamer
-            committed_read = self.committed_read
-            if reads_rs1:
-                if rs1 == ZERO:
-                    committed1 = 0
-                else:
+            if info.reads_rs1:
+                rs1 = inst.rs1
+                if rs1 != ZERO:
                     producer1 = renamer.lookup(rs1)
                     if producer1 is None:
-                        committed1 = committed_read(rs1)
-            if reads_rs2:
-                if rs2 == ZERO:
-                    committed2 = 0
-                else:
+                        committed1 = self.committed_read(rs1)
+            if info.reads_rs2:
+                rs2 = inst.rs2
+                if rs2 != ZERO:
                     producer2 = renamer.lookup(rs2)
                     if producer2 is None:
-                        committed2 = committed_read(rs2)
-        seq = self._seq
-        vidx = gseq * self.redundancy
-        copies = group.copies
-        for copy in range(self.redundancy):
-            entry = RobEntry(seq, vidx + copy, group, copy)
-            seq += 1
-            copies.append(entry)
-            if inert:
-                # Nothing to execute: completes at dispatch.
-                entry.state = DONE
-                entry.next_pc = group.pc + (0 if kind == _K_HALT else 1)
-                group.done_count += 1
-                continue
-            if reads_rs1:
-                if producer1 is None:
-                    entry.src_vals[0] = committed1
-                else:
-                    producer = producer1.copies[copy]
-                    entry.src_tags = [producer.vidx, None]
-                    if producer.state == DONE:
-                        entry.src_vals[0] = producer.value
-                    else:
-                        entry.pending += 1
-                        waiters = producer.dependents
+                        committed2 = self.committed_read(rs2)
+            if producer1 is None and producer2 is None:
+                for copy in range(redundancy):
+                    append(RobEntry(seq + copy, vidx + copy, group, copy,
+                                    READY, committed1, committed2))
+            else:
+                for copy in range(redundancy):
+                    a = committed1
+                    b = committed2
+                    pending = 0
+                    tags = NO_TAGS
+                    if producer1 is not None:
+                        first = producer1.copies[copy]
+                        tags = [first.vidx, None]
+                        if first.state == DONE:
+                            a = first.value
+                        else:
+                            pending = 1
+                    if producer2 is not None:
+                        second = producer2.copies[copy]
+                        if tags is NO_TAGS:
+                            tags = [None, second.vidx]
+                        else:
+                            tags[1] = second.vidx
+                        if second.state == DONE:
+                            b = second.value
+                        else:
+                            pending += 1
+                    entry = RobEntry(seq + copy, vidx + copy, group, copy,
+                                     WAITING if pending else READY, a, b,
+                                     pending, tags)
+                    append(entry)
+                    if not pending:
+                        continue
+                    # Copy k waits on copy k, operand 0 registered first.
+                    if producer1 is not None and first.state != DONE:
+                        waiters = first.dependents
                         if waiters is None:
-                            producer.dependents = [(entry, 0)]
+                            first.dependents = [(entry, 0)]
                         else:
                             waiters.append((entry, 0))
-            if reads_rs2:
-                if producer2 is None:
-                    entry.src_vals[1] = committed2
-                else:
-                    producer = producer2.copies[copy]
-                    tags = entry.src_tags
-                    if type(tags) is list:
-                        tags[1] = producer.vidx
-                    else:
-                        entry.src_tags = [None, producer.vidx]
-                    if producer.state == DONE:
-                        entry.src_vals[1] = producer.value
-                    else:
-                        entry.pending += 1
-                        waiters = producer.dependents
+                    if producer2 is not None and second.state != DONE:
+                        waiters = second.dependents
                         if waiters is None:
-                            producer.dependents = [(entry, 1)]
+                            second.dependents = [(entry, 1)]
                         else:
                             waiters.append((entry, 1))
-            entry.state = READY if entry.pending == 0 else WAITING
-        self._seq = seq
         if arms:
             for copy, kind, bit, op_fault, site in arms:
                 entry = copies[copy]

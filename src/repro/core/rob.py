@@ -37,7 +37,7 @@ class RobEntry:
         "seq",          # global age (monotonic across the whole run)
         "vidx",         # virtual ROB index (gseq * R + copy): the paper's
                         # aligned-block index, kept for invariant checking
-        "group",        # owning Group
+        "group",        # owning Group (None once retired or squashed)
         "copy",         # 0..R-1
         "state",        # WAITING / READY / ISSUED / DONE
         "pending",      # outstanding source operands
@@ -63,15 +63,20 @@ class RobEntry:
         "squashed",
     )
 
-    def __init__(self, seq, vidx, group, copy):
+    def __init__(self, seq, vidx, group, copy, state=WAITING, a=0, b=0,
+                 pending=0, src_tags=NO_TAGS):
+        """Dispatch builds each copy in this one call: its ``state``,
+        captured operand values ``a`` and ``b``, the count of operands
+        still ``pending`` and, when a producer was in flight, its own
+        ``src_tags`` list."""
         self.seq = seq
         self.vidx = vidx
         self.group = group
         self.copy = copy
-        self.state = WAITING
-        self.pending = 0
-        self.src_vals = [0, 0]
-        self.src_tags = NO_TAGS       # copy-on-write (see NO_TAGS)
+        self.state = state
+        self.pending = pending
+        self.src_vals = [a, b]
+        self.src_tags = src_tags      # copy-on-write (see NO_TAGS)
         self.dependents = None        # created on first waiter
         self.value = None
         self.addr = None
@@ -92,14 +97,18 @@ class RobEntry:
         group = self.group
         return ("<RobEntry seq=%d copy=%d %s state=%d>"
                 % (self.seq, self.copy,
-                   "retired" if group is None else group.inst, self.state))
+                   ("squashed" if self.squashed else "retired")
+                   if group is None else group.inst, self.state))
 
 
 class Group:
-    """One architectural instruction and its R redundant copies."""
+    """One architectural instruction and its R redundant copies.
+
+    Fetch builds the group; dispatch numbers it and adds its copies.
+    """
 
     __slots__ = (
-        "gseq",           # group age (program order)
+        "gseq",           # group age (program order); None until dispatch
         "pc",             # fetch PC (shared across copies)
         "inst",
         "meta",           # DecodedInst static metadata (may be None)
@@ -172,11 +181,17 @@ class Group:
         return self.done_count >= len(self.copies)
 
     def mark_squashed(self):
-        """Invalidate the group and all copies (stale events check this)."""
+        """Invalidate the group and all copies (stale events check this).
+
+        Also breaks the group <-> copy cycle, so refcounting frees the
+        group once its last stale event has fired: nothing reads a
+        squashed copy's group, only its ``squashed`` flag.
+        """
         self.squashed = True
         for entry in self.copies:
             entry.squashed = True
             entry.dependents = None
+            entry.group = None
 
     def __repr__(self):
         return ("<Group gseq=%d pc=%d %s done=%d/%d>"

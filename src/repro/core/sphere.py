@@ -41,7 +41,11 @@ FT_COVERAGE = (
     StructureCoverage("load/store queue", "speculative",
                       PROTECTION_REPLICATION,
                       "addresses and store data computed per copy and "
-                      "cross-checked"),
+                      "cross-checked; but a load's one cache access "
+                      "takes copy 0's address and forwarding hands copy "
+                      "0's store data to every copy, so under majority "
+                      "election a copy-0 strike there reaches all copies "
+                      "of the consumer and commits (R = 2 rewinds)"),
     StructureCoverage("issue/wakeup logic", "speculative",
                       PROTECTION_REPLICATION,
                       "an upset manifests as a wrong value in one copy"),

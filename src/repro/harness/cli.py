@@ -279,13 +279,27 @@ def _cmd_campaign_compact(store):
                       dropped, "y" if dropped == 1 else "ies"))
 
 
+class _UsageError(SystemExit):
+    """An input ``repro-ft campaign`` rejects before running.  Like an
+    argparse usage error, it exits 2 with a one-line message on stderr;
+    a run that fails exits 1."""
+
+    def __init__(self, message):
+        super().__init__(2)
+        self.message = "repro-ft campaign: %s" % message
+        print(self.message, file=sys.stderr)
+
+    def __str__(self):
+        return self.message
+
+
 def _cmd_campaign(args):
     import json as _json
     from ..campaign import (TRIAL_FINISHED, CampaignSession,
                             ExecutionOptions, cells_to_json, open_store)
     from ..errors import ConfigError
     if args.resume and not args.store:
-        raise SystemExit("repro-ft campaign: --resume requires --store")
+        raise _UsageError("--resume requires --store")
     try:
         store = open_store(args.store)
     except ConfigError as exc:
@@ -293,8 +307,7 @@ def _cmd_campaign(args):
         return 2
     if args.compact:
         if store is None:
-            raise SystemExit("repro-ft campaign: --compact requires "
-                             "--store")
+            raise _UsageError("--compact requires --store")
         _cmd_campaign_compact(store)
         return
     try:
@@ -304,7 +317,7 @@ def _cmd_campaign(args):
             sampling=_sampling_plan_from_args(args))
         session = CampaignSession(spec, options=options, store=store)
     except (ConfigError, ValueError, TypeError, OSError) as exc:
-        raise SystemExit("repro-ft campaign: %s" % exc)
+        raise _UsageError(exc)
     if not args.quiet:
         # Progress goes to stderr so `--json > out.json` (and any
         # other stdout consumer) stays parseable mid-run.

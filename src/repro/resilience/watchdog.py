@@ -29,9 +29,6 @@ identity-guarded against concurrent resets by other runners) both fit.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED
-from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -122,6 +119,9 @@ class PoolSupervisor:
     def submit(self, key: str, fn: Callable, payload,
                context=None):
         """Submit one trial; survives racing into a just-broken pool."""
+        # Imported here, so a serial session never loads the pool
+        # machinery (concurrent.futures.process pulls multiprocessing).
+        from concurrent.futures.process import BrokenProcessPool
         for _ in range(3):
             pool = self._get_pool()
             try:
@@ -156,6 +156,9 @@ class PoolSupervisor:
         """
         if not self._entries:
             return []
+        from concurrent.futures import FIRST_COMPLETED
+        from concurrent.futures import wait as futures_wait
+        from concurrent.futures.process import BrokenProcessPool
         block = timeout
         nearest = min((entry.deadline for entry in
                        self._entries.values()

@@ -23,6 +23,7 @@ from ..branch.btb import BranchTargetBuffer
 from ..branch.combined import CombinedPredictor
 from ..branch.ras import ReturnAddressStack
 from ..branch.twolevel import TwoLevelPredictor
+from ..core.rob import Group
 from ..isa.opcodes import OP_INFO, Kind, Op
 from ..isa.registers import RA
 from ..program.cache import decode_program
@@ -36,23 +37,6 @@ _OP_JR = Op.JR
 _BRANCH_OPS = frozenset(op for op, info in OP_INFO.items()
                         if info.kind == Kind.BRANCH)
 _INDIRECT_OPS = frozenset((Op.JR, Op.JALR))
-
-
-class FetchRecord:
-    """One fetched instruction en route to dispatch."""
-
-    __slots__ = ("pc", "inst", "meta", "pred_npc", "pred_taken",
-                 "ras_snap", "fetch_cycle")
-
-    def __init__(self, pc, inst, pred_npc, pred_taken, ras_snap,
-                 fetch_cycle, meta=None):
-        self.pc = pc
-        self.inst = inst
-        self.meta = meta
-        self.pred_npc = pred_npc
-        self.pred_taken = pred_taken
-        self.ras_snap = ras_snap
-        self.fetch_cycle = fetch_cycle
 
 
 def build_predictor(params):
@@ -77,7 +61,7 @@ class FetchUnit:
         self.pc = program.entry
         self.stall_until = 0
         self.halted = False
-        # Shared static-metadata table: fetched records carry their
+        # Shared static-metadata table: fetched groups carry their
         # DecodedInst so dispatch never re-resolves opcode info.
         self._decoded = decode_program(program, config)
         # I-cache line index of a PC is pc >> line_shift (8-byte
@@ -97,7 +81,9 @@ class FetchUnit:
             self.ras.restore(snapshot)
 
     def fetch_cycle(self, cycle, budget):
-        """Fetch up to ``budget`` instructions; returns FetchRecords."""
+        """Fetch up to ``budget`` instructions; returns one unnumbered
+        :class:`~repro.core.rob.Group` per instruction, which dispatch
+        numbers and fills with its copies."""
         if self.halted or cycle < self.stall_until or budget <= 0:
             return []
         latency = self.hierarchy.fetch_latency(self.pc)
@@ -105,7 +91,7 @@ class FetchUnit:
         if latency > hit_latency:
             self.stall_until = cycle + latency
             return []
-        records = []
+        fetched = []
         decoded = self._decoded
         text_size = len(decoded)
         line_shift = self._line_shift
@@ -124,9 +110,8 @@ class FetchUnit:
             pred_taken = False
             snapshot = None
             if meta.is_halt:
-                record = FetchRecord(pc, meta.inst, pc, False, None,
-                                     cycle, meta)
-                records.append(record)
+                fetched.append(Group(None, pc, meta.inst, pc, False, None,
+                                     cycle, meta))
                 self.halted = True
                 break
             if is_control:
@@ -135,13 +120,13 @@ class FetchUnit:
                 control_seen += 1
             else:
                 pred_npc = pc + 1
-            records.append(FetchRecord(pc, meta.inst, pred_npc,
-                                       pred_taken, snapshot, cycle, meta))
+            fetched.append(Group(None, pc, meta.inst, pred_npc, pred_taken,
+                                 snapshot, cycle, meta))
             self.pc = pred_npc
             budget -= 1
             if is_control and pred_taken:
                 break  # stop after a predicted-taken control instruction
-        return records
+        return fetched
 
     def _predict_control(self, meta):
         """Predict next PC for the control instruction ``meta`` (its

@@ -17,10 +17,11 @@ model — results written back in cycle T are visible to commit in T+1):
 3. **issue** — send ready entries to functional units (age priority),
    and progress pending loads through disambiguation/forwarding/cache
    access within the D-cache port budget;
-4. **dispatch** — replicate fetched instructions into R-aligned ROB
-   groups, renaming copy 0 through the map table and deriving the other
-   copies' tags;
-5. **fetch** — predict and fetch up to the fetch width from the I-cache.
+4. **dispatch** — number fetched groups and replicate each into R
+   aligned ROB entries, renaming copy 0 through the map table and
+   deriving the other copies' tags;
+5. **fetch** — predict and fetch up to the fetch width from the
+   I-cache, one :class:`~repro.core.rob.Group` per instruction.
 
 This is the *optimized* implementation: campaign throughput is bounded
 by ``step()``, so the hot structures are engineered for the Python
@@ -89,31 +90,6 @@ _K_JUMP = Kind.JUMP
 #: Issue-queue indices (``int(FuClass)``) the scheduler arbitrates over.
 _ISSUE_CLASSES = (int(FuClass.INT_ALU), int(FuClass.INT_MULT),
                   int(FuClass.FP_ADD), int(FuClass.FP_MULT))
-
-
-def _entries_agree(first, other):
-    """Commit cross-check of two redundant copies (all fields).
-
-    Identity pre-checks carry the common case: unused fields are the
-    same ``None`` and a load's value is the group's single shared
-    object; the full values-equal rules only run for genuinely
-    distinct objects.
-    """
-    a = first.value
-    b = other.value
-    if a is not b and not _field_equal(a, b):
-        return False
-    a = first.next_pc
-    b = other.next_pc
-    if a is not b and not _field_equal(a, b):
-        return False
-    a = first.addr
-    b = other.addr
-    if a is not b and not _field_equal(a, b):
-        return False
-    a = first.store_val
-    b = other.store_val
-    return a is b or _field_equal(a, b)
 
 
 class Processor:
@@ -212,9 +188,13 @@ class Processor:
             if (instruction_target is not None
                     and stats.instructions >= instruction_target):
                 break
-            skip(max_cycles)
-            if max_cycles is not None and self.cycle >= max_cycles:
-                break
+            queues = self.ready_queues
+            if not (self.pending_loads or queues[1] or queues[2]
+                    or queues[3] or queues[4]):
+                # Only an idle issue stage can let a span be skipped.
+                skip(max_cycles)
+                if max_cycles is not None and self.cycle >= max_cycles:
+                    break
             step()
         stats.cycles = self.cycle
         return stats
@@ -223,20 +203,15 @@ class Processor:
         """Jump over cycles where provably no pipeline state can change.
 
         Safe only when every stage is quiescent for the whole span:
-        nothing ready to issue, no pending loads, the ROB head
-        incomplete (commit blocked), dispatch structurally blocked (or
-        the IFQ empty), and fetch stalled, halted or squeezed out by a
-        full IFQ.  The wake-up cycle is the earliest of the next
-        writeback event, the fetch stall release and the deadlock
-        deadline; occupancy integrals are accumulated over the skipped
-        span so :class:`PipelineStats` stay byte-identical to stepped
-        execution.
+        nothing ready to issue, no pending loads (both checked by the
+        caller, :meth:`run`), the ROB head incomplete (commit blocked),
+        dispatch structurally blocked (or the IFQ empty), and fetch
+        stalled, halted or squeezed out by a full IFQ.  The wake-up
+        cycle is the earliest of the next writeback event, the fetch
+        stall release and the deadlock deadline; occupancy integrals
+        are accumulated over the skipped span so :class:`PipelineStats`
+        stay byte-identical to stepped execution.
         """
-        queues = self.ready_queues
-        if queues[1] or queues[2] or queues[3] or queues[4]:
-            return
-        if self.pending_loads:
-            return
         groups = self.groups
         if groups:
             head = groups[0]
@@ -246,9 +221,9 @@ class Processor:
         ifq = self.ifq
         if ifq:
             # Dispatch must stay blocked for the span: no ROB space for
-            # one more group, or the head record needs a full LSQ.
+            # one more group, or the head group needs a full LSQ.
             if (self.rob_entries + self.redundancy <= config.rob_size
-                    and not (ifq[0].meta.is_mem and self.lsq.full)):
+                    and not (ifq[0].is_mem and self.lsq.full)):
                 return
         fetch_unit = self.fetch_unit
         cycle = self.cycle
@@ -282,29 +257,29 @@ class Processor:
         self.cycle += 1
         cycle = self.cycle
         self._ports_used = 0
+        # No stage replaces either deque (a rewind clears them in place).
         groups = self.groups
-        if groups:
-            head = groups[0]
-            if head.done_count >= len(head.copies):
-                self._commit_stage(cycle)
-                if self.halted:
-                    self.stats.cycles = cycle
-                    return
+        ifq = self.ifq
+        if groups and groups[0].done_count >= self.redundancy:
+            self._commit_stage(cycle)
+            if self.halted:
+                self.stats.cycles = cycle
+                return
         if self.events:
             self._writeback_stage(cycle)
         queues = self.ready_queues
         if (self.pending_loads or queues[1] or queues[2] or queues[3]
                 or queues[4]):
             self._issue_stage(cycle)
-        if self.ifq:
+        if ifq:
             self._dispatch_stage(cycle)
         fetch_unit = self.fetch_unit
         if not fetch_unit.halted and cycle >= fetch_unit.stall_until:
             self._fetch_stage(cycle)
         stats = self.stats
         stats.rob_occupancy_sum += self.rob_entries
-        stats.ifq_occupancy_sum += len(self.ifq)
-        if (not self.groups and not self.ifq
+        stats.ifq_occupancy_sum += len(ifq)
+        if (not groups and not ifq
                 and not fetch_unit.halted
                 and cycle >= fetch_unit.stall_until
                 and self.program.fetch(fetch_unit.pc) is None):
@@ -330,18 +305,18 @@ class Processor:
             return
         config = self.config
         budget = config.commit_width
-        cost_factor = 2 if config.shared_physical_regfile else 1
-        protected = self.redundancy >= 2
+        redundancy = self.redundancy
+        # Commit bandwidth a group takes: one slot per copy, two with a
+        # shared physical register file.
+        cost = redundancy * (2 if config.shared_physical_regfile else 1)
+        protected = redundancy >= 2
         check_pc = protected and self.ft.check_pc_continuity
         stats = self.stats
-        while groups and budget > 0:
+        while groups and budget >= cost:
             group = groups[0]
+            if group.done_count < redundancy:
+                break
             copies = group.copies
-            if group.done_count < len(copies):
-                break
-            cost = len(copies) * cost_factor
-            if cost > budget:
-                break
             if protected:
                 if check_pc and group.pc != self.committed_next_pc:
                     stats.pc_continuity_violations += 1
@@ -349,12 +324,43 @@ class Processor:
                     self.recovery.rewinds += 1
                     self._begin_rewind(cycle)
                     return
-                # Inline cross-check fast path: in the fault-free common
-                # case all copies agree and no CheckResult is needed.
+                # Inline cross-check of the four fields: in the
+                # fault-free common case all copies agree and no
+                # CheckResult is needed.  A field agrees at once when
+                # both copies hold the same object, or equal values of
+                # one type that are ints or non-zero floats; anything
+                # else (None, a signed zero, NaN, mixed types) takes
+                # the full rule of _field_equal.
                 first = copies[0]
+                value = first.value
+                next_pc = first.next_pc
+                addr = first.addr
+                store_val = first.store_val
                 agree = True
                 for other in copies[1:]:
-                    if not _entries_agree(first, other):
+                    a = other.value
+                    if not (a is value or type(a) is type(value)
+                            and a == value and (a or type(a) is int)) \
+                            and not _field_equal(value, a):
+                        agree = False
+                        break
+                    a = other.next_pc
+                    if not (a is next_pc or type(a) is int
+                            and type(next_pc) is int and a == next_pc) \
+                            and not _field_equal(next_pc, a):
+                        agree = False
+                        break
+                    a = other.addr
+                    if not (a is addr or type(a) is int
+                            and type(addr) is int and a == addr) \
+                            and not _field_equal(addr, a):
+                        agree = False
+                        break
+                    a = other.store_val
+                    if not (a is store_val or type(a) is type(store_val)
+                            and a == store_val
+                            and (a or type(a) is int)) \
+                            and not _field_equal(store_val, a):
                         agree = False
                         break
                 if agree:
@@ -411,19 +417,21 @@ class Processor:
                 stats.indirect_mispredicts += 1
         self.committed_next_pc = representative.next_pc
         self.groups.popleft()
-        copies = group.copies
-        for entry in copies:
+        for entry in group.copies:
             # Break the group <-> copy cycle so refcounting frees a
-            # retired group; nothing reads a retired copy's group.  A
-            # squashed group keeps it: stale events still read it.
+            # retired group; nothing reads a retired copy's group (a
+            # squash breaks it too: Group.mark_squashed).
             entry.group = None
-        self.rob_entries -= len(copies)
+        self.rob_entries -= self.redundancy
         if group.is_mem:
             self.lsq.remove_committed(group)
         stats.instructions += 1
-        stats.entries_committed += len(copies)
-        self.recovery.on_commit(cycle)
-        stats.recovery_cycles = self.recovery.recovery_cycles
+        stats.entries_committed += self.redundancy
+        recovery = self.recovery
+        if recovery._open_rewind_cycle is not None:
+            # The first commit since a rewind closes its outage.
+            recovery.on_commit(cycle)
+            stats.recovery_cycles = recovery.recovery_cycles
         self._last_commit_cycle = cycle
         if self._tracer is not None:
             self._tracer.on_commit(group, cycle)
@@ -492,12 +500,37 @@ class Processor:
         bucket = self.events.pop(cycle, None)
         if not bucket:
             return
-        complete = self._complete_execution
+        queues = self.ready_queues
         for kind, payload in bucket:
             if kind == _EVENT_EXEC:
                 entry = payload
-                if not entry.squashed:
-                    complete(entry, cycle)
+                if entry.squashed:
+                    continue
+                group = entry.group
+                if (group.is_mem or group.is_control
+                        or entry.fault_kind is not None):
+                    self._complete_execution(entry, cycle)
+                    continue
+                # An unarmed ALU result completes here: mark it done and
+                # wake its dependents (_finalize_entry's rule, minus the
+                # strike and control tails it cannot need).
+                entry.state = DONE
+                entry.done_cycle = cycle
+                group.done_count += 1
+                dependents = entry.dependents
+                if dependents:
+                    value = entry.value
+                    for dependent, slot in dependents:
+                        if dependent.squashed:
+                            continue
+                        dependent.src_vals[slot] = value
+                        dependent.pending -= 1
+                        if dependent.pending == 0 \
+                                and dependent.state == WAITING:
+                            dependent.state = READY
+                            heappush(queues[dependent.group.meta.qidx],
+                                     (dependent.seq, dependent))
+                    entry.dependents = None
             else:
                 group, value, was_miss = payload
                 if was_miss:
@@ -538,34 +571,7 @@ class Processor:
             return
         if entry.fault_kind is not None and not entry.fault_applied:
             self._apply_datapath_fault(entry, group)
-        # Inlined _finalize_entry (this is the completion path of every
-        # non-memory instruction).
-        entry.state = DONE
-        entry.done_cycle = cycle
-        group.done_count += 1
-        dependents = entry.dependents
-        if dependents:
-            value = entry.value
-            queues = self.ready_queues
-            for dependent, slot in dependents:
-                if dependent.squashed:
-                    continue
-                dependent.src_vals[slot] = value
-                dependent.pending -= 1
-                if dependent.pending == 0 and dependent.state == WAITING:
-                    dependent.state = READY
-                    heappush(queues[dependent.group.meta.qidx],
-                             (dependent.seq, dependent))
-            entry.dependents = None
-        if entry.fault_kind == "rob_value" and not entry.fault_applied:
-            # ROB-entry strike: the value corrupts *at rest*, after the
-            # dependents captured the clean result — only commit (and
-            # the cross-check) sees it.
-            entry.value = self._flip_value(entry.value, entry.fault_bit)
-            entry.fault_applied = True
-            self._count_fault(entry)
-        if group.is_control:
-            self._resolve_control(entry, cycle)
+        self._finalize_entry(entry, cycle)
 
     def _apply_datapath_fault(self, entry, group):
         if entry.fault_kind is None or entry.fault_applied:
@@ -618,8 +624,9 @@ class Processor:
                              (dependent.seq, dependent))
             entry.dependents = None
         if entry.fault_kind == "rob_value" and not entry.fault_applied:
-            # ROB-entry strike: corrupts after the dependents captured
-            # the clean value (see _complete_execution).
+            # ROB-entry strike: the value corrupts *at rest*, after the
+            # dependents captured the clean result — only commit (and
+            # the cross-check) sees it.
             entry.value = self._flip_value(entry.value, entry.fault_bit)
             entry.fault_applied = True
             self._count_fault(entry)
@@ -688,70 +695,29 @@ class Processor:
         if self.pending_loads:
             self._progress_pending_loads(cycle)
         queues = self.ready_queues
-        if not (queues[1] or queues[2] or queues[3] or queues[4]):
-            return
-        budget = self.config.issue_width
         pools = self._pools
-        co_schedule = self.config.co_schedule_copies
-        execute = self._execute
-        # Classes with ready work; a class leaves when it saturates or
-        # its queue drains.  Scanning this short list per issued entry
-        # reproduces exactly the global age-priority order of the
-        # reference engine, without re-popping entries of saturated
-        # classes every cycle.
-        active = [index for index in _ISSUE_CLASSES if queues[index]]
-        while budget and len(active) == 1:
-            # Single-class fast path (integer-only windows are common):
-            # no cross-class age arbitration needed.
-            index = active[0]
+        # The classes with ready work, each as [head seq, queue, pool].
+        # Each round issues the oldest head among them, which is exactly
+        # the reference engine's global age priority; a class leaves
+        # when it saturates or drains, so a saturated class's entries
+        # are never re-popped.  Every queued entry is READY and live: a
+        # squash filters the queues and issue pops what it issues.
+        active = []
+        for index in _ISSUE_CLASSES:
             queue = queues[index]
-            while queue:
-                head = queue[0][1]
-                if head.state != READY or head.squashed:
-                    heappop(queue)        # stale: drop lazily
-                else:
-                    break
-            if not queue:
-                return
-            seq, entry = queue[0]
-            group = entry.group
-            meta = group.meta
-            avoid = None
-            if co_schedule and entry.copy:
-                avoid = group.copies[0].fu_unit
-            latency = meta.latency
-            unit = pools[index].try_issue(cycle, latency,
-                                          meta.unpipelined, avoid=avoid)
-            if unit is None:
-                return                    # the only class saturated
-            heappop(queue)
-            entry.fu_unit = unit
-            execute(entry, cycle, latency)
-            budget -= 1
-        if not budget:
-            return
-        # Multi-class arbitration with cached heads: each candidate is
-        # [head_seq, class_index, queue]; only the class that issued
-        # (or saturated, or drained) is re-examined per round.  Order
-        # is exactly the reference engine's global age priority.
-        candidates = []
-        for index in active:
-            queue = queues[index]
-            while queue:
-                head = queue[0][1]
-                if head.state != READY or head.squashed:
-                    heappop(queue)        # stale: drop lazily
-                else:
-                    break
             if queue:
-                candidates.append([queue[0][0], index, queue])
-        while budget and candidates:
-            best = candidates[0]
-            for candidate in candidates:
+                active.append([queue[0][0], queue, pools[index]])
+        budget = self.config.issue_width
+        co_schedule = self.config.co_schedule_copies
+        events = self.events
+        issued = 0
+        while active:
+            best = active[0]
+            for candidate in active:
                 if candidate[0] < best[0]:
                     best = candidate
-            best_seq, best_index, best_queue = best
-            entry = best_queue[0][1]
+            queue = best[1]
+            entry = queue[0][1]
             group = entry.group
             meta = group.meta
             avoid = None
@@ -761,72 +727,60 @@ class Processor:
                 # corrupt both redundant results identically.
                 avoid = group.copies[0].fu_unit
             latency = meta.latency
-            unit = pools[best_index].try_issue(cycle, latency,
-                                               meta.unpipelined,
-                                               avoid=avoid)
+            unit = best[2].try_issue(cycle, latency, meta.unpipelined,
+                                     avoid)
             if unit is None:
-                candidates.remove(best)   # class saturated this cycle
+                active.remove(best)       # class saturated this cycle
                 continue
-            heappop(best_queue)
+            heappop(queue)
             entry.fu_unit = unit
-            execute(entry, cycle, latency)
-            budget -= 1
-            queue = best_queue
-            while queue:
-                head = queue[0][1]
-                if head.state != READY or head.squashed:
-                    heappop(queue)
+            # Execute: compute the copy's results now and schedule its
+            # completion for writeback.
+            if entry.op_fault is not None:
+                # Source-operand strike (rename_tag / iq_entry): the
+                # copy computes on a corrupted operand from here on.
+                slot, bit = entry.op_fault
+                entry.src_vals[slot] = self._flip_value(
+                    entry.src_vals[slot], bit)
+                entry.op_fault = None
+                entry.fault_applied = True
+                self._count_fault(entry)
+            a, b = entry.src_vals
+            kind = meta.kind
+            pc = group.pc
+            if kind == _K_ALU:
+                entry.value = meta.value_fn(a, b, meta.imm, pc)
+                entry.next_pc = pc + 1
+            elif kind == _K_LOAD or kind == _K_STORE:
+                entry.addr = u64(a + meta.imm)
+                entry.next_pc = pc + 1
+            elif kind == _K_BRANCH:
+                entry.next_pc = pc + 1 + meta.imm \
+                    if meta.branch_fn(a, b) else pc + 1
+            else:                         # JUMP
+                op = meta.op
+                if op == Op.J or op == Op.JAL:
+                    entry.next_pc = meta.imm
                 else:
-                    break
+                    entry.next_pc = u64(as_int(a))
+                if meta.writes_reg:
+                    entry.value = pc + 1
+            entry.state = ISSUED
+            entry.issue_cycle = cycle
+            when = cycle + latency
+            bucket = events.get(when)
+            if bucket is None:
+                events[when] = [(_EVENT_EXEC, entry)]
+            else:
+                bucket.append((_EVENT_EXEC, entry))
+            issued += 1
+            if issued == budget:
+                break
             if queue:
                 best[0] = queue[0][0]
             else:
-                candidates.remove(best)
-
-    def _execute(self, entry, cycle, latency):
-        """Start execution: compute results, schedule the completion."""
-        group = entry.group
-        meta = group.meta
-        kind = meta.kind
-        pc = group.pc
-        op_fault = entry.op_fault
-        if op_fault is not None:
-            # Source-operand strike (rename_tag / iq_entry): the copy
-            # computes on a corrupted operand from here on.
-            slot, bit = op_fault
-            entry.src_vals[slot] = self._flip_value(
-                entry.src_vals[slot], bit)
-            entry.op_fault = None
-            entry.fault_applied = True
-            self._count_fault(entry)
-        a, b = entry.src_vals
-        if kind == _K_ALU:
-            entry.value = meta.value_fn(a, b, meta.imm, pc)
-            entry.next_pc = pc + 1
-        elif kind == _K_LOAD or kind == _K_STORE:
-            entry.addr = u64(a + meta.imm)
-            entry.next_pc = pc + 1
-        elif kind == _K_BRANCH:
-            entry.next_pc = pc + 1 + meta.imm \
-                if meta.branch_fn(a, b) else pc + 1
-        else:                             # JUMP
-            op = meta.op
-            if op == Op.J or op == Op.JAL:
-                entry.next_pc = meta.imm
-            else:
-                entry.next_pc = u64(as_int(a))
-            if meta.writes_reg:
-                entry.value = pc + 1
-        entry.state = ISSUED
-        entry.issue_cycle = cycle
-        self.stats.issued += 1
-        events = self.events
-        when = cycle + latency
-        bucket = events.get(when)
-        if bucket is None:
-            events[when] = [(_EVENT_EXEC, entry)]
-        else:
-            bucket.append((_EVENT_EXEC, entry))
+                active.remove(best)
+        self.stats.issued += issued
 
     def _append_pending_load(self, group):
         """Insert an agen-complete load keeping program (gseq) order.
@@ -902,39 +856,40 @@ class Processor:
     # -- dispatch / fetch ---------------------------------------------------
 
     def _dispatch_stage(self, cycle):
-        ifq = self.ifq
-        if not ifq:
-            return
         config = self.config
-        budget = config.dispatch_width
         redundancy = self.redundancy
-        rob_size = config.rob_size
+        # Groups that fit both the dispatch width and the free ROB
+        # entries.
+        room = min(config.dispatch_width,
+                   config.rob_size - self.rob_entries) // redundancy
+        if room <= 0:
+            return
+        ifq = self.ifq
         lsq = self.lsq
         groups = self.groups
         queues = self.ready_queues
         build_group = self.replicator.build_group
-        stats = self.stats
-        while ifq and budget >= redundancy:
-            if self.rob_entries + redundancy > rob_size:
-                break
-            record = ifq[0]
-            if record.meta.is_mem and lsq.full:
+        dispatched = 0
+        while ifq and dispatched < room:
+            group = ifq[0]
+            if group.is_mem and lsq.full:
                 break
             ifq.popleft()
-            group = build_group(record, cycle)
-            group.dispatch_cycle = cycle
+            build_group(group, cycle)
             groups.append(group)
-            self.rob_entries += redundancy
             if group.is_mem:
                 lsq.insert(group)
-            qidx = record.meta.qidx
-            queue = queues[qidx]
+            queue = queues[group.meta.qidx]
             for entry in group.copies:
                 if entry.state == READY:
                     heappush(queue, (entry.seq, entry))
-            budget -= redundancy
-            stats.dispatched_groups += 1
-            stats.dispatched_entries += redundancy
+            dispatched += 1
+        if dispatched:
+            entries = dispatched * redundancy
+            self.rob_entries += entries
+            stats = self.stats
+            stats.dispatched_groups += dispatched
+            stats.dispatched_entries += entries
 
     def _fetch_stage(self, cycle):
         ifq = self.ifq
@@ -944,10 +899,10 @@ class Processor:
             budget = space
         if budget <= 0:
             return
-        records = self.fetch_unit.fetch_cycle(cycle, budget)
-        if records:
-            ifq.extend(records)
-            self.stats.fetched += len(records)
+        fetched = self.fetch_unit.fetch_cycle(cycle, budget)
+        if fetched:
+            ifq.extend(fetched)
+            self.stats.fetched += len(fetched)
 
 
 def simulate(program, config=None, ft=None, max_instructions=None,

@@ -47,7 +47,6 @@ from collections import deque
 from operator import attrgetter
 
 from ..core.rob import NO_TAGS, Group, RobEntry
-from .fetch import FetchRecord
 
 _GROUP_SCALARS = (
     "gseq", "pc", "inst", "meta", "pred_npc", "pred_taken", "ras_snap",
@@ -76,8 +75,8 @@ _STATS_FIELDS = (
 #: flag.
 STATS_SUMS = tuple(name for name in _STATS_FIELDS if name != "crashed")
 
-# How the encoding normalizes the fields of the tables above and of
-# FetchRecord; any other field is kept as it is.
+# How the encoding normalizes the fields of the tables above; any other
+# field is kept as it is.
 #: Fields taken relative to a base, by the base's position in
 #: ``(cycle, gseq, seq, vidx)``: cycle numbers to ``processor.cycle``;
 #: group ages, entry ages and virtual ROB indices (``gseq * R + copy``)
@@ -91,11 +90,14 @@ _INST_FIELDS = frozenset(("inst", "meta"))
 
 
 def _collect_groups(processor):
-    """Every Group reachable from the machine's mutable structures.
+    """Every dispatched, unsquashed Group reachable from the machine's
+    mutable structures.
 
-    Live groups sit in the ROB deque, but scheduled events and
-    dependents lists can still reference groups squashed out of it, so
-    the closure is computed with a worklist over group references.
+    Live groups sit in the ROB deque, and a load's blocked-on memo can
+    still name a store that retired since, so the closure is computed
+    with a worklist over group references.  A squashed leftover is left
+    out: all it still does is fire its stale event, which the events
+    part encodes (see :func:`_window_part`).
     """
     seen = set()
     ordered = []
@@ -120,9 +122,12 @@ def _collect_groups(processor):
     for bucket in processor.events.values():
         for kind, payload in bucket:
             if kind == 0:                 # _EVENT_EXEC: payload = entry
-                push(payload.group)
+                if not payload.squashed:
+                    push(payload.group)
             else:                         # load value: (group, value, miss)
-                push(payload[0])
+                group = payload[0]
+                if not group.squashed:
+                    push(group)
     while stack:
         group = stack.pop()
         if group.block_on is not None:
@@ -131,7 +136,8 @@ def _collect_groups(processor):
             dependents = entry.dependents
             if dependents:
                 for dependent, _slot in dependents:
-                    push(dependent.group)
+                    if not dependent.squashed:
+                        push(dependent.group)
     return ordered
 
 
@@ -139,56 +145,55 @@ def _inst_key(inst):
     return (int(inst.op), inst.rd, inst.rs1, inst.rs2, inst.imm)
 
 
-def _filler(fields):
-    """``fill(obj, row, bases, decode)``, setting each of ``fields`` of
-    ``obj`` from ``row``: :meth:`_FieldPlan.row` undone.  Generated as
-    straight-line code, the way dataclasses generate ``__init__``: a
-    restore sets every field of every in-flight object, and a loop of
-    ``setattr`` calls costs several times as much."""
-    lines = ["def fill(obj, row, bases, decode):"]
-    for index, name in enumerate(fields):
-        value = "row[%d]" % index
-        if name in _RELATIVE_FIELDS:
-            value = "None if %s is None else %s + bases[%d]" % (
-                value, value, _RELATIVE_FIELDS[name])
-        elif name in _INST_FIELDS:
-            value = "None if %s is None else decode(%s, row[%d], %r)" % (
-                value, value, fields.index("pc"), name)
-        lines.append("    obj.%s = %s" % (name, value))
+def _compile(name, params, lines):
     namespace = {}
-    exec("\n".join(lines), namespace)
-    return namespace["fill"]
+    exec("def %s(%s):\n    %s" % (name, params, "\n    ".join(lines)),
+         namespace)
+    return namespace[name]
 
 
 class _FieldPlan:
-    """Where the normalized fields of one field table sit in its row."""
+    """The normalized fields of one field table.
+
+    ``row(obj, bases)`` reads ``obj``'s fields, normalized against
+    ``bases``, into a list; ``fill(obj, row, bases, decode)`` sets them
+    back.  Both are generated as straight-line code, the way dataclasses
+    generate ``__init__``: a digest reads and a restore sets every field
+    of every in-flight object, and a loop over the fields costs several
+    times as much.
+    """
 
     def __init__(self, fields):
-        self.get = attrgetter(*fields)
-        self.fill = _filler(fields)
-        self.relative = tuple((index, _RELATIVE_FIELDS[name])
-                              for index, name in enumerate(fields)
-                              if name in _RELATIVE_FIELDS)
-        self.insts = tuple(index for index, name in enumerate(fields)
-                           if name in _INST_FIELDS)
-
-    def row(self, obj, bases):
-        """``obj``'s fields, normalized against ``bases``."""
-        row = list(self.get(obj))
-        for index, base in self.relative:
-            value = row[index]
-            if value is not None:
-                row[index] = value - bases[base]
-        for index in self.insts:
-            inst = row[index]
-            if inst is not None:
-                row[index] = _inst_key(inst)
-        return row
+        reads = []
+        cells = []
+        sets = []
+        for index, name in enumerate(fields):
+            cell = "row[%d]" % index
+            if name in _RELATIVE_FIELDS:
+                base = _RELATIVE_FIELDS[name]
+                reads.append("v%d = obj.%s" % (index, name))
+                cells.append("None if v%d is None else v%d - bases[%d]"
+                             % (index, index, base))
+                cell = "None if %s is None else %s + bases[%d]" % (
+                    cell, cell, base)
+            elif name in _INST_FIELDS:
+                # The key of _inst_key, inline.
+                reads.append("v%d = obj.%s" % (index, name))
+                cells.append("None if v%d is None else (int(v%d.op), "
+                             "v%d.rd, v%d.rs1, v%d.rs2, v%d.imm)"
+                             % ((index,) * 6))
+                cell = "None if %s is None else decode(%s, row[%d], %r)" % (
+                    cell, cell, fields.index("pc"), name)
+            else:
+                cells.append("obj.%s" % name)
+            sets.append("obj.%s = %s" % (name, cell))
+        self.row = _compile("row", "obj, bases",
+                            reads + ["return [%s]" % ", ".join(cells)])
+        self.fill = _compile("fill", "obj, row, bases, decode", sets)
 
 
 _GROUP_PLAN = _FieldPlan(_GROUP_SCALARS)
 _ENTRY_PLAN = _FieldPlan(_ENTRY_SCALARS)
-_RECORD_PLAN = _FieldPlan(FetchRecord.__slots__)
 _GSEQ = attrgetter("gseq")
 
 
@@ -251,7 +256,12 @@ def _arch_part(processor, cycle):
 
 def _window_part(processor, cycle):
     """The in-flight window: every reachable group and entry, the
-    structures that order them, scheduled events and FU busy times."""
+    structures that order them, scheduled events, the fetched groups
+    in the IFQ and FU busy times.
+
+    A squashed leftover shows only as what it still does: its stale
+    event's wake-up time, and whether a stale load fill frees an MSHR.
+    """
     replicator = processor.replicator
     gseq = replicator._gseq
     seq = replicator._seq
@@ -272,7 +282,7 @@ def _window_part(processor, cycle):
             dependents = entry.dependents
             cells.append(None if dependents is None else [
                 (dependent.seq - seq, slot)
-                for dependent, slot in dependents])
+                for dependent, slot in dependents if not dependent.squashed])
             row.append(cells)
         graph.append(row)
     events = processor.events
@@ -281,10 +291,12 @@ def _window_part(processor, cycle):
         bucket = []
         for kind, payload in events[when]:
             if kind == 0:                 # _EVENT_EXEC: payload = entry
-                bucket.append(payload.seq - seq)
+                bucket.append(None if payload.squashed
+                              else payload.seq - seq)
             else:                         # load value: (group, value, miss)
                 group, value, was_miss = payload
-                bucket.append((group.gseq - gseq, value, was_miss))
+                bucket.append((None, None, was_miss) if group.squashed
+                              else (group.gseq - gseq, value, was_miss))
         timeline.append((when - cycle, bucket))
     return (
         ("groups", (graph, [group.gseq - gseq
@@ -297,8 +309,8 @@ def _window_part(processor, cycle):
         ("ready_queues", [sorted(item[0] - seq for item in queue)
                           for queue in processor.ready_queues]),
         ("events", timeline),
-        ("ifq", [_RECORD_PLAN.row(record, bases)
-                 for record in processor.ifq]),
+        ("ifq", [_GROUP_PLAN.row(group, bases)
+                 for group in processor.ifq]),
         ("fu_state", [[_stale(busy, cycle) for busy in pool._busy_until]
                       for pool in processor.fus.pools.values()]))
 
@@ -529,17 +541,32 @@ def _restore(processor, fields, shift=None):
     processor.ready_queues = [
         [(age + seq, by_seq[age + seq]) for age in queue]
         for queue in fields["ready_queues"]]
-    processor.events = {
-        when + cycle: [
-            (0, by_seq[item + seq]) if type(item) is int
-            else (1, (by_gseq[item[0] + gseq], item[1], item[2]))
-            for item in bucket]
-        for when, bucket in fields["events"]}
+    # A stale event fires on a squashed leftover, of which it reads only
+    # the squashed flag.
+    leftover = Group.__new__(Group)
+    leftover.squashed = True
+    events = {}
+    for when, bucket in fields["events"]:
+        restored = []
+        for item in bucket:
+            if type(item) is int:
+                restored.append((0, by_seq[item + seq]))
+            elif item is None:
+                restored.append((0, leftover))
+            elif item[0] is None:
+                restored.append((1, (leftover, None, item[2])))
+            else:
+                restored.append((1, (by_gseq[item[0] + gseq], item[1],
+                                     item[2])))
+        events[when + cycle] = restored
+    processor.events = events
     ifq = deque()
     for row in fields["ifq"]:
-        record = FetchRecord.__new__(FetchRecord)
-        _RECORD_PLAN.fill(record, row, bases, decode)
-        ifq.append(record)
+        group = Group.__new__(Group)
+        _GROUP_PLAN.fill(group, row, bases, decode)
+        group.copies = []
+        group.block_on = None
+        ifq.append(group)
     processor.ifq = ifq
     pools = processor.fus.pools.values()
     for pool, busy in zip(pools, fields["fu_state"]):

@@ -204,7 +204,27 @@ class TestSessionLifecycle:
         assert session.spec is spec
 
 
+def run_python(script):
+    """Run ``script`` in a fresh interpreter on this source tree."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout
+
+
 class TestImportGraph:
+    def test_serial_sessions_load_no_process_pool(self):
+        # Only a pooled session imports the pool machinery.
+        output = run_python(
+            "import sys\n"
+            "import repro.campaign\n"
+            "print(sorted(name for name in ('multiprocessing',\n"
+            "             'concurrent.futures.process')\n"
+            "             if name in sys.modules))\n")
+        assert output.strip() == "[]"
+
     def test_runtime_never_imports_the_reference_engine(self):
         # The frozen oracle is for tests and the bench only: importing
         # the package and running a campaign must not load it.
@@ -217,13 +237,7 @@ class TestImportGraph:
             "                    replicates=1, instructions=200)\n"
             "assert len(CampaignSession(spec).run().records) == 2\n"
             "print('repro.uarch.reference' in sys.modules)\n")
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        output = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, text=True,
-                                check=True).stdout
-        assert output.strip() == "False"
+        assert run_python(script).strip() == "False"
 
 
 class TestEvents:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.campaign import CampaignSession, CampaignSpec
 from repro.campaign.store import JSONLStore, open_store
 from repro.errors import ConfigError
 
@@ -137,6 +138,19 @@ class TestOpenStore:
         store = open_store(str(tmp_path / "r.jsonl"))
         assert isinstance(store, JSONLStore)
         assert store.path == str(tmp_path / "r.jsonl")
+
+    def test_path_object_is_jsonl(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        store = open_store(path)
+        assert isinstance(store, JSONLStore)
+        assert store.path == str(path)
+        spec = CampaignSpec(name="paths", workloads=("gcc",),
+                            models=("SS-1",), rates_per_million=(0.0,),
+                            replicates=2, instructions=300)
+        result = CampaignSession(spec, store=path).run()
+        assert len(result.records) == 2
+        assert store.completed_keys() == {record["key"]
+                                          for record in result.records}
 
     def test_backend_instance_passes_through(self, tmp_path):
         store = JSONLStore(str(tmp_path / "r.jsonl"))

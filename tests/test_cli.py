@@ -82,6 +82,20 @@ class TestCampaignCli:
             main(["campaign", "--quiet"] + bad_args)
         assert "repro-ft campaign:" in str(excinfo.value)
 
+    @pytest.mark.parametrize("bad_args", [
+        ["--workloads", "notabench"],
+        ["--rates", "0,abc"],
+        ["--resume"],
+        ["--compact"],
+    ], ids=["unknown-workload", "bad-rates", "resume-without-store",
+            "compact-without-store"])
+    def test_rejected_input_exits_2(self, bad_args, capsys):
+        # Rejected before running, like argparse's usage errors.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--quiet"] + bad_args)
+        assert excinfo.value.code == 2
+        assert "repro-ft campaign:" in capsys.readouterr().err
+
     def test_out_without_resume_refuses_nonempty_store(self, tmp_path):
         out = str(tmp_path / "r.jsonl")
         args = ["campaign", "--workloads", "gcc", "--models", "SS-2",

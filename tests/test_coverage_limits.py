@@ -14,6 +14,8 @@ from repro.core.detection import CommitChecker
 from repro.core.faults import FaultConfig
 from repro.faults.policy import RatePolicy
 from repro.core.rob import Group, RobEntry
+from repro.faults.policy import SiteListPolicy
+from repro.faults.sites import FaultSite
 from repro.functional.checker import compare_states
 from repro.functional.simulator import run_functional
 from repro.isa.instruction import Instruction
@@ -112,3 +114,40 @@ class TestTripleRewindSurvivesDoubleStrikes:
                                               seed=seed)))
             assert compare_states(processor.arch, golden.state).clean, \
                 seed
+
+
+class TestSharedMemoryAccess:
+    """A load makes one cache access, with copy 0's address, and
+    store-to-load forwarding hands copy 0's store data to every copy
+    (``core/sphere.py``'s load/store queue row).  So a strike on copy
+    0's address reaches all copies of the consumers identically."""
+
+    @staticmethod
+    def run(ft, copy, config=None):
+        program = vector_sum(length=64)
+        site = FaultSite("lsq_address", index=20, copy=copy, bit=3)
+        processor = simulate(program, config=config, ft=ft,
+                             policy=SiteListPolicy([site]))
+        assert processor.stats.faults_injected == 1
+        clean = compare_states(processor.arch,
+                               run_functional(program).state).clean
+        return processor.stats, clean
+
+    def test_majority_commits_a_copy0_address_strike_as_sdc(self):
+        # The struck load's own address is out-voted, but every copy
+        # already consumed the value loaded from copy 0's address.
+        stats, clean = self.run(TRIPLE_MAJORITY, 0,
+                                MachineConfig(rob_size=126))
+        assert stats.majority_commits == 1 and stats.rewinds == 0
+        assert not clean
+
+    def test_majority_corrects_a_copy1_address_strike(self):
+        stats, clean = self.run(TRIPLE_MAJORITY, 1,
+                                MachineConfig(rob_size=126))
+        assert stats.majority_commits == 1 and stats.rewinds == 0
+        assert clean
+
+    def test_dual_redundancy_rewinds_a_copy0_address_strike(self):
+        stats, clean = self.run(DUAL_REDUNDANT, 0)
+        assert stats.rewinds == 1
+        assert clean

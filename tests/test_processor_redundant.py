@@ -147,11 +147,14 @@ class TestRewindExtraPenalty:
 
 
 class TestRetiredGroupsAreFreed:
-    """Retiring a group breaks its group <-> copy reference cycle, so
-    refcounting frees it and the cyclic collector never has to."""
+    """Retiring or squashing a group breaks its group <-> copy reference
+    cycle, so refcounting frees it and the cyclic collector never has
+    to."""
 
-    @pytest.mark.parametrize("model", ["SS-1", "SS-2", "SS-3"])
-    def test_no_retired_group_waits_for_the_collector(self, model):
+    @staticmethod
+    def run_without_collector(model, policy=None):
+        """Run 2,000 gcc instructions with the collector off; return the
+        processor and every Group the run left alive."""
         machine = get_model(model)
         gc.collect()
         gc.disable()
@@ -160,15 +163,23 @@ class TestRetiredGroupsAreFreed:
             older = [obj for obj in gc.get_objects() if type(obj) is Group]
             known = {id(group) for group in older}
             processor = Processor(cached_workload("gcc"),
-                                  config=machine.config, ft=machine.ft)
+                                  config=machine.config, ft=machine.ft,
+                                  policy=policy)
             processor.run(max_instructions=2_000, max_cycles=100_000)
             live = [obj for obj in gc.get_objects()
                     if type(obj) is Group and id(obj) not in known]
         finally:
             gc.enable()
+        return processor, live
+
+    @pytest.mark.parametrize("model", ["SS-1", "SS-2", "SS-3"])
+    def test_no_retired_group_waits_for_the_collector(self, model):
+        processor, live = self.run_without_collector(model)
         stats = processor.stats
         assert stats.instructions >= 2_000
-        in_flight = {id(group) for group in processor.groups}
+        # Fetched groups wait in the IFQ until dispatch numbers them.
+        in_flight = {id(group) for group in processor.groups} \
+            | {id(group) for group in processor.ifq}
         retired = [group for group in live
                    if id(group) not in in_flight and not group.squashed]
         # A load's blocked-on memo may still name a store that retired
@@ -176,4 +187,20 @@ class TestRetiredGroupsAreFreed:
         memos = {id(group.block_on) for group in live}
         assert all(id(group) in memos for group in retired)
         assert len(live) <= stats.dispatched_groups - stats.instructions \
-            + len(retired)
+            + len(retired) + len(processor.ifq)
+
+    @pytest.mark.parametrize("model", ["SS-2", "SS-3"])
+    def test_no_squashed_group_outlives_its_stale_event(self, model):
+        from repro.core.faults import FaultConfig
+        from repro.faults.policy import RatePolicy
+        policy = RatePolicy(FaultConfig(rate_per_million=30_000, seed=3))
+        processor, live = self.run_without_collector(model, policy)
+        stats = processor.stats
+        assert stats.rewinds > 0 and stats.branch_mispredicts > 0
+        squashed = [group for group in live if group.squashed]
+        # A load fill still scheduled holds its squashed group (it frees
+        # an MSHR when it fires); a stale execution event holds only the
+        # squashed copy, whose group reference the squash dropped.
+        stale = {id(payload[0]) for bucket in processor.events.values()
+                 for kind, payload in bucket if kind == 1}
+        assert all(id(group) in stale for group in squashed)

@@ -4,17 +4,17 @@ import pytest
 
 from repro.core.faults import FaultConfig
 from repro.core.replication import Replicator
-from repro.core.rob import DONE, READY, WAITING
+from repro.core.rob import DONE, READY, WAITING, Group
 from repro.faults.policy import RatePolicy
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
-from repro.uarch.fetch import FetchRecord
 from repro.uarch.rename import MapTableRenamer
 from repro.uarch.stats import PipelineStats
 
 
 def _record(inst, pc=0):
-    return FetchRecord(pc, inst, pc + 1, False, None, fetch_cycle=1)
+    """A fetched, not yet dispatched group."""
+    return Group(None, pc, inst, pc + 1, fetch_cycle=1)
 
 
 def _replicator(redundancy=2, committed=None, policy=None):

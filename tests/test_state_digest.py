@@ -15,9 +15,13 @@ from repro.core.rob import Group, RobEntry
 from repro.models.presets import get_model
 from repro.program.cache import cached_workload
 from repro.uarch import snapshot
-from repro.uarch.fetch import FetchRecord
 from repro.uarch.processor import Processor
 from repro.uarch.snapshot import ProcessorSnapshot, state_digest
+
+
+#: The fields fetch sets on a group waiting in the IFQ.
+FETCHED_FIELDS = ("pc", "inst", "meta", "pred_npc", "pred_taken",
+                  "ras_snap", "fetch_cycle")
 
 
 def mid_run(model="SS-2", instructions=700):
@@ -122,7 +126,7 @@ class TestSensitivity:
     def test_entry_field(self, machine, name):
         assert_digest_changes(machine, machine.groups[1].copies[1], name)
 
-    @pytest.mark.parametrize("name", FetchRecord.__slots__)
+    @pytest.mark.parametrize("name", FETCHED_FIELDS)
     def test_fetch_record_field(self, name):
         processor = mid_run(instructions=650)
         assert processor.ifq
